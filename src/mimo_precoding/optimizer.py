@@ -178,15 +178,29 @@ def _spec_shape(spec) -> tuple[int, int]:
     return (spec.channel.dims.T, spec.channel.dims.L)
 
 
-def objective(W, spec) -> float:
-    """Objective value at the projection of W."""
-    Wp = project(W, _spec_power(spec))
+def _forward(Wp: np.ndarray, spec):
+    """Objective value at the already-projected precoder Wp, together with
+    what _backward needs to differentiate it there."""
     if spec.kind == "cd":
         ch, pr = spec.channel, spec.params
-        return se_conjugate(Wp, ch.V_tilde, ch.S_tilde, pr.sigma2, pr.P)
+        return se_conjugate(Wp, ch.V_tilde, ch.S_tilde, pr.sigma2, pr.P), Wp
     if spec.kind == "irc":
-        return spectral_efficiency_irc(Wp, spec.channel, spec.params).se_bits
-    return float(spec.value(Wp))
+        return spectral_efficiency_irc(Wp, spec.channel, spec.params).se_bits, Wp
+    return float(spec.value(Wp)), Wp
+
+
+def _backward(cache, spec) -> np.ndarray:
+    """Complex ascent gradient at the projected point of a _forward call."""
+    if spec.kind == "cd":
+        return _cd_gradient(cache, spec.channel, spec.params)
+    if spec.kind == "irc":
+        return _irc_gradient(cache, spec.channel, spec.params)
+    return np.asarray(spec.wirtinger_grad(cache), dtype=np.complex128)
+
+
+def objective(W, spec) -> float:
+    """Objective value at the projection of W."""
+    return _forward(project(W, _spec_power(spec)), spec)[0]
 
 
 def _cd_gradient(Wp: np.ndarray, channel: ChannelSet, params: SystemParams) -> np.ndarray:
@@ -261,21 +275,19 @@ def _irc_gradient(Wp: np.ndarray, channel: ChannelSet, params: SystemParams) -> 
     return 2.0 * D_W
 
 
+def _pull_back(D: np.ndarray, W: np.ndarray, P: float) -> np.ndarray:
+    out = _chain_projection(D, W, P)
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailureError("gradient has non-finite entries")
+    return out
+
+
 def gradient(W, spec) -> np.ndarray:
     """Complex ascent gradient of the projected objective at W."""
     Wm = as_array(W)
     P = _spec_power(spec)
-    Wp = project(Wm, P)
-    if spec.kind == "cd":
-        inner = _cd_gradient(Wp, spec.channel, spec.params)
-    elif spec.kind == "irc":
-        inner = _irc_gradient(Wp, spec.channel, spec.params)
-    else:
-        inner = np.asarray(spec.wirtinger_grad(Wp), dtype=np.complex128)
-    out = _chain_projection(inner, Wm, P)
-    if not np.all(np.isfinite(out)):
-        raise NumericalFailureError("gradient has non-finite entries")
-    return out
+    _, cache = _forward(project(Wm, P), spec)
+    return _pull_back(_backward(cache, spec), Wm, P)
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +314,68 @@ def _starting_point(spec, cfg: OptimizerConfig) -> np.ndarray:
     return builder(spec.channel, base_cfg).W.copy()
 
 
-def _run_engine(spec, cfg: OptimizerConfig, x0: np.ndarray, shape, decode, score_fn):
+class _ProjectionParam:
+    """The engine's vector is the real embedding of W; the objective projects
+    W itself, and the returned precoder is the projected iterate."""
+
+    def __init__(self, shape: tuple[int, int], P: float):
+        self.shape = shape
+        self.P = P
+
+    def decode_full(self, x: np.ndarray):
+        return _unembed(x, self.shape), None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return project(_unembed(x, self.shape), self.P)
+
+    def chain(self, D: np.ndarray, W: np.ndarray, aux) -> np.ndarray:
+        return _embed(D)
+
+
+class _Evaluator:
+    """Objective value and gradient over the engine's vector x.
+
+    The engine asks for value_and_grad only at the line-search candidate it
+    has just accepted, so the forward pass of the last value call is kept and
+    reused: an accepted step costs its trials' forward passes plus one
+    backward pass.
+    """
+
+    def __init__(self, spec, param):
+        self.spec = spec
+        self.param = param
+        self.P = _spec_power(spec)
+        self._x = None
+        self._last = None
+
+    def _forward(self, x: np.ndarray):
+        if self._x is None or not np.array_equal(x, self._x):
+            W, aux = self.param.decode_full(x)
+            f, cache = _forward(project(W, self.P), self.spec)
+            self._x, self._last = x.copy(), (f, W, aux, cache)
+        return self._last
+
+    def value(self, x: np.ndarray) -> float:
+        return self._forward(x)[0]
+
+    def value_and_grad(self, x: np.ndarray):
+        f, W, aux, cache = self._forward(x)
+        D = _pull_back(_backward(cache, self.spec), W, self.P)
+        return f, self.param.chain(D, W, aux)
+
+
+def _run_engine(spec, cfg: OptimizerConfig, x0: np.ndarray, param, score_fn):
     records: list[IterationRecord] = []
 
     def on_iteration(i, x, f, grad_norm, step):
         se = None
         if score_fn is not None:
-            se = float(score_fn(decode(x)))
+            se = float(score_fn(param(x)))
         records.append(IterationRecord(i, float(f), float(grad_norm), float(step), se))
 
+    evaluator = _Evaluator(spec, param)
     x, info = lbfgs.maximize(
-        _make_value_and_grad(spec, shape, decode_space=decode),
+        evaluator.value_and_grad,
         x0,
         max_iters=cfg.max_iters,
         tol_grad=cfg.tol_grad,
@@ -322,7 +385,7 @@ def _run_engine(spec, cfg: OptimizerConfig, x0: np.ndarray, shape, decode, score
         backtrack=cfg.backtrack,
         max_line_search=cfg.max_line_search,
         initial_step=cfg.initial_step,
-        value=_make_value(spec, shape, decode_space=decode),
+        value=evaluator.value,
         callback=on_iteration,
     )
     return x, OptimizationTrace(tuple(records), info["termination"])
@@ -339,39 +402,10 @@ def lbfgs_maximize(spec, cfg: OptimizerConfig | None = None, score_fn=None):
     raising.
     """
     cfg = cfg or OptimizerConfig()
-    shape = _spec_shape(spec)
-    P = _spec_power(spec)
+    param = _ProjectionParam(_spec_shape(spec), _spec_power(spec))
     W0 = _starting_point(spec, cfg)
-
-    def decode(x):
-        return project(_unembed(x, shape), P)
-
-    x, trace = _run_engine(spec, cfg, _embed(W0), shape, decode, score_fn)
-    return PrecodingMatrix(decode(x)), trace
-
-
-def _make_value(spec, shape, decode_space=None):
-    if isinstance(decode_space, _SoftmaxDecoder):
-        return lambda x: objective(decode_space(x), spec)
-    return lambda x: objective(_unembed(x, shape), spec)
-
-
-def _make_value_and_grad(spec, shape, decode_space=None):
-    if not isinstance(decode_space, _SoftmaxDecoder):
-        def vag(x):
-            W = _unembed(x, shape)
-            return objective(W, spec), _embed(gradient(W, spec))
-        return vag
-
-    dec: _SoftmaxDecoder = decode_space
-
-    def vag_softmax(x):
-        W, aux = dec.decode_full(x)
-        f = objective(W, spec)
-        D = gradient(W, spec)
-        return f, dec.chain(D, W, aux)
-
-    return vag_softmax
+    x, trace = _run_engine(spec, cfg, _embed(W0), param, score_fn)
+    return PrecodingMatrix(param(x)), trace
 
 
 # ---------------------------------------------------------------------------
@@ -491,5 +525,5 @@ def softmax_maximize(spec, cfg: OptimizerConfig | None = None, score_fn=None):
     W0 = _starting_point(spec, cfg)
     dec = _SoftmaxDecoder(shape, P)
     x0 = dec.pack(SoftmaxParams.from_precoder(W0, P))
-    x, trace = _run_engine(spec, cfg, x0, shape, dec, score_fn)
+    x, trace = _run_engine(spec, cfg, x0, dec, score_fn)
     return PrecodingMatrix(dec(x)), trace
