@@ -13,6 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateChannelError, NumericalFailureError, SingularMatrixError
+from .irc import COND_LIMIT, detect
 from .model import ChannelSet, SystemDims, SystemParams, UserChannel
 
 KINDS = ("mmse", "mmse-irc", "conjugate")
@@ -30,16 +31,11 @@ class DetectionSet:
         return scipy.linalg.block_diag(*self.blocks)
 
 
-# Above this condition number an unregularized normal matrix counts as
-# singular; roundoff can otherwise let Cholesky "succeed" on a defective one.
-_COND_LIMIT = 1e14
-
-
 def _hermitian_solve(Q: np.ndarray, rhs: np.ndarray, context: str,
                      check_singular: bool = False) -> np.ndarray:
     # Cholesky of the Hermitian positive-definite normal matrix; cheaper and
     # more stable than forming the inverse.
-    if check_singular and np.linalg.cond(Q) > _COND_LIMIT:
+    if check_singular and np.linalg.cond(Q) > COND_LIMIT:
         raise SingularMatrixError(f"{context}: system matrix is singular")
     try:
         c, low = scipy.linalg.cho_factor(Q, check_finite=False)
@@ -113,14 +109,15 @@ def mmse_detection_set(channel: ChannelSet, W: np.ndarray, params: SystemParams)
     return DetectionSet(kind="mmse", blocks=tuple(blocks))
 
 
-def irc_detection_set(channel: ChannelSet, W: np.ndarray, params: SystemParams,
-                      check_covariance_form: bool = False) -> DetectionSet:
-    lam = params.noise_to_signal
-    blocks = tuple(
-        mmse_irc(user.H, W, k, channel.dims, lam, check_covariance_form)
-        for k, user in enumerate(channel.users)
-    )
-    return DetectionSet(kind="mmse-irc", blocks=blocks)
+def irc_detection_set(channel: ChannelSet, W: np.ndarray, params: SystemParams) -> DetectionSet:
+    """MMSE-IRC detectors of every user, computed batched per user group."""
+    Wm = np.asarray(W, dtype=np.complex128)
+    blocks = [None] * channel.dims.K
+    for group in channel.groups:
+        G = detect(Wm, group, params.noise_to_signal)[2]
+        for k, G_k in zip(group.users, G):
+            blocks[k] = G_k
+    return DetectionSet(kind="mmse-irc", blocks=tuple(blocks))
 
 
 def conjugate_detection_set(channel: ChannelSet) -> DetectionSet:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -148,6 +149,20 @@ class UserChannel:
 
 
 @dataclass(frozen=True)
+class UserGroup:
+    """Users sharing one (R_k, L_k) shape, stacked for batched linear algebra.
+
+    select[i] is the (L_k, L) one-hot matrix that picks user users[i]'s own
+    streams out of all L: W select[i]^T = W_k.
+    """
+
+    users: np.ndarray   # (n,) user indices, ascending
+    H: np.ndarray       # (n, R_k, T)
+    cols: np.ndarray    # (n, L_k) stacked stream indices of each user
+    select: np.ndarray  # (n, L_k, L)
+
+
+@dataclass(frozen=True)
 class ChannelSet:
     """All users' channels plus the stacked factors H = U^H diag(S) V.
 
@@ -164,6 +179,25 @@ class ChannelSet:
     S_tilde: np.ndarray  # (L,)
     U_tilde: np.ndarray  # (L, R) block-diagonal
     V_tilde: np.ndarray  # (L, T)
+
+    @cached_property
+    def groups(self) -> tuple[UserGroup, ...]:
+        """Users bucketed by (R_k, L_k), buckets in order of first appearance."""
+        dims = self.dims
+        shapes = list(zip(dims.R_k, dims.L_k))
+        out = []
+        for shape in dict.fromkeys(shapes):
+            users = np.array([k for k, s in enumerate(shapes) if s == shape])
+            cols = np.array([np.arange(dims.L)[dims.layer_slice(k)] for k in users])
+            select = np.zeros((len(users), shape[1], dims.L))
+            np.put_along_axis(select, cols[:, :, None], 1.0, axis=2)
+            out.append(UserGroup(
+                users=_frozen(users),
+                H=_frozen(np.stack([self.users[k].H for k in users])),
+                cols=_frozen(cols),
+                select=_frozen(select),
+            ))
+        return tuple(out)
 
 
 def decompose_user(H_k: np.ndarray, L_k: int, user: int | None = None) -> UserChannel:

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import lbfgs
 from .baselines import BaselineConfig, arzf, rzf
-from .errors import NumericalFailureError, SingularMatrixError
+from .errors import NumericalFailureError
+from .irc import irc_backward, irc_forward
 from .model import ChannelSet, SystemParams
-from .quality import PrecodingMatrix, as_array, se_conjugate, spectral_efficiency_irc
+from .quality import PrecodingMatrix, as_array, se_conjugate
 
 _LN2 = math.log(2.0)
 
@@ -185,7 +185,7 @@ def _forward(Wp: np.ndarray, spec):
         ch, pr = spec.channel, spec.params
         return se_conjugate(Wp, ch.V_tilde, ch.S_tilde, pr.sigma2, pr.P), Wp
     if spec.kind == "irc":
-        return spectral_efficiency_irc(Wp, spec.channel, spec.params).se_bits, Wp
+        return irc_forward(Wp, spec.channel, spec.params)
     return float(spec.value(Wp)), Wp
 
 
@@ -194,7 +194,7 @@ def _backward(cache, spec) -> np.ndarray:
     if spec.kind == "cd":
         return _cd_gradient(cache, spec.channel, spec.params)
     if spec.kind == "irc":
-        return _irc_gradient(cache, spec.channel, spec.params)
+        return irc_backward(cache)
     return np.asarray(spec.wirtinger_grad(cache), dtype=np.complex128)
 
 
@@ -217,62 +217,6 @@ def _cd_gradient(Wp: np.ndarray, channel: ChannelSet, params: SystemParams) -> n
     np.fill_diagonal(A_off, 0.0)
     M = A / totals[:, None] - A_off / rest[:, None]
     return (2.0 / _LN2) * (Vt.conj().T @ M)
-
-
-def _irc_gradient(Wp: np.ndarray, channel: ChannelSet, params: SystemParams) -> np.ndarray:
-    """Total derivative of the MMSE-IRC spectral efficiency in W.
-
-    For each user, adjoints are pulled back through the detector
-    G = A^H Q^{-1} with Q = B B^H + lam I and B = H_k W, then through
-    B itself, reusing one Cholesky factorization of Q per user.
-    """
-    dims = channel.dims
-    lam = params.noise_to_signal
-    D_W = np.zeros((dims.T, dims.L), dtype=np.complex128)
-
-    for k, user in enumerate(channel.users):
-        sl = dims.layer_slice(k)
-        L_k = dims.L_k[k]
-        B = user.H @ Wp                             # (R_k, L)
-        A = B[:, sl]
-        Q = B @ B.conj().T + lam * np.eye(user.R_k)
-        try:
-            cho = scipy.linalg.cho_factor(Q, check_finite=False)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-            raise SingularMatrixError(f"irc gradient, user {k}: {exc}") from exc
-        G = scipy.linalg.cho_solve(cho, A, check_finite=False).conj().T  # (L_k, R_k)
-        Z = G @ B                                   # (L_k, L)
-        power = np.abs(Z) ** 2
-        g_power = np.einsum("lr,lr->l", G, G.conj()).real
-        local = np.arange(L_k)
-        cols = np.arange(sl.start, sl.stop)
-        signal = power[local, cols]
-        off = power.copy()
-        off[local, cols] = 0.0
-        den = off.sum(axis=1) + g_power * lam
-        if np.any(den <= 0.0) or np.any(signal <= 0.0):
-            raise NumericalFailureError(
-                f"user {k}: spectral efficiency not differentiable "
-                "(zero per-symbol SINR or denominator)"
-            )
-        sinr = signal / den
-        geo = float(np.exp(np.mean(np.log(sinr))))
-        # d SE_k / d sinr_l for SE_k = L_k log2(1 + geomean(sinr))
-        c = geo / ((1.0 + geo) * _LN2 * sinr)
-        u_w = c / den
-        v_w = c * sinr / den
-
-        D_Z = -v_w[:, None] * Z
-        D_Z[local, cols] = u_w * Z[local, cols]
-        nu = -v_w * lam                             # weights on the detector row powers
-        D_G = D_Z @ B.conj().T + nu[:, None] * G
-        D_A = scipy.linalg.cho_solve(cho, D_G.conj().T, check_finite=False)  # (R_k, L_k)
-        Y = D_A @ G                                 # (R_k, R_k)
-        D_B = G.conj().T @ D_Z - Y.conj().T @ B - Y @ B
-        D_B[:, sl] += D_A
-        D_W += user.H.conj().T @ D_B
-
-    return 2.0 * D_W
 
 
 def _pull_back(D: np.ndarray, W: np.ndarray, P: float) -> np.ndarray:

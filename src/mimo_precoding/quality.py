@@ -8,19 +8,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectionSet, irc_detection_set
+from .detection import DetectionSet
 from .errors import (
     DegenerateChannelError,
     DimensionError,
     InfiniteSusinrError,
     UndefinedSinrError,
 )
+from .irc import geometric_means, irc_forward, se_sum, symbol_sinrs
 from .model import ChannelSet, SystemParams, susinr_gain
-
-_LN2 = math.log(2.0)
-
-# Below this SINR, log2(1 + x) goes through log1p to keep low-SNR sweeps accurate.
-_LOG1P_SWITCH = 1e-4
 
 
 def as_array(W) -> np.ndarray:
@@ -82,12 +78,6 @@ class SinrReport:
     zero_sinr_users: tuple[int, ...] = ()
 
 
-def _shannon_term(x: float) -> float:
-    if x < _LOG1P_SWITCH:
-        return math.log1p(x) / _LN2
-    return math.log2(1.0 + x)
-
-
 def symbol_sinr(W, H_k: np.ndarray, g_l: np.ndarray, sigma2: float, P: float, l: int) -> float:
     """SINR of the symbol in global column l at the detector row g_l.
 
@@ -115,49 +105,38 @@ def effective_sinr(per_symbol) -> float:
         raise DimensionError("need at least one per-symbol SINR")
     if np.any(x < 0):
         raise ValueError("SINR values must be nonnegative")
-    if np.any(x == 0):
-        return 0.0
-    return float(np.exp(np.mean(np.log(x))))
+    return float(geometric_means(x))
+
+
+def _report(channel: ChannelSet, groups, se: float) -> SinrReport:
+    """Scatter per-group (group, sinr, eff) results back to stream and user order."""
+    per_symbol = np.empty(channel.dims.L)
+    per_user = np.empty(channel.dims.K)
+    for group, sinr, eff in groups:
+        per_symbol[group.cols] = sinr
+        per_user[group.users] = eff
+    return SinrReport(
+        per_symbol=per_symbol,
+        per_user_effective=per_user,
+        se_bits=float(se),
+        zero_sinr_users=tuple(int(k) for k in np.flatnonzero(per_user == 0.0)),
+    )
 
 
 def spectral_efficiency(W, channel: ChannelSet, detection: DetectionSet,
                         sigma2: float, P: float) -> SinrReport:
     """Total spectral efficiency sum_k L_k log2(1 + effective SINR_k) in bit/s/Hz."""
     Wm = as_array(W)
-    dims = channel.dims
-    per_symbol = np.empty(dims.L)
-    per_user = np.empty(dims.K)
-    zero_users = []
+    lam = sigma2 / P
+    groups = []
     se = 0.0
-    for k, user in enumerate(channel.users):
-        sl = dims.layer_slice(k)
-        G_k = detection.blocks[k]
-        Z = G_k @ (user.H @ Wm)                       # (L_k, L)
-        power = np.abs(Z) ** 2
-        g_power = np.einsum("lr,lr->l", G_k, G_k.conj()).real
-        local = np.arange(dims.L_k[k])
-        cols = np.arange(sl.start, sl.stop)
-        signal = power[local, cols]
-        off = power.copy()
-        off[local, cols] = 0.0
-        den = off.sum(axis=1) + g_power * sigma2 / P
-        if np.any(den == 0.0):
-            bad = int(cols[np.argmax(den == 0.0)])
-            raise UndefinedSinrError(
-                f"symbol {bad}: zero denominator (no interference and no effective noise)"
-            )
-        per_symbol[sl] = signal / den
-        eff = effective_sinr(per_symbol[sl])
-        per_user[k] = eff
-        if eff == 0.0:
-            zero_users.append(k)
-        se += dims.L_k[k] * _shannon_term(eff)
-    return SinrReport(
-        per_symbol=per_symbol,
-        per_user_effective=per_user,
-        se_bits=float(se),
-        zero_sinr_users=tuple(zero_users),
-    )
+    for group in channel.groups:
+        G = np.stack([np.asarray(detection.blocks[k]) for k in group.users])
+        sinr, _ = symbol_sinrs(G @ (group.H @ Wm), G, group, lam)
+        eff = geometric_means(sinr)
+        se += se_sum(eff, group.cols.shape[1])
+        groups.append((group, sinr, eff))
+    return _report(channel, groups, se)
 
 
 def spectral_efficiency_irc(W, channel: ChannelSet, params: SystemParams) -> SinrReport:
@@ -166,8 +145,8 @@ def spectral_efficiency_irc(W, channel: ChannelSet, params: SystemParams) -> Sin
     This single path scores every algorithm in the benchmark harness and is the
     quantity maximized by the IRC objective.
     """
-    detection = irc_detection_set(channel, as_array(W), params)
-    return spectral_efficiency(W, channel, detection, params.sigma2, params.P)
+    se, cache = irc_forward(as_array(W), channel, params)
+    return _report(channel, [(p.group, p.sinr, p.eff) for p in cache.passes], se)
 
 
 def susinr(channel: ChannelSet, sigma2: float, P: float) -> float:
