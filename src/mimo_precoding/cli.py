@@ -179,15 +179,19 @@ def _cmd_trace(args) -> int:
     spec = ObjectiveSpec(kind=kind, channel=channel, params=params)
     opt_cfg = replace(cfg.optimizer, start=start, start_matrix=None)
 
-    score = lambda W: spectral_efficiency_irc(W, channel, params).se_bits
+    score = None
+    if kind != "irc":
+        score = lambda W: spectral_efficiency_irc(W, channel, params).se_bits
     _, trace = lbfgs_maximize(spec, opt_cfg, score_fn=score)
+    # The QN-IRC objective is SE-IRC of the accepted precoder, computed the same way.
+    se_irc = [r.se_irc_bits if score else r.objective for r in trace.records]
 
     fmt = _format_for(args.out, args.format)
     if fmt == "csv":
         lines = ["iteration,objective,grad_norm,step,se_irc_bits"]
-        for r in trace.records:
+        for r, se in zip(trace.records, se_irc):
             lines.append(f"{r.iteration},{r.objective:.6g},{r.grad_norm:.6g},"
-                         f"{r.step:.6g},{r.se_irc_bits:.6g}")
+                         f"{r.step:.6g},{se:.6g}")
         args.out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     else:
         doc = {
@@ -198,8 +202,8 @@ def _cmd_trace(args) -> int:
                 "objective": float(f"{r.objective:.6g}"),
                 "grad_norm": float(f"{r.grad_norm:.6g}"),
                 "step": float(f"{r.step:.6g}"),
-                "se_irc_bits": float(f"{r.se_irc_bits:.6g}"),
-            } for r in trace.records],
+                "se_irc_bits": float(f"{se:.6g}"),
+            } for r, se in zip(trace.records, se_irc)],
         }
         args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
     print(f"wrote {args.out} ({algo}, seed {seed}, {susinr} dB, "

@@ -50,6 +50,8 @@ class ScenarioConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if isinstance(self.workers, bool) or any(isinstance(s, bool) for s in self.seeds):
+            raise ConfigError("seeds and workers must be integers, not booleans")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "susinr_grid_db", tuple(float(x) for x in self.susinr_grid_db))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
@@ -97,6 +99,9 @@ class ScenarioConfig:
                 R_k = tuple(R) if isinstance(R, (list, tuple)) else (int(R),) * K
                 L_k = tuple(L) if isinstance(L, (list, tuple)) else (int(L),) * K
                 kwargs["dims"] = SystemDims(K=K, T=int(d["T"]), R_k=R_k, L_k=L_k)
+            for key in ("seeds", "workers"):
+                if isinstance(raw.get(key), bool):
+                    raise ConfigError(f"{key} must be an integer, not a boolean")
             if "seeds" in raw:
                 s = raw["seeds"]
                 kwargs["seeds"] = tuple(range(int(s))) if isinstance(s, int) else tuple(s)

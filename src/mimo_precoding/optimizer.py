@@ -81,6 +81,8 @@ class OptimizerConfig:
     start_matrix: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.start_matrix is not None and not np.all(np.isfinite(self.start_matrix)):
+            raise ValueError("start_matrix has non-finite entries")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.tol_grad <= 0 or self.tol_change <= 0:
@@ -104,8 +106,13 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class OptimizationTrace:
+    """Accepted iterates, why the run stopped and how many evaluations it
+    used: n_value_evals line-search trials and n_grad_evals gradients."""
+
     records: tuple[IterationRecord, ...]
     termination: str
+    n_value_evals: int
+    n_grad_evals: int
 
     @property
     def iterations(self) -> int:
@@ -332,7 +339,8 @@ def _run_engine(spec, cfg: OptimizerConfig, x0: np.ndarray, param, score_fn):
         value=evaluator.value,
         callback=on_iteration,
     )
-    return x, OptimizationTrace(tuple(records), info["termination"])
+    return x, OptimizationTrace(tuple(records), info["termination"],
+                                info["n_value_evals"], info["n_grad_evals"])
 
 
 def lbfgs_maximize(spec, cfg: OptimizerConfig | None = None, score_fn=None):

@@ -104,6 +104,14 @@ class TestTrace:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
+    def test_irc_trace_se_column_is_the_objective(self, tmp_path):
+        cfg = write_config(tmp_path, algorithms=["QN-IRC-ARZF"])
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--config", str(cfg), "--out", str(out), "--iters", "5"]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) >= 2
+        assert all(row[1] == row[4] for row in rows)
+
     def test_trace_needs_quasi_newton_algorithm(self, tmp_path, capsys):
         cfg = write_config(tmp_path, algorithms=["RZF"])
         assert main(["trace", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 1

@@ -58,6 +58,9 @@ class TestScenarioConfig:
         assert cfg.seeds == (0, 1, 2, 3, 4)
 
     @pytest.mark.parametrize("raw", [
+        {"seeds": True},
+        {"seeds": [0, False]},
+        {"workers": True},
         {"algorithms": ["ZF", "bogus"]},
         {"susinr_grid_db": []},
         {"P": -1.0},

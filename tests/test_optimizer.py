@@ -200,6 +200,33 @@ class TestLbfgsMaximize:
         _, trace = lbfgs_maximize(spec, OptimizerConfig(max_iters=10), score_fn=score)
         assert all(r.se_irc_bits is not None for r in trace.records)
 
+    def test_irc_objective_is_the_scoring_se(self):
+        # The trace command reports SE-IRC of QN-IRC runs from this equality.
+        spec = irc_spec(19, K=3, T=8, R=2, L=2)
+        score = lambda W: spectral_efficiency_irc(W, spec.channel, spec.params).se_bits
+        _, trace = lbfgs_maximize(spec, OptimizerConfig(max_iters=20), score_fn=score)
+        assert [r.objective for r in trace.records] == [r.se_irc_bits for r in trace.records]
+
+    def test_irc_budget_one_forward_per_trial_one_backward_per_step(self, monkeypatch):
+        import mimo_precoding.optimizer as optimizer
+
+        calls = {"forward": 0, "backward": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(optimizer, "irc_forward", counted("forward", optimizer.irc_forward))
+        monkeypatch.setattr(optimizer, "irc_backward", counted("backward", optimizer.irc_backward))
+        _, trace = lbfgs_maximize(irc_spec(21, K=4, T=16, R=4, L=2),
+                                  OptimizerConfig(max_iters=30))
+        assert trace.iterations >= 10
+        assert trace.n_value_evals >= trace.iterations
+        assert calls["forward"] == trace.n_value_evals + 1
+        assert calls["backward"] == trace.n_grad_evals == trace.iterations + 1
+
     def test_rzf_start_supported(self):
         spec = cd_spec(20)
         _, trace = lbfgs_maximize(spec, OptimizerConfig(max_iters=10, start="rzf"))
@@ -214,6 +241,13 @@ class TestLbfgsMaximize:
             OptimizerConfig(start="custom")
         with pytest.raises(ValueError):
             OptimizerConfig(start="mrt")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_start_matrix_rejected(self, bad):
+        start = np.zeros((8, 2), dtype=complex)
+        start[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            OptimizerConfig(start="custom", start_matrix=start)
 
 
 class TestSoftmax:
