@@ -51,12 +51,14 @@ def hermitian_solve(Q: np.ndarray, rhs: np.ndarray, context: str,
         raise SingularMatrixError(f"{context}: {exc}") from exc
 
 
-def symbol_sinrs(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
-    """Per-symbol SINRs of one group's detector outputs Z = G H W.
+def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
+    """Per-symbol SINRs of one group's detector outputs Z = G H W, and what
+    they add up to.
 
     Z is (n, L_k, L) and G the (n, L_k, R_k) detector rows. Returns the SINRs
-    and their denominators, both (n, L_k). A zero denominator (no interference
-    and no effective noise) raises UndefinedSinrError.
+    and their denominators, both (n, L_k), the (n,) effective SINRs and the
+    group's spectral efficiency in bit/s/Hz. A zero denominator (no
+    interference and no effective noise) raises UndefinedSinrError.
     """
     power = np.abs(Z) ** 2
     own = group.select
@@ -69,7 +71,9 @@ def symbol_sinrs(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
         raise UndefinedSinrError(
             f"symbol {bad}: zero denominator (no interference and no effective noise)"
         )
-    return signal / den, den
+    sinr = signal / den
+    eff = geometric_means(sinr)
+    return sinr, den, eff, float(own.shape[1] * np.sum(np.log1p(eff)) / _LN2)
 
 
 def geometric_means(sinr: np.ndarray) -> np.ndarray:
@@ -77,11 +81,6 @@ def geometric_means(sinr: np.ndarray) -> np.ndarray:
     zero = np.any(sinr == 0.0, axis=-1)
     logs = np.log(np.where(sinr > 0.0, sinr, 1.0))
     return np.where(zero, 0.0, np.exp(np.mean(logs, axis=-1)))
-
-
-def se_sum(eff: np.ndarray, L_k: int) -> float:
-    """Spectral efficiency sum_k L_k log2(1 + eff_k) of one group, bit/s/Hz."""
-    return float(L_k * np.sum(np.log1p(eff)) / _LN2)
 
 
 def detect(W: np.ndarray, group: UserGroup, lam: float):
@@ -110,7 +109,8 @@ class GroupPass:
 
 @dataclass(frozen=True)
 class IrcCache:
-    se_bits: float
+    """What irc_backward needs from one irc_forward call."""
+
     lam: float
     shape: tuple[int, int]  # (T, L) of the precoder
     passes: tuple[GroupPass, ...]
@@ -126,11 +126,10 @@ def irc_forward(Wp, channel: ChannelSet, params: SystemParams) -> tuple[float, I
     for group in channel.groups:
         B, Q, G = detect(W, group, lam)
         Z = G @ B
-        sinr, den = symbol_sinrs(Z, G, group, lam)
-        eff = geometric_means(sinr)
-        se += se_sum(eff, group.cols.shape[1])
+        sinr, den, eff, se_group = score_group(Z, G, group, lam)
+        se += se_group
         passes.append(GroupPass(group, B, Q, G, Z, sinr, den, eff))
-    return se, IrcCache(se, lam, W.shape, tuple(passes))
+    return se, IrcCache(lam, W.shape, tuple(passes))
 
 
 def irc_backward(cache: IrcCache) -> np.ndarray:

@@ -15,7 +15,7 @@ from .errors import (
     InfiniteSusinrError,
     UndefinedSinrError,
 )
-from .irc import geometric_means, irc_forward, se_sum, symbol_sinrs
+from .irc import geometric_means, irc_forward, score_group
 from .model import ChannelSet, SystemParams, susinr_gain
 
 
@@ -131,10 +131,9 @@ def spectral_efficiency(W, channel: ChannelSet, detection: DetectionSet,
     groups = []
     se = 0.0
     for group in channel.groups:
-        G = np.stack([np.asarray(detection.blocks[k]) for k in group.users])
-        sinr, _ = symbol_sinrs(G @ (group.H @ Wm), G, group, lam)
-        eff = geometric_means(sinr)
-        se += se_sum(eff, group.cols.shape[1])
+        G = np.stack([detection.blocks[k] for k in group.users])
+        sinr, _, eff, se_group = score_group(G @ (group.H @ Wm), G, group, lam)
+        se += se_group
         groups.append((group, sinr, eff))
     return _report(channel, groups, se)
 
