@@ -35,8 +35,8 @@ def _h(X: np.ndarray) -> np.ndarray:
     return X.conj().swapaxes(-1, -2)
 
 
-def hermitian_solve(Q: np.ndarray, rhs: np.ndarray, context: str,
-                    check_singular: bool = False) -> np.ndarray:
+def _hpd_solve(Q: np.ndarray, rhs: np.ndarray, context: str,
+               check_singular: bool) -> np.ndarray:
     """Solve Q X = rhs for a stack of Hermitian positive-definite Q.
 
     The batched Cholesky factorization is the positive-definiteness test; the
@@ -88,8 +88,8 @@ def detect(W: np.ndarray, group: UserGroup, lam: float):
     B = group.H @ W                                   # (n, R_k, L)
     A = B @ group.select.swapaxes(1, 2)               # (n, R_k, L_k)
     Q = B @ _h(B) + lam * np.eye(B.shape[1])
-    G = _h(hermitian_solve(Q, A, f"mmse-irc detection, users {group.users.tolist()}",
-                           check_singular=lam == 0.0))
+    G = _h(_hpd_solve(Q, A, f"mmse-irc detection, users {group.users.tolist()}",
+                      check_singular=lam == 0.0))
     return B, Q, G
 
 
