@@ -35,10 +35,8 @@ from .harness import (
     RunRecord,
     RunReport,
     ScenarioConfig,
-    TimingReport,
     export_report,
     run_scenario,
-    timing_report,
 )
 from .model import (
     ChannelSet,

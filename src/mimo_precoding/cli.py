@@ -2,9 +2,9 @@
 
 Subcommands:
     generate  draw synthetic channels and write them to binary channel files
-    run       execute a scenario sweep and export the report
+    run       execute a scenario sweep, export the report and print the mean
+              SE-IRC per channel-quality point and algorithm
     trace     run one quasi-Newton optimization and dump its per-iteration trace
-    time      measure building-block wall times against the RZF baseline
 
 Exit codes: 0 on success, 1 on configuration errors, 2 when a sweep finished
 but some grid cells failed.
@@ -27,7 +27,6 @@ from .harness import (
     export_report,
     parse_qn_name,
     run_scenario,
-    timing_report,
 )
 from .model import SystemParams, noise_from_susinr
 from .optimizer import ObjectiveSpec, lbfgs_maximize
@@ -91,10 +90,6 @@ def build_parser() -> _Parser:
     _add_common(t)
     t.add_argument("--out", type=Path, default=Path("trace.csv"), help="trace path")
     t.add_argument("--format", choices=("csv", "json"), help="trace format (default from suffix)")
-
-    m = sub.add_parser("time", help="report wall-time ratios against the RZF baseline")
-    _add_common(m)
-    m.add_argument("--out", type=Path, help="optional JSON output path")
     return parser
 
 
@@ -159,7 +154,22 @@ def _cmd_run(args) -> int:
     export_report(report, _format_for(args.out, args.format), args.out)
     n_fail = len(report.failures)
     print(f"wrote {args.out} ({len(report.rows)} rows, {n_fail} failed cells)")
+    print(_mean_se_table(report))
     return 2 if n_fail else 0
+
+
+def _mean_se_table(report) -> str:
+    """RunReport.aggregates() as a table: one row per channel-quality point,
+    one column per algorithm, "-" where every cell failed."""
+    aggregates = report.aggregates()
+    algos = list(dict.fromkeys(a["algorithm"] for a in aggregates))
+    means = {(a["susinr_db"], a["algorithm"]): a["mean_se_irc_bits"] for a in aggregates}
+    lines = ["mean SE-IRC over successful seeds (bit/s/Hz)",
+             f"{'susinr':>8}" + "".join(f"{a:>14}" for a in algos)]
+    for s in dict.fromkeys(a["susinr_db"] for a in aggregates):
+        cells = ("-" if means[s, a] is None else f"{means[s, a]:.3f}" for a in algos)
+        lines.append(f"{s:>8g}" + "".join(f"{c:>14}" for c in cells))
+    return "\n".join(lines)
 
 
 def _cmd_trace(args) -> int:
@@ -211,22 +221,10 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_time(args) -> int:
-    cfg = load_scenario(args)
-    report = timing_report(cfg)
-    print(report.format_table())
-    if args.out is not None:
-        args.out.write_text(json.dumps(report.to_dict(), indent=2) + "\n",
-                            encoding="utf-8", newline="\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "run": _cmd_run,
     "trace": _cmd_trace,
-    "time": _cmd_time,
 }
 
 

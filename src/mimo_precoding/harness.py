@@ -1,5 +1,5 @@
 """Benchmark harness: scenario sweeps over seeds and channel-quality points,
-uniform SE scoring under MMSE-IRC detection, report export and timing ratios.
+uniform SE scoring under MMSE-IRC detection and report export.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineConfig, compute_baseline, rzf
+from .baselines import BaselineConfig, compute_baseline
 from .channels import MODELS, generate_channels
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, MimoError
 from .model import ChannelSet, SystemDims, SystemParams, noise_from_susinr
-from .optimizer import ObjectiveSpec, OptimizerConfig, gradient, lbfgs_maximize, objective
+from .optimizer import ObjectiveSpec, OptimizerConfig, lbfgs_maximize
 from .quality import PrecodingMatrix, spectral_efficiency_irc
 
 BASELINE_ALGOS = ("MRT", "ZF", "RZF", "ARZF")
@@ -222,7 +222,8 @@ def _run_cell(cfg: ScenarioConfig, seed: int, susinr_db: float) -> list[RunRecor
             wall_ms = (time.perf_counter() - t0) * 1e3
             se = spectral_efficiency_irc(W, channel, params).se_bits
             records.append(RunRecord(seed, susinr_db, algo, float(se), wall_ms, iterations))
-        except Exception as exc:  # keep sweeping; the cell carries its failure
+        except (MimoError, np.linalg.LinAlgError) as exc:
+            # Numerical trouble fails only this cell; a programming error propagates.
             wall_ms = (time.perf_counter() - t0) * 1e3
             records.append(RunRecord(seed, susinr_db, algo, None, wall_ms, None,
                                      error=f"{type(exc).__name__}: {exc}"))
@@ -300,108 +301,3 @@ def export_report(report: RunReport, format: str, path) -> None:
         path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
     else:
         raise ConfigError(f"unknown report format {format!r}, expected 'csv' or 'json'")
-
-
-# ---------------------------------------------------------------------------
-# Timing
-
-
-@dataclass(frozen=True)
-class TimingReport:
-    """Wall-time of the building blocks against the RZF baseline.
-
-    The quasi-Newton column reports the measured cost of a full run next to
-    the rough 3x-per-iteration model (one gradient plus about two function
-    evaluations per step, each comparable to one RZF solve).
-    """
-
-    rzf_ms: float
-    se_c_ms: float
-    gradient_ms: float
-    qn_ms: float
-    iterations: int
-
-    @property
-    def se_c_ratio(self) -> float:
-        return self.se_c_ms / self.rzf_ms
-
-    @property
-    def gradient_ratio(self) -> float:
-        return self.gradient_ms / self.rzf_ms
-
-    @property
-    def qn_ratio(self) -> float:
-        return self.qn_ms / self.rzf_ms
-
-    @property
-    def qn_model_ratio(self) -> float:
-        return 3.0 * self.iterations
-
-    def to_dict(self) -> dict:
-        return {
-            "rzf_ms": self.rzf_ms,
-            "se_c_ms": self.se_c_ms,
-            "gradient_ms": self.gradient_ms,
-            "qn_ms": self.qn_ms,
-            "iterations": self.iterations,
-            "se_c_ratio": self.se_c_ratio,
-            "gradient_ratio": self.gradient_ratio,
-            "qn_ratio": self.qn_ratio,
-            "qn_model_ratio": self.qn_model_ratio,
-        }
-
-    def format_table(self) -> str:
-        rows = [
-            ("rzf solve", self.rzf_ms, 1.0),
-            ("objective eval", self.se_c_ms, self.se_c_ratio),
-            ("gradient eval", self.gradient_ms, self.gradient_ratio),
-            (f"qn run ({self.iterations} iters)", self.qn_ms, self.qn_ratio),
-        ]
-        lines = [f"{'operation':<24}{'ms':>12}{'x rzf':>12}"]
-        for name, ms, ratio in rows:
-            lines.append(f"{name:<24}{ms:>12.4f}{ratio:>12.1f}")
-        lines.append(f"model for qn run: ~{self.qn_model_ratio:.0f}x rzf")
-        return "\n".join(lines)
-
-
-def _time_call(fn, min_total=2e-3, repeats=3) -> float:
-    """Per-call seconds, best of a few batched repetitions."""
-    t0 = time.perf_counter()
-    fn()
-    est = max(time.perf_counter() - t0, 1e-7)
-    n = max(1, min(200, int(min_total / est)))
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(n):
-            fn()
-        best = min(best, (time.perf_counter() - t0) / n)
-    return best
-
-
-def timing_report(cfg: ScenarioConfig) -> TimingReport:
-    """Measure one RZF solve, one surrogate-objective evaluation, one gradient
-    evaluation and one full quasi-Newton run on the configured dimensions."""
-    channel = generate_channels(cfg.dims, cfg.seeds[0], cfg.channel_model, cfg.rho)
-    susinr = cfg.susinr_grid_db[len(cfg.susinr_grid_db) // 2]
-    sigma2 = noise_from_susinr(channel, cfg.P, susinr)
-    params = SystemParams(P=cfg.P, sigma2=sigma2, L=cfg.dims.L)
-    spec = ObjectiveSpec(kind="cd", channel=channel, params=params)
-    base_cfg = BaselineConfig(kind="RZF", params=params)
-    W = rzf(channel, base_cfg).W
-
-    rzf_s = _time_call(lambda: rzf(channel, base_cfg))
-    se_s = _time_call(lambda: objective(W, spec))
-    grad_s = _time_call(lambda: gradient(W, spec))
-
-    t0 = time.perf_counter()
-    _, trace = lbfgs_maximize(spec, replace(cfg.optimizer, start="rzf", start_matrix=None))
-    qn_s = time.perf_counter() - t0
-
-    return TimingReport(
-        rzf_ms=rzf_s * 1e3,
-        se_c_ms=se_s * 1e3,
-        gradient_ms=grad_s * 1e3,
-        qn_ms=qn_s * 1e3,
-        iterations=trace.iterations,
-    )

@@ -167,18 +167,40 @@ class ChannelSet:
     """All users' channels plus the stacked factors H = U^H diag(S) V.
 
     Rows are stacked in user order, contiguous per user. U and U_tilde are
-    block-diagonal with one block per user. All arrays are read-only.
+    block-diagonal with one block per user. The truncated S_tilde and V_tilde
+    are built with the set; the other stacked factors on first use. All arrays
+    are read-only.
     """
 
     dims: SystemDims
     users: tuple[UserChannel, ...]
-    H: np.ndarray        # (R, T)
-    S: np.ndarray        # (R,) diagonal entries
-    U: np.ndarray        # (R, R) block-diagonal
-    V: np.ndarray        # (R, T)
     S_tilde: np.ndarray  # (L,)
-    U_tilde: np.ndarray  # (L, R) block-diagonal
     V_tilde: np.ndarray  # (L, T)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """(R, T) stacked channel."""
+        return _frozen(np.vstack([u.H for u in self.users]))
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        """(R,) stacked singular values."""
+        return _frozen(np.concatenate([u.S for u in self.users]))
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        """(R, R) block-diagonal."""
+        return _frozen(scipy.linalg.block_diag(*[u.U for u in self.users]))
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        """(R, T) stacked right singular vectors."""
+        return _frozen(np.vstack([u.V for u in self.users]))
+
+    @cached_property
+    def U_tilde(self) -> np.ndarray:
+        """(L, R) block-diagonal of the users' leading rows of U."""
+        return _frozen(scipy.linalg.block_diag(*[u.U_tilde for u in self.users]))
 
     @cached_property
     def groups(self) -> tuple[UserGroup, ...]:
@@ -267,12 +289,7 @@ def stack(users) -> ChannelSet:
     return ChannelSet(
         dims=dims,
         users=users,
-        H=_frozen(np.vstack([u.H for u in users])),
-        S=_frozen(np.concatenate([u.S for u in users])),
-        U=_frozen(scipy.linalg.block_diag(*[u.U for u in users])),
-        V=_frozen(np.vstack([u.V for u in users])),
         S_tilde=_frozen(np.concatenate([u.S_tilde for u in users])),
-        U_tilde=_frozen(scipy.linalg.block_diag(*[u.U_tilde for u in users])),
         V_tilde=_frozen(np.vstack([u.V_tilde for u in users])),
     )
 

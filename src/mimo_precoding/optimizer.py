@@ -273,6 +273,9 @@ class _ProjectionParam:
         self.shape = shape
         self.P = P
 
+    def encode(self, W0: np.ndarray) -> np.ndarray:
+        return _embed(W0)
+
     def decode_full(self, x: np.ndarray):
         return _unembed(x, self.shape), None
 
@@ -315,7 +318,18 @@ class _Evaluator:
         return f, self.param.chain(D, W, aux)
 
 
-def _run_engine(spec, cfg: OptimizerConfig, x0: np.ndarray, param, score_fn):
+def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
+    """Body shared by both drivers: starting point, parametrization, engine,
+    precoder.
+
+    param_type(shape, P) maps between the engine's real vector x and W:
+    encode(W0) gives the first x, decode_full(x) gives W plus what chain(D, W,
+    aux) needs to turn the ascent gradient D at W into the gradient over x,
+    and param(x) is the precoder returned for the final x.
+    """
+    cfg = cfg or OptimizerConfig()
+    param = param_type(_spec_shape(spec), _spec_power(spec))
+    x0 = param.encode(_starting_point(spec, cfg))
     records: list[IterationRecord] = []
 
     def on_iteration(i, x, f, grad_norm, step):
@@ -339,8 +353,8 @@ def _run_engine(spec, cfg: OptimizerConfig, x0: np.ndarray, param, score_fn):
         value=evaluator.value,
         callback=on_iteration,
     )
-    return x, OptimizationTrace(tuple(records), info["termination"],
-                                info["n_value_evals"], info["n_grad_evals"])
+    return PrecodingMatrix(param(x)), OptimizationTrace(
+        tuple(records), info["termination"], info["n_value_evals"], info["n_grad_evals"])
 
 
 def lbfgs_maximize(spec, cfg: OptimizerConfig | None = None, score_fn=None):
@@ -353,11 +367,7 @@ def lbfgs_maximize(spec, cfg: OptimizerConfig | None = None, score_fn=None):
     A failed line search returns the best iterate found so far rather than
     raising.
     """
-    cfg = cfg or OptimizerConfig()
-    param = _ProjectionParam(_spec_shape(spec), _spec_power(spec))
-    W0 = _starting_point(spec, cfg)
-    x, trace = _run_engine(spec, cfg, _embed(W0), param, score_fn)
-    return PrecodingMatrix(param(x)), trace
+    return _maximize(spec, cfg, score_fn, _ProjectionParam)
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +396,20 @@ class SoftmaxParams:
     alpha: np.ndarray  # (T,)
 
     def decode(self, P: float) -> np.ndarray:
+        return self._decode_full(P)[0]
+
+    def _decode_full(self, P: float):
+        """The precoder plus the stream shares p and the sigmoids of alpha and
+        eta, which the gradient chain reuses."""
         t = self.theta - self.theta.max(axis=1, keepdims=True)
         e = np.exp(t)
         p = e / e.sum(axis=1, keepdims=True)
+        sa = _sigmoid(self.alpha)
+        se = _sigmoid(self.eta)
         T = self.theta.shape[0]
-        q = p * _sigmoid(self.alpha)[:, None] * (P / T)
-        phi = 2.0 * np.pi * _sigmoid(self.eta)
-        return np.sqrt(q) * np.exp(1j * phi)
+        q = p * sa[:, None] * (P / T)
+        W = np.sqrt(q) * np.exp(1j * 2.0 * np.pi * se)
+        return W, (p, sa, se)
 
     @classmethod
     def from_precoder(cls, W0: np.ndarray, P: float) -> "SoftmaxParams":
@@ -425,20 +442,12 @@ class _SoftmaxDecoder:
             alpha=x[2 * n:],
         )
 
-    def pack(self, sp: SoftmaxParams) -> np.ndarray:
+    def encode(self, W0: np.ndarray) -> np.ndarray:
+        sp = SoftmaxParams.from_precoder(W0, self.P)
         return np.concatenate([sp.theta.ravel(), sp.eta.ravel(), sp.alpha])
 
     def decode_full(self, x: np.ndarray):
-        sp = self.unpack(x)
-        t = sp.theta - sp.theta.max(axis=1, keepdims=True)
-        e = np.exp(t)
-        p = e / e.sum(axis=1, keepdims=True)
-        sa = _sigmoid(sp.alpha)
-        se = _sigmoid(sp.eta)
-        T = self.shape[0]
-        q = p * sa[:, None] * (self.P / T)
-        W = np.sqrt(q) * np.exp(1j * 2.0 * np.pi * se)
-        return W, (p, sa, se)
+        return self.unpack(x)._decode_full(self.P)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.decode_full(x)[0]
@@ -471,11 +480,4 @@ def softmax_maximize(spec, cfg: OptimizerConfig | None = None, score_fn=None):
     lbfgs_maximize; expect slower convergence since boundary solutions require
     saturating sigmoids.
     """
-    cfg = cfg or OptimizerConfig()
-    shape = _spec_shape(spec)
-    P = _spec_power(spec)
-    W0 = _starting_point(spec, cfg)
-    dec = _SoftmaxDecoder(shape, P)
-    x0 = dec.pack(SoftmaxParams.from_precoder(W0, P))
-    x, trace = _run_engine(spec, cfg, x0, dec, score_fn)
-    return PrecodingMatrix(dec(x)), trace
+    return _maximize(spec, cfg, score_fn, _SoftmaxDecoder)

@@ -1,6 +1,6 @@
 import json
 
-from mimo_precoding import file_size, read_channels
+from mimo_precoding import SingularMatrixError, file_size, read_channels, run_scenario
 from mimo_precoding.cli import main
 
 
@@ -62,11 +62,42 @@ class TestRun:
     def test_missing_subcommand_exits_one(self, capsys):
         assert main([]) == 1
 
+    def test_unknown_subcommand_exits_one(self, capsys):
+        assert main(["time"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_prints_mean_se_table_from_aggregates(self, tmp_path, capsys, monkeypatch):
+        import mimo_precoding.cli as cli
+
+        reports = []
+
+        def recording(cfg):
+            reports.append(run_scenario(cfg))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_scenario", recording)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "report.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--seeds", "0,1", "--susinr", "0,12", "--algos", "RZF,ARZF"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"wrote {out}")
+        header = lines[2].split()
+        assert header == ["susinr", "RZF", "ARZF"]
+        printed = {}
+        for line in lines[3:]:
+            susinr, *means = line.split()
+            for algo, mean in zip(header[1:], means):
+                printed[float(susinr), algo] = mean
+        expected = {(a["susinr_db"], a["algorithm"]): f"{a['mean_se_irc_bits']:.3f}"
+                    for a in reports[0].aggregates()}
+        assert printed == expected
+
     def test_cell_failures_exit_two(self, tmp_path, monkeypatch):
         import mimo_precoding.harness as harness
 
         def boom(name, channel, params, opt_cfg):
-            raise RuntimeError("synthetic failure")
+            raise SingularMatrixError("synthetic failure")
 
         monkeypatch.setattr(harness, "run_algorithm", boom)
         cfg = write_config(tmp_path)
@@ -124,17 +155,3 @@ class TestTrace:
         assert doc["algorithm"] == "QN-CD-RZF"
         assert doc["records"][0]["iteration"] == 0
 
-
-class TestTime:
-    def test_time_prints_table(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        assert main(["time", "--config", str(cfg), "--iters", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "x rzf" in out
-
-    def test_time_json_output(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out = tmp_path / "timing.json"
-        assert main(["time", "--config", str(cfg), "--iters", "2", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["qn_ratio"] > 0
