@@ -30,21 +30,25 @@ class StepInfo:
     step: float        # accepted step length (0 for the starting record)
 
 
+def _inf_norm(g: np.ndarray) -> float:
+    return float(np.max(np.abs(g))) if g.size else 0.0
+
+
 def _two_loop(g: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
     if not pairs:
         return g.copy()
-    q = g.copy()
+    r = g.copy()
+    scratch = np.empty_like(g)  # every scaled history vector is formed here
     alphas = []
     for s, y, rho in reversed(pairs):
-        a = rho * float(s @ q)
-        q -= a * y
+        a = rho * float(s @ r)
+        r -= np.multiply(a, y, out=scratch)
         alphas.append(a)
     s_last, y_last, _ = pairs[-1]
-    gamma = float(s_last @ y_last) / float(y_last @ y_last)
-    r = gamma * q
+    r *= float(s_last @ y_last) / float(y_last @ y_last)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * float(y @ r)
-        r += s * (a - b)
+        r += np.multiply(s, a - b, out=scratch)
     return r
 
 
@@ -73,7 +77,8 @@ def maximize(value_and_grad, x0: np.ndarray, *, max_iters: int, tol_grad: float,
     n_value = 0
     g = np.asarray(g, dtype=float)
 
-    history = [StepInfo(0, float(f), float(np.max(np.abs(g))) if g.size else 0.0, 0.0)]
+    g_inf = _inf_norm(g)
+    history = [StepInfo(0, float(f), g_inf, 0.0)]
     if callback is not None:
         callback(0, x, f, history[0].grad_norm, 0.0)
 
@@ -83,7 +88,6 @@ def maximize(value_and_grad, x0: np.ndarray, *, max_iters: int, tol_grad: float,
     termination = TERM_MAX_ITERS
 
     for t in range(1, max_iters + 1):
-        g_inf = float(np.max(np.abs(g))) if g.size else 0.0
         if g_inf <= tol_grad:
             termination = TERM_GRADIENT
             break
@@ -129,8 +133,9 @@ def maximize(value_and_grad, x0: np.ndarray, *, max_iters: int, tol_grad: float,
         last_df = abs(float(f_new) - float(f))
         last_dx = float(np.linalg.norm(s))
         x, f, g = x_new, float(f_new), g_new
+        g_inf = _inf_norm(g)
 
-        info = StepInfo(t, f, float(np.max(np.abs(g))) if g.size else 0.0, step)
+        info = StepInfo(t, f, g_inf, step)
         history.append(info)
         if callback is not None:
             callback(t, x, f, info.grad_norm, step)

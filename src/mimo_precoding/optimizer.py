@@ -127,6 +127,18 @@ class OptimizationTrace:
 # Projection and its chain rule
 
 
+def _row_power(W: np.ndarray) -> np.ndarray:
+    return np.einsum("ml,ml->m", W, W.conj()).real
+
+
+def _ratio_over(num, power: np.ndarray, over: np.ndarray, fill: float) -> np.ndarray:
+    """num / power on the rows marked over and fill elsewhere, so rows inside
+    the ball (zero rows too) are never divided."""
+    out = np.full_like(power, fill)
+    np.divide(num, power, out=out, where=over)
+    return out
+
+
 def project(W, P: float) -> np.ndarray:
     """Row-wise projection onto the per-antenna power ball of radius sqrt(P/T).
 
@@ -136,19 +148,26 @@ def project(W, P: float) -> np.ndarray:
     idempotent.
     """
     Wm = as_array(W)
-    cap = P / Wm.shape[0]
-    out = Wm.copy()
+    return _project(Wm, P, _row_power(Wm))
+
+
+def _project(W: np.ndarray, P: float, power: np.ndarray) -> np.ndarray:
+    """project(W, P) given the row power of W, which the chain rule reuses."""
+    cap = P / W.shape[0]
+    out = W.copy()
     for _ in range(4):
-        power = np.einsum("ml,ml->m", out, out.conj()).real
         over = power > cap
         if not over.any():
             break
-        out[over] *= np.sqrt(cap / power[over])[:, None]
+        out *= np.sqrt(_ratio_over(cap, power, over, 1.0))[:, None]
+        power = _row_power(out)
     return out
 
 
-def _chain_projection(D: np.ndarray, W: np.ndarray, P: float) -> np.ndarray:
-    """Pull the gradient D at proj(W) back through the projection at W.
+def _chain_projection(D: np.ndarray, W: np.ndarray, P: float,
+                      power: np.ndarray) -> np.ndarray:
+    """Pull the gradient D at proj(W) back through the projection at W, given
+    the row power of W.
 
     Interior rows (including rows exactly on the boundary) use the identity
     branch. For a row outside the ball the projection w -> w sqrt(cap)/||w||
@@ -156,17 +175,12 @@ def _chain_projection(D: np.ndarray, W: np.ndarray, P: float) -> np.ndarray:
     first-order change) scaled by sqrt(cap)/||w||.
     """
     cap = P / W.shape[0]
-    power = np.einsum("ml,ml->m", W, W.conj()).real
     over = power > cap
     if not over.any():
         return D
-    out = D.copy()
-    w = W[over]
-    d = D[over]
-    r2 = power[over]
-    radial = np.einsum("ml,ml->m", d, w.conj()).real
-    out[over] = np.sqrt(cap / r2)[:, None] * (d - (radial / r2)[:, None] * w)
-    return out
+    radial = np.einsum("ml,ml->m", D, W.conj()).real
+    tangent = D - _ratio_over(radial, power, over, 0.0)[:, None] * W
+    return np.sqrt(_ratio_over(cap, power, over, 1.0))[:, None] * tangent
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +240,8 @@ def _cd_gradient(Wp: np.ndarray, channel: ChannelSet, params: SystemParams) -> n
     return (2.0 / _LN2) * (Vt.conj().T @ M)
 
 
-def _pull_back(D: np.ndarray, W: np.ndarray, P: float) -> np.ndarray:
-    out = _chain_projection(D, W, P)
+def _pull_back(D: np.ndarray, W: np.ndarray, P: float, power: np.ndarray) -> np.ndarray:
+    out = _chain_projection(D, W, P, power)
     if not np.all(np.isfinite(out)):
         raise NumericalFailureError("gradient has non-finite entries")
     return out
@@ -237,8 +251,9 @@ def gradient(W, spec) -> np.ndarray:
     """Complex ascent gradient of the projected objective at W."""
     Wm = as_array(W)
     P = _spec_power(spec)
-    _, cache = _forward(project(Wm, P), spec)
-    return _pull_back(_backward(cache, spec), Wm, P)
+    power = _row_power(Wm)
+    _, cache = _forward(_project(Wm, P, power), spec)
+    return _pull_back(_backward(cache, spec), Wm, P, power)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +307,8 @@ class _Evaluator:
     The engine asks for value_and_grad only at the line-search candidate it
     has just accepted, so the forward pass of the last value call is kept and
     reused: an accepted step costs its trials' forward passes plus one
-    backward pass.
+    backward pass. The row power of the unprojected W is kept with it, since
+    the projection and its chain rule both start from it.
     """
 
     def __init__(self, spec, param):
@@ -305,16 +321,17 @@ class _Evaluator:
     def _forward(self, x: np.ndarray):
         if self._x is None or not np.array_equal(x, self._x):
             W, aux = self.param.decode_full(x)
-            f, cache = _forward(project(W, self.P), self.spec)
-            self._x, self._last = x.copy(), (f, W, aux, cache)
+            power = _row_power(W)
+            f, cache = _forward(_project(W, self.P, power), self.spec)
+            self._x, self._last = x.copy(), (f, W, power, aux, cache)
         return self._last
 
     def value(self, x: np.ndarray) -> float:
         return self._forward(x)[0]
 
     def value_and_grad(self, x: np.ndarray):
-        f, W, aux, cache = self._forward(x)
-        D = _pull_back(_backward(cache, self.spec), W, self.P)
+        f, W, power, aux, cache = self._forward(x)
+        D = _pull_back(_backward(cache, self.spec), W, self.P, power)
         return f, self.param.chain(D, W, aux)
 
 
