@@ -35,20 +35,20 @@ def _h(X: np.ndarray) -> np.ndarray:
     return X.conj().swapaxes(-1, -2)
 
 
-def _hpd_solve(Q: np.ndarray, rhs: np.ndarray, context: str,
-               check_singular: bool) -> np.ndarray:
-    """Solve Q X = rhs for a stack of Hermitian positive-definite Q.
+def _hpd_inverse(Q: np.ndarray, users: np.ndarray, check_singular: bool) -> np.ndarray:
+    """Inverse of a stack of Hermitian positive-definite Q, one per user.
 
     The batched Cholesky factorization is the positive-definiteness test; the
-    solve itself is batched LU, since numpy has no batched triangular solve.
+    inverse itself is batched LU, since numpy has no batched triangular solve.
     """
     if check_singular and np.any(np.linalg.cond(Q) > COND_LIMIT):
-        raise SingularMatrixError(f"{context}: system matrix is singular")
+        raise SingularMatrixError(
+            f"mmse-irc detection, users {users.tolist()}: system matrix is singular")
     try:
         np.linalg.cholesky(Q)
-        return np.linalg.solve(Q, rhs)
+        return np.linalg.inv(Q)
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"{context}: {exc}") from exc
+        raise SingularMatrixError(f"mmse-irc detection, users {users.tolist()}: {exc}") from exc
 
 
 def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
@@ -62,35 +62,36 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
     """
     power = np.abs(Z) ** 2
     own = group.select
-    signal = np.sum(power * own, axis=2)
+    signal = (power * own).sum(axis=2)
     g_power = np.einsum("nlr,nlr->nl", G, G.conj()).real
     den = np.where(own, 0.0, power).sum(axis=2) + g_power * lam
-    zero = den == 0.0
-    if np.any(zero):
-        bad = int(group.cols[zero][0])
+    if not den.all():
+        bad = int(group.cols[den == 0.0][0])
         raise UndefinedSinrError(
             f"symbol {bad}: zero denominator (no interference and no effective noise)"
         )
     sinr = signal / den
     eff = geometric_means(sinr)
-    return sinr, den, eff, float(own.shape[1] * np.sum(np.log1p(eff)) / _LN2)
+    return sinr, den, eff, float(own.shape[1] * np.log1p(eff).sum() / _LN2)
 
 
 def geometric_means(sinr: np.ndarray) -> np.ndarray:
     """Geometric mean over the last axis; a zero anywhere collapses it to zero."""
-    zero = np.any(sinr == 0.0, axis=-1)
     logs = np.log(np.where(sinr > 0.0, sinr, 1.0))
-    return np.where(zero, 0.0, np.exp(np.mean(logs, axis=-1)))
+    means = np.exp(logs.sum(axis=-1) / sinr.shape[-1])
+    return np.where((sinr == 0.0).any(axis=-1), 0.0, means)
 
 
 def detect(W: np.ndarray, group: UserGroup, lam: float):
-    """MMSE-IRC detectors of one group: returns B = H W, Q and G = A^H Q^{-1}."""
-    B = group.H @ W                                   # (n, R_k, L)
-    A = B @ group.select.swapaxes(1, 2)               # (n, R_k, L_k)
-    Q = B @ _h(B) + lam * np.eye(B.shape[1])
-    G = _h(_hpd_solve(Q, A, f"mmse-irc detection, users {group.users.tolist()}",
-                      check_singular=lam == 0.0))
-    return B, Q, G
+    """MMSE-IRC detectors of one group: returns B = H W, Q^{-1} and G = A^H Q^{-1}."""
+    n, R, T = group.H.shape
+    B = (group.H.reshape(n * R, T) @ W).reshape(n, R, W.shape[1])  # one GEMM
+    Q = B @ _h(B)
+    diag = np.arange(R)
+    Q[:, diag, diag] += lam
+    Q_inv = _hpd_inverse(Q, group.users, check_singular=lam == 0.0)
+    A_t = B[np.arange(n)[:, None], :, group.cols]  # (n, L_k, R_k): A transposed
+    return B, Q_inv, A_t.conj() @ Q_inv
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class GroupPass:
 
     group: UserGroup
     B: np.ndarray     # (n, R_k, L)
-    Q: np.ndarray     # (n, R_k, R_k)
+    Q_inv: np.ndarray  # (n, R_k, R_k) inverse of Q = B B^H + lam I
     G: np.ndarray     # (n, L_k, R_k)
     Z: np.ndarray     # (n, L_k, L)
     sinr: np.ndarray  # (n, L_k)
@@ -124,11 +125,11 @@ def irc_forward(Wp, channel: ChannelSet, params: SystemParams) -> tuple[float, I
     passes = []
     se = 0.0
     for group in channel.groups:
-        B, Q, G = detect(W, group, lam)
+        B, Q_inv, G = detect(W, group, lam)
         Z = G @ B
         sinr, den, eff, se_group = score_group(Z, G, group, lam)
         se += se_group
-        passes.append(GroupPass(group, B, Q, G, Z, sinr, den, eff))
+        passes.append(GroupPass(group, B, Q_inv, G, Z, sinr, den, eff))
     return se, IrcCache(lam, W.shape, tuple(passes))
 
 
@@ -137,27 +138,31 @@ def irc_backward(cache: IrcCache) -> np.ndarray:
     spectral efficiency at the precoder of the forward pass.
 
     Adjoints flow from the SINRs to Z, then to the detector G = A^H Q^{-1}
-    with Q = B B^H + lam I, and through both into B = H_k W.
+    with Q = B B^H + lam I, and through both into B = H_k W. The forward
+    pass already inverted Q, so nothing is factored here.
     """
     lam = cache.lam
     D_W = np.zeros(cache.shape, dtype=np.complex128)
     for p in cache.passes:
-        bad = np.any((p.den <= 0.0) | (p.sinr <= 0.0), axis=1)
-        if np.any(bad):
+        bad = (p.den <= 0.0) | (p.sinr <= 0.0)
+        if bad.any():
             raise NumericalFailureError(
-                f"user {int(p.group.users[np.argmax(bad)])}: spectral efficiency not "
-                "differentiable (zero per-symbol SINR or denominator)"
+                f"user {int(p.group.users[np.argmax(bad.any(axis=1))])}: spectral "
+                "efficiency not differentiable (zero per-symbol SINR or denominator)"
             )
         geo = p.eff[:, None]
-        # d SE_k / d sinr_l for SE_k = L_k log2(1 + geomean(sinr))
-        c = geo / ((1.0 + geo) * _LN2 * p.sinr)
+        # Twice d SE_k / d sinr_l for SE_k = L_k log2(1 + geomean(sinr)); the
+        # factor 2 of the ascent gradient is exact here and carries through.
+        c = 2.0 * geo / ((1.0 + geo) * _LN2 * p.sinr)
         u_w = (c / p.den)[:, :, None]
         v_w = (c * p.sinr / p.den)[:, :, None]
         own = p.group.select
         D_Z = np.where(own, u_w, -v_w) * p.Z
         D_G = D_Z @ _h(p.B) - lam * v_w * p.G    # detector row powers enter via lam
-        D_A = np.linalg.solve(p.Q, _h(D_G))       # (n, R_k, L_k)
+        D_A = p.Q_inv @ _h(D_G)                   # (n, R_k, L_k)
         Y = D_A @ p.G                             # (n, R_k, R_k)
-        D_B = _h(p.G) @ D_Z - _h(Y) @ p.B - Y @ p.B + D_A @ own
-        D_W += np.tensordot(p.group.H.conj(), D_B, axes=([0, 1], [0, 1]))
-    return 2.0 * D_W
+        D_B = _h(p.G) @ D_Z - (Y + _h(Y)) @ p.B
+        n, R, T = p.group.H.shape
+        D_B[np.arange(n)[:, None], :, p.group.cols] += D_A.swapaxes(1, 2)  # via A
+        D_W += p.group.H.reshape(n * R, T).conj().T @ D_B.reshape(n * R, -1)
+    return D_W

@@ -128,15 +128,14 @@ class OptimizationTrace:
 
 
 def _row_power(W: np.ndarray) -> np.ndarray:
-    return np.einsum("ml,ml->m", W, W.conj()).real
+    Wf = np.ascontiguousarray(W).view(np.float64)  # real, imaginary interleaved
+    return np.einsum("ml,ml->m", Wf, Wf)
 
 
 def _ratio_over(num, power: np.ndarray, over: np.ndarray, fill: float) -> np.ndarray:
     """num / power on the rows marked over and fill elsewhere, so rows inside
     the ball (zero rows too) are never divided."""
-    out = np.full_like(power, fill)
-    np.divide(num, power, out=out, where=over)
-    return out
+    return np.divide(num, power, out=np.full(power.shape, fill), where=over)
 
 
 def project(W, P: float) -> np.ndarray:
@@ -242,7 +241,7 @@ def _cd_gradient(Wp: np.ndarray, channel: ChannelSet, params: SystemParams) -> n
 
 def _pull_back(D: np.ndarray, W: np.ndarray, P: float, power: np.ndarray) -> np.ndarray:
     out = _chain_projection(D, W, P, power)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalFailureError("gradient has non-finite entries")
     return out
 
@@ -260,15 +259,6 @@ def gradient(W, spec) -> np.ndarray:
 # Real embedding and the quasi-Newton drivers
 
 
-def _embed(W: np.ndarray) -> np.ndarray:
-    return np.concatenate([W.real.ravel(), W.imag.ravel()])
-
-
-def _unembed(x: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    n = shape[0] * shape[1]
-    return (x[:n] + 1j * x[n:]).reshape(shape)
-
-
 def _starting_point(spec, cfg: OptimizerConfig) -> np.ndarray:
     P = _spec_power(spec)
     if cfg.start == "custom":
@@ -281,24 +271,25 @@ def _starting_point(spec, cfg: OptimizerConfig) -> np.ndarray:
 
 
 class _ProjectionParam:
-    """The engine's vector is the real embedding of W; the objective projects
-    W itself, and the returned precoder is the projected iterate."""
+    """The engine's vector is W itself viewed as float64 (real and imaginary
+    parts interleaved), so decoding and chaining copy nothing; the objective
+    projects W, and the returned precoder is the projected iterate."""
 
     def __init__(self, shape: tuple[int, int], P: float):
         self.shape = shape
         self.P = P
 
     def encode(self, W0: np.ndarray) -> np.ndarray:
-        return _embed(W0)
+        return np.array(W0, dtype=np.complex128, order="C").view(np.float64).ravel()
 
     def decode_full(self, x: np.ndarray):
-        return _unembed(x, self.shape), None
+        return x.view(np.complex128).reshape(self.shape), None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return project(_unembed(x, self.shape), self.P)
+        return project(self.decode_full(x)[0], self.P)
 
     def chain(self, D: np.ndarray, W: np.ndarray, aux) -> np.ndarray:
-        return _embed(D)
+        return np.ascontiguousarray(D).view(np.float64).ravel()
 
 
 class _Evaluator:
@@ -320,10 +311,11 @@ class _Evaluator:
 
     def _forward(self, x: np.ndarray):
         if self._x is None or not np.array_equal(x, self._x):
+            x = x.copy()  # W may be a view of x
             W, aux = self.param.decode_full(x)
             power = _row_power(W)
             f, cache = _forward(_project(W, self.P, power), self.spec)
-            self._x, self._last = x.copy(), (f, W, power, aux, cache)
+            self._x, self._last = x, (f, W, power, aux, cache)
         return self._last
 
     def value(self, x: np.ndarray) -> float:

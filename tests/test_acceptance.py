@@ -36,9 +36,8 @@ from mimo_precoding import (
     zf,
 )
 from mimo_precoding.harness import export_report
-from mimo_precoding.optimizer import _embed
 
-from conftest import calibrated_params, complex_randn, fd_gradient, mixed_rows_precoder
+from conftest import calibrated_params, complex_randn, embed, fd_gradient, mixed_rows_precoder
 
 
 def _report(num, description, ok, detail=""):
@@ -66,7 +65,7 @@ def test_criterion_1_gradient_correctness():
             W = mixed_rows_precoder(rng, dims.T, dims.L, params.P)
             for kind in ("cd", "irc"):
                 spec = ObjectiveSpec(kind=kind, channel=channel, params=params)
-                g = _embed(gradient(W, spec))
+                g = embed(gradient(W, spec))
                 fd = fd_gradient(lambda M: objective(M, spec), W)
                 worst = max(worst, np.linalg.norm(g - fd) / np.linalg.norm(fd))
     elapsed = time.time() - t0

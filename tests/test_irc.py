@@ -29,9 +29,8 @@ from mimo_precoding import (
     symbol_sinr,
 )
 from mimo_precoding.irc import irc_backward, irc_forward
-from mimo_precoding.optimizer import _embed
 
-from conftest import calibrated_params, complex_randn, fd_gradient, mixed_rows_precoder
+from conftest import calibrated_params, complex_randn, embed, fd_gradient, mixed_rows_precoder
 
 _LN2 = math.log(2.0)
 
@@ -191,7 +190,7 @@ class TestBackward:
     def test_matches_finite_differences_on_ragged_dims(self, case):
         channel, params, W = case
         spec = ObjectiveSpec(kind="irc", channel=channel, params=params)
-        g = _embed(gradient(W, spec))
+        g = embed(gradient(W, spec))
         fd = fd_gradient(lambda M: objective(M, spec), W)
         # The absolute term covers the ~1e-10 roundoff of central differences
         # where the gradient vanishes (e.g. a single row outside the ball).

@@ -15,9 +15,9 @@ from mimo_precoding import (
     softmax_maximize,
     spectral_efficiency_irc,
 )
-from mimo_precoding.optimizer import SoftmaxParams, _SoftmaxDecoder, _embed
+from mimo_precoding.optimizer import SoftmaxParams, _SoftmaxDecoder
 
-from conftest import calibrated_params, complex_randn, fd_gradient, mixed_rows_precoder, random_channel
+from conftest import calibrated_params, complex_randn, embed, fd_gradient, mixed_rows_precoder, random_channel
 
 
 def cd_spec(seed=0, K=2, T=8, R=2, L=1, susinr_db=10.0):
@@ -109,7 +109,7 @@ class TestGradient:
         spec = (cd_spec if kind == "cd" else irc_spec)(seed)
         rng = np.random.default_rng(100 + seed)
         W = mixed_rows_precoder(rng, 8, 2, spec.params.P)
-        g = _embed(gradient(W, spec))
+        g = embed(gradient(W, spec))
         fd = fd_gradient(lambda M: objective(M, spec), W)
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) <= 1e-5
 
@@ -118,7 +118,7 @@ class TestGradient:
         spec = (cd_spec if kind == "cd" else irc_spec)(11, K=4, T=16, R=4, L=2)
         rng = np.random.default_rng(12)
         W = mixed_rows_precoder(rng, 16, 8, spec.params.P)
-        g = _embed(gradient(W, spec))
+        g = embed(gradient(W, spec))
         fd = fd_gradient(lambda M: objective(M, spec), W)
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) <= 1e-5
 
