@@ -186,11 +186,6 @@ class RunReport:
             })
         return out
 
-    def mean_se(self, susinr_db: float, algorithm: str) -> float:
-        values = [r.se_irc_bits for r in self.rows
-                  if r.error is None and r.susinr_db == susinr_db and r.algorithm == algorithm]
-        return float(np.mean(values))
-
 
 def parse_qn_name(name: str) -> tuple[str, str]:
     """"QN-IRC-ARZF" -> ("irc", "arzf")."""

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lbfgs
 from .baselines import BaselineConfig, arzf, rzf
-from .errors import NumericalFailureError
+from .errors import MimoError, NumericalFailureError
 from .irc import irc_backward, irc_forward
 from .model import ChannelSet, SystemParams
 from .quality import PrecodingMatrix, as_array, se_conjugate
@@ -319,7 +319,12 @@ class _Evaluator:
         return self._last
 
     def value(self, x: np.ndarray) -> float:
-        return self._forward(x)[0]
+        """Objective at a line-search trial; numerical trouble there (a
+        MimoError) reads as -inf, which the engine rejects and backtracks."""
+        try:
+            return self._forward(x)[0]
+        except MimoError:
+            return -np.inf
 
     def value_and_grad(self, x: np.ndarray):
         f, W, power, aux, cache = self._forward(x)

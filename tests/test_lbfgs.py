@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from mimo_precoding import lbfgs
 
@@ -7,6 +8,44 @@ def quadratic(center):
     def vag(x):
         return -float(np.sum((x - center) ** 2)), -2.0 * (x - center)
     return vag
+
+
+def reference_two_loop(g, pairs):
+    """Two-loop recursion (Nocedal & Wright, Algorithm 7.4) with a fresh array
+    for every intermediate vector."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q = q - a * y
+        alphas.append(a)
+    s_last, y_last, _ = pairs[-1]
+    r = (float(s_last @ y_last) / float(y_last @ y_last)) * q
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        b = rho * float(y @ r)
+        r = r + s * (a - b)
+    return r
+
+
+class TestTwoLoop:
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_matches_reference_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        pairs = []
+        for _ in range(m):
+            s = rng.standard_normal(40)
+            y = s + 0.3 * rng.standard_normal(40)
+            pairs.append((s, y, 1.0 / float(s @ y)))
+        g = rng.standard_normal(40)
+        g_before = g.copy()
+        np.testing.assert_array_equal(lbfgs._two_loop(g, pairs), reference_two_loop(g, pairs))
+        np.testing.assert_array_equal(g, g_before)
+
+    def test_no_pairs_is_a_copy_of_the_gradient(self):
+        g = np.arange(3.0)
+        d = lbfgs._two_loop(g, [])
+        np.testing.assert_array_equal(d, g)
+        assert d is not g
 
 
 class TestEngine:

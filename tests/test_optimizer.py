@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,12 @@ from mimo_precoding import (
     softmax_maximize,
     spectral_efficiency_irc,
 )
-from mimo_precoding.optimizer import SoftmaxParams, _SoftmaxDecoder
+from mimo_precoding.errors import NumericalFailureError
+from mimo_precoding.optimizer import SoftmaxParams, _Evaluator, _ProjectionParam, _SoftmaxDecoder
 
-from conftest import calibrated_params, complex_randn, embed, fd_gradient, mixed_rows_precoder, random_channel
+from conftest import (
+    calibrated_params, complex_randn, embed, fd_gradient, mixed_rows_precoder, random_channel,
+)
 
 
 def cd_spec(seed=0, K=2, T=8, R=2, L=1, susinr_db=10.0):
@@ -46,6 +51,23 @@ class TestProject:
         out = project(W, 2.0)  # cap = 1
         np.testing.assert_allclose(out[0], [1.0, 0.0], atol=1e-15)
         np.testing.assert_array_equal(out[1], W[1])
+
+    def test_zero_row_unchanged_without_warnings(self):
+        W = 0.1 * complex_randn(np.random.default_rng(5), (6, 2))  # rows inside cap 1/6
+        W[2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = project(W, 1.0)
+        np.testing.assert_array_equal(out, W)
+
+    def test_zero_row_beside_exterior_rows_warns_nothing(self):
+        W = 3.0 * complex_randn(np.random.default_rng(6), (6, 2))  # rows outside
+        W[4] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = project(W, 1.0)
+        np.testing.assert_array_equal(out[4], 0.0)
+        assert np.all(np.einsum("ml,ml->m", out, out.conj()).real <= 1.0 / 6)
 
     def test_idempotent_bitwise(self):
         rng = np.random.default_rng(0)
@@ -122,6 +144,21 @@ class TestGradient:
         fd = fd_gradient(lambda M: objective(M, spec), W)
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) <= 1e-5
 
+    @pytest.mark.parametrize("kind", ["cd", "irc"])
+    def test_evaluator_gradient_is_the_public_gradient_bitwise(self, kind):
+        # The evaluator reuses the forward pass and the row power of W; the
+        # public gradient recomputes both. Mixed rows plus an all-zero row.
+        spec = (cd_spec if kind == "cd" else irc_spec)(31, K=4, T=16, R=4, L=2)
+        W = mixed_rows_precoder(np.random.default_rng(32), 16, 8, spec.params.P)
+        W[5] = 0.0
+        param = _ProjectionParam(W.shape, spec.params.P)
+        evaluator = _Evaluator(spec, param)
+        x = param.encode(W)
+        assert evaluator.value(x) == objective(W, spec)
+        f, g = evaluator.value_and_grad(x)
+        assert f == objective(W, spec)
+        np.testing.assert_array_equal(param.decode_full(g)[0], gradient(W, spec))
+
     def test_exterior_rows_lose_radial_component(self):
         spec = cd_spec(13)
         rng = np.random.default_rng(14)
@@ -146,6 +183,39 @@ class TestLbfgsMaximize:
         W, trace = lbfgs_maximize(spec, cfg)
         assert np.linalg.norm(W.W - target) <= 1e-6
         assert trace.iterations <= 50
+
+    @staticmethod
+    def _guarded_linear_spec(error, radius=0.3):
+        """Re<C, W>, which raises `error` outside a Frobenius radius that the
+        first unit steps overshoot; counts the raises."""
+        C = complex_randn(np.random.default_rng(33), (4, 2))
+        raised = []
+
+        def value(W):
+            if np.linalg.norm(W) > radius:
+                raised.append(1)
+                raise error("outside the trusted region")
+            return float(np.vdot(C, W).real)
+
+        spec = CustomObjective(value=value, wirtinger_grad=lambda W: C, shape=(4, 2), P=1.0)
+        cfg = OptimizerConfig(max_iters=30, start="custom",
+                              start_matrix=np.zeros((4, 2), dtype=complex))
+        return spec, cfg, raised
+
+    def test_failing_trials_are_rejected(self):
+        spec, cfg, raised = self._guarded_linear_spec(NumericalFailureError)
+        W, trace = lbfgs_maximize(spec, cfg)
+        assert raised
+        assert W.feasible(1.0, tol=1e-12)
+        assert np.linalg.norm(W.W) <= 0.3
+        values = trace.objectives
+        assert np.all(np.diff(values) >= 0.0)
+        assert values[-1] > values[0]
+
+    def test_programming_error_at_a_trial_propagates(self):
+        spec, cfg, raised = self._guarded_linear_spec(RuntimeError)
+        with pytest.raises(RuntimeError, match="trusted region"):
+            lbfgs_maximize(spec, cfg)
 
     def test_scalar_boundary_case_with_grid_oracle(self):
         # T = L = 1: the objective grows with |w|, so the optimum saturates the
