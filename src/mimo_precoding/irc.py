@@ -163,6 +163,6 @@ def irc_backward(cache: IrcCache) -> np.ndarray:
         Y = D_A @ p.G                             # (n, R_k, R_k)
         D_B = _h(p.G) @ D_Z - (Y + _h(Y)) @ p.B
         n, R, T = p.group.H.shape
-        D_B[np.arange(n)[:, None], :, p.group.cols] += D_A.swapaxes(1, 2)  # via A
+        D_B[np.arange(n)[:, None], :, p.group.cols] += D_A.swapaxes(1, 2)  # A = own cols of B
         D_W += p.group.H.reshape(n * R, T).conj().T @ D_B.reshape(n * R, -1)
     return D_W
