@@ -45,6 +45,7 @@ from .model import (
     UserChannel,
     build_channel_set,
     decompose_user,
+    decompose_users,
     noise_from_susinr,
     stack,
 )

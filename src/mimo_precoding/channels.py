@@ -3,7 +3,8 @@
 Streams are split per (seed, user): user k draws from a PCG64 generator keyed
 by SeedSequence([seed, k]), so adding users to a scenario never perturbs the
 matrices of earlier users. Within a user, the real parts of H_k are drawn
-first, then the imaginary parts.
+first, then the imaginary parts. Users with the same receive-antenna count are
+then colored and decomposed together, one batched call per group.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .model import ChannelSet, SystemDims, decompose_user, stack
+from .model import ChannelSet, SystemDims, decompose_users, stack
 
 MODELS = ("iid-gaussian", "exp-correlated")
 
@@ -47,17 +48,16 @@ def generate_channels(dims: SystemDims, seed: int, model: str = "iid-gaussian",
 
     colored = model == "exp-correlated" and rho > 0.0
     sqrt_ct = _exp_correlation_sqrt(dims.T, rho) if colored else None
-    sqrt_cr_cache: dict[int, np.ndarray] = {}
 
-    users = []
-    for k in range(dims.K):
-        R_k = dims.R_k[k]
-        rng = _user_rng(seed, k)
-        H = (rng.standard_normal((R_k, dims.T))
-             + 1j * rng.standard_normal((R_k, dims.T))) / np.sqrt(2.0)
+    by_rank: dict[int, list[int]] = {}
+    for k, R_k in enumerate(dims.R_k):
+        by_rank.setdefault(R_k, []).append(k)
+    users: list = [None] * dims.K
+    for R_k, idx in by_rank.items():
+        draws = np.stack([_user_rng(seed, k).standard_normal((2, R_k, dims.T)) for k in idx])
+        H = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
         if colored:
-            if R_k not in sqrt_cr_cache:
-                sqrt_cr_cache[R_k] = _exp_correlation_sqrt(R_k, rho)
-            H = sqrt_cr_cache[R_k] @ H @ sqrt_ct
-        users.append(decompose_user(H, dims.L_k[k], user=k))
+            H = _exp_correlation_sqrt(R_k, rho) @ H @ sqrt_ct
+        for k, user in zip(idx, decompose_users(H, [dims.L_k[k] for k in idx], idx)):
+            users[k] = user
     return stack(users)

@@ -223,48 +223,68 @@ class ChannelSet:
 
 
 def decompose_user(H_k: np.ndarray, L_k: int, user: int | None = None) -> UserChannel:
-    """Reduced SVD of one user channel, phase-canonicalized and truncation-checked.
-
-    The phase of each row of V is fixed so that its largest-magnitude entry is
-    real and positive (the matching row of U absorbs the conjugate phase), which
-    makes decompositions reproducible across runs.
-
-    Raises DegenerateChannelError if the channel rank is below L_k, since a zero
-    leading singular value cannot be inverted by conjugate detection.
-    """
+    """Reduced SVD of one user channel: decompose_users on a batch of one."""
     H = np.asarray(H_k, dtype=np.complex128)
-    if H.ndim != 2:
-        raise DimensionError(f"channel must be a matrix, got ndim={H.ndim}")
-    R_k, T = H.shape
+    return decompose_users(H[None], (L_k,), (user,))[0]
+
+
+def decompose_users(H: np.ndarray, L_k, users) -> list[UserChannel]:
+    """Reduced SVDs of a stack of same-shape user channels in one batched call.
+
+    H has shape (n, R_k, T); L_k and users give each matrix's stream count and
+    the user index that errors name (None reads "channel"). The phase of each
+    row of V is fixed so that its largest-magnitude entry is real and positive
+    (the matching row of U absorbs the conjugate phase), which makes
+    decompositions reproducible across runs. The factors equal those of
+    per-matrix SVDs bit for bit, and each user's arrays are read-only views of
+    the batch.
+
+    Raises DegenerateChannelError if a channel's rank is below its L_k, since a
+    zero leading singular value cannot be inverted by conjugate detection.
+    """
+    H = np.asarray(H, dtype=np.complex128)
+    if H.ndim != 3:
+        raise DimensionError(f"channel must be a matrix, got ndim={H.ndim - 1}")
+    n, R_k, T = H.shape
     if R_k > T:
         raise DimensionError(f"need R_k <= T, got R_k={R_k}, T={T}")
-    if not 1 <= L_k <= R_k:
-        raise DimensionError(f"need 1 <= L_k <= R_k, got L_k={L_k}, R_k={R_k}")
+    for l in L_k:
+        if not 1 <= l <= R_k:
+            raise DimensionError(f"need 1 <= L_k <= R_k, got L_k={l}, R_k={R_k}")
     if not np.all(np.isfinite(H)):
         raise ValueError("channel matrix has non-finite entries")
 
     u, s, vh = np.linalg.svd(H, full_matrices=False)
-    order = np.argsort(-s, kind="stable")
-    u, s, vh = u[:, order], s[order], vh[order]
+    # LAPACK returns s descending, so the stable reorder is the identity and
+    # is skipped unless some row is out of order.
+    if np.any(s[:, 1:] > s[:, :-1]):
+        order = np.argsort(-s, kind="stable", axis=1)
+        u = np.take_along_axis(u, order[:, None, :], axis=2)
+        s = np.take_along_axis(s, order, axis=1)
+        vh = np.take_along_axis(vh, order[:, :, None], axis=1)
 
     # Phase fix: one unitary diagonal applied to the rows of both U and V
     # leaves U^H S V unchanged.
-    peak = np.argmax(np.abs(vh), axis=1)
-    anchor = vh[np.arange(R_k), peak]
+    peak = np.argmax(np.abs(vh), axis=2)
+    anchor = np.take_along_axis(vh, peak[:, :, None], axis=2)[:, :, 0]
     mag = np.abs(anchor)
     phase = np.where(mag > 0, anchor / np.where(mag > 0, mag, 1.0), 1.0)
-    vh = vh * np.conj(phase)[:, None]
-    U = u.conj().T * np.conj(phase)[:, None]
+    vh = vh * np.conj(phase)[:, :, None]
+    U = u.conj().transpose(0, 2, 1) * np.conj(phase)[:, :, None]
 
-    s_max = s[0] if R_k else 0.0
-    if s_max == 0.0 or s[L_k - 1] <= RANK_TOL * s_max:
-        who = f"user {user}" if user is not None else "channel"
+    s_max = s[:, 0]
+    s_last = s[np.arange(n), np.asarray(L_k, dtype=np.intp) - 1]
+    weak = (s_max == 0.0) | (s_last <= RANK_TOL * s_max)
+    if weak.any():
+        i = int(np.argmax(weak))
+        who = f"user {users[i]}" if users[i] is not None else "channel"
         raise DegenerateChannelError(
-            f"{who}: rank below requested stream count L_k={L_k} "
-            f"(leading singular values {s[:L_k]})"
+            f"{who}: rank below requested stream count L_k={L_k[i]} "
+            f"(leading singular values {s[i, :L_k[i]]})"
         )
 
-    return UserChannel(H=_frozen(H), U=_frozen(U), S=_frozen(s), V=_frozen(vh), L_k=int(L_k))
+    H, U, s, vh = _frozen(H), _frozen(U), _frozen(s), _frozen(vh)
+    return [UserChannel(H=H[i], U=U[i], S=s[i], V=vh[i], L_k=int(L_k[i])) for i in range(n)]
 
 
 def stack(users) -> ChannelSet:
@@ -295,8 +315,18 @@ def stack(users) -> ChannelSet:
 
 
 def build_channel_set(channels, layer_counts) -> ChannelSet:
-    """decompose_user over a list of matrices, then stack."""
-    users = [decompose_user(H, L, user=k) for k, (H, L) in enumerate(zip(channels, layer_counts))]
+    """Decompose a list of matrices, one decompose_users call per distinct
+    shape, then stack them in list order."""
+    pairs = [(np.asarray(H, dtype=np.complex128), L) for H, L in zip(channels, layer_counts)]
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for k, (H, _) in enumerate(pairs):
+        by_shape.setdefault(H.shape, []).append(k)
+    users: list = [None] * len(pairs)
+    for idx in by_shape.values():
+        batch = decompose_users(np.stack([pairs[k][0] for k in idx]),
+                                [pairs[k][1] for k in idx], idx)
+        for k, user in zip(idx, batch):
+            users[k] = user
     return stack(users)
 
 

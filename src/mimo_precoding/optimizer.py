@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lbfgs
 from .baselines import BaselineConfig, arzf, rzf
-from .errors import MimoError, NumericalFailureError
+from .errors import DimensionError, MimoError, NumericalFailureError
 from .irc import irc_backward, irc_forward
 from .model import ChannelSet, SystemParams
 from .quality import PrecodingMatrix, as_array, se_conjugate
@@ -262,7 +262,11 @@ def gradient(W, spec) -> np.ndarray:
 def _starting_point(spec, cfg: OptimizerConfig) -> np.ndarray:
     P = _spec_power(spec)
     if cfg.start == "custom":
-        return project(np.asarray(cfg.start_matrix, dtype=np.complex128), P)
+        W0 = np.asarray(cfg.start_matrix, dtype=np.complex128)
+        if W0.shape != _spec_shape(spec):
+            raise DimensionError(
+                f"start_matrix must have shape (T, L) = {_spec_shape(spec)}, got {W0.shape}")
+        return project(W0, P)
     if spec.kind == "custom":
         raise ValueError("custom objectives need start='custom' with start_matrix")
     base_cfg = BaselineConfig(kind=cfg.start.upper(), params=spec.params)

@@ -10,6 +10,7 @@ from mimo_precoding import (
     SystemParams,
     build_channel_set,
     decompose_user,
+    decompose_users,
     noise_from_susinr,
     stack,
     susinr,
@@ -127,6 +128,50 @@ class TestDecomposeUser:
         user = decompose_user(H, L_k=1)
         rebuilt = user.U.conj().T @ np.diag(user.S) @ user.V
         assert np.linalg.norm(rebuilt - H) <= 1e-10 * max(np.linalg.norm(H), 1.0)
+
+
+class TestBuildChannelSet:
+    def test_rank_deficient_user_in_batch_is_named(self):
+        rng = np.random.default_rng(11)
+        mats = [complex_randn(rng, (4, 8)) for _ in range(8)]
+        mats[5] = np.outer(complex_randn(rng, 4), complex_randn(rng, 8))  # rank 1
+        with pytest.raises(DegenerateChannelError, match="^user 5: "):
+            build_channel_set(mats, [2] * 8)
+
+    def test_non_finite_entry_in_batch_rejected(self):
+        rng = np.random.default_rng(12)
+        mats = [complex_randn(rng, (4, 8)) for _ in range(8)]
+        mats[3][2, 6] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            build_channel_set(mats, [2] * 8)
+
+    def test_out_of_order_singular_values_are_sorted(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        H = complex_randn(rng, (3, 3, 6))
+        expected = decompose_users(H, [2, 2, 2], [0, 1, 2])
+        svd = np.linalg.svd
+
+        def ascending_svd(a, full_matrices=True):
+            u, s, vh = svd(a, full_matrices=full_matrices)
+            return u[..., ::-1], s[..., ::-1], vh[..., ::-1, :]
+
+        monkeypatch.setattr(np.linalg, "svd", ascending_svd)
+        got = decompose_users(H, [2, 2, 2], [0, 1, 2])
+        for a, b in zip(got, expected):
+            for x, y in ((a.U, b.U), (a.S, b.S), (a.V, b.V)):
+                assert x.tobytes() == y.tobytes()
+
+    def test_mixed_shapes_keep_list_order(self):
+        rng = np.random.default_rng(13)
+        mats = [complex_randn(rng, (r, 8)) for r in (3, 1, 3, 2, 1)]
+        layers = [2, 1, 3, 1, 1]
+        ch = build_channel_set(mats, layers)
+        assert ch.dims.R_k == (3, 1, 3, 2, 1) and ch.dims.L_k == tuple(layers)
+        for H, L, user in zip(mats, layers, ch.users):
+            alone = decompose_user(H, L)
+            for got, want in ((user.H, alone.H), (user.U, alone.U),
+                              (user.S, alone.S), (user.V, alone.V)):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestStack:

@@ -17,7 +17,7 @@ from mimo_precoding import (
     softmax_maximize,
     spectral_efficiency_irc,
 )
-from mimo_precoding.errors import NumericalFailureError
+from mimo_precoding.errors import DimensionError, NumericalFailureError
 from mimo_precoding.optimizer import SoftmaxParams, _Evaluator, _ProjectionParam, _SoftmaxDecoder
 
 from conftest import (
@@ -77,15 +77,23 @@ class TestProject:
             twice = project(once, 1.0)
             np.testing.assert_array_equal(once, twice)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.floats(0.1, 4.0))
-    def test_feasible_and_idempotent(self, seed, P):
-        rng = np.random.default_rng(seed)
-        W = 2.0 * complex_randn(rng, (5, 2))
-        out = project(W, P)
-        power = np.einsum("ml,ml->m", out, out.conj()).real
-        assert np.all(power <= P / 5 + 1e-15)
-        np.testing.assert_array_equal(out, project(out, P))
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_idempotent_and_feasible_over_shapes_and_scales(self, data):
+        T = data.draw(st.integers(1, 12), label="T")
+        L = data.draw(st.integers(1, 4), label="L")
+        P = data.draw(st.floats(1e-3, 1e3), label="P")
+        # Per-row scale 10^e with e in [-6, 6], or an all-zero row.
+        scales = data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
+            min_size=T, max_size=T), label="row scales")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        W = complex_randn(np.random.default_rng(seed), (T, L)) * np.array(scales)[:, None]
+        once = project(W, P)
+        assert once.tobytes() == project(once, P).tobytes()
+        interleaved = once.view(np.float64)
+        assert np.all(np.einsum("ml,ml->m", interleaved, interleaved) <= P / T)
+        np.testing.assert_array_equal(once[np.array(scales) == 0.0], 0.0)
 
 
 class TestObjective:
@@ -311,6 +319,13 @@ class TestLbfgsMaximize:
             OptimizerConfig(start="custom")
         with pytest.raises(ValueError):
             OptimizerConfig(start="mrt")
+
+    @pytest.mark.parametrize("shape", [(8, 3), (3, 2), (16,)])
+    def test_wrong_shape_start_matrix_rejected(self, shape):
+        spec = cd_spec(22, K=2, T=8, R=2, L=1)
+        cfg = OptimizerConfig(start="custom", start_matrix=np.zeros(shape, dtype=complex))
+        with pytest.raises(DimensionError, match=r"\(T, L\) = \(8, 2\)"):
+            lbfgs_maximize(spec, cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_start_matrix_rejected(self, bad):
