@@ -15,7 +15,6 @@ from .detection import (
     conjugate_detection_set,
     irc_detection_set,
     mmse,
-    mmse_detection_set,
     mmse_irc,
 )
 from .errors import (
@@ -47,7 +46,6 @@ from .model import (
     decompose_user,
     decompose_users,
     noise_from_susinr,
-    stack,
 )
 from .optimizer import (
     CustomObjective,

@@ -3,8 +3,8 @@
 Streams are split per (seed, user): user k draws from a PCG64 generator keyed
 by SeedSequence([seed, k]), so adding users to a scenario never perturbs the
 matrices of earlier users. Within a user, the real parts of H_k are drawn
-first, then the imaginary parts. Users with the same receive-antenna count are
-then colored and decomposed together, one batched call per group.
+first, then the imaginary parts. The matrices are then decomposed and grouped
+by build_channel_set, the same path channel files take.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .model import ChannelSet, SystemDims, decompose_users, stack
+from .model import ChannelSet, SystemDims, build_channel_set
 
 MODELS = ("iid-gaussian", "exp-correlated")
 
@@ -47,17 +47,15 @@ def generate_channels(dims: SystemDims, seed: int, model: str = "iid-gaussian",
         raise ConfigError(f"seed must be nonnegative, got {seed}")
 
     colored = model == "exp-correlated" and rho > 0.0
-    sqrt_ct = _exp_correlation_sqrt(dims.T, rho) if colored else None
+    if colored:
+        sqrt_ct = _exp_correlation_sqrt(dims.T, rho)
+        sqrt_cr = {R_k: _exp_correlation_sqrt(R_k, rho) for R_k in set(dims.R_k)}
 
-    by_rank: dict[int, list[int]] = {}
+    mats = []
     for k, R_k in enumerate(dims.R_k):
-        by_rank.setdefault(R_k, []).append(k)
-    users: list = [None] * dims.K
-    for R_k, idx in by_rank.items():
-        draws = np.stack([_user_rng(seed, k).standard_normal((2, R_k, dims.T)) for k in idx])
-        H = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+        draw = _user_rng(seed, k).standard_normal((2, R_k, dims.T))
+        H = (draw[0] + 1j * draw[1]) / np.sqrt(2.0)
         if colored:
-            H = _exp_correlation_sqrt(R_k, rho) @ H @ sqrt_ct
-        for k, user in zip(idx, decompose_users(H, [dims.L_k[k] for k in idx], idx)):
-            users[k] = user
-    return stack(users)
+            H = sqrt_cr[R_k] @ H @ sqrt_ct
+        mats.append(H)
+    return build_channel_set(mats, dims.L_k)

@@ -100,15 +100,6 @@ def conjugate(user: UserChannel) -> np.ndarray:
     return user.U_tilde / s[:, None]
 
 
-def mmse_detection_set(channel: ChannelSet, W: np.ndarray, params: SystemParams) -> DetectionSet:
-    lam = params.noise_to_signal
-    blocks = []
-    for k, user in enumerate(channel.users):
-        cols = channel.dims.layer_slice(k)
-        blocks.append(mmse(user.H @ np.asarray(W)[:, cols], lam))
-    return DetectionSet(kind="mmse", blocks=tuple(blocks))
-
-
 def irc_detection_set(channel: ChannelSet, W: np.ndarray, params: SystemParams) -> DetectionSet:
     """MMSE-IRC detectors of every user, computed batched per user group."""
     Wm = np.asarray(W, dtype=np.complex128)

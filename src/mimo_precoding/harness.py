@@ -125,25 +125,6 @@ class ScenarioConfig:
             raise ConfigError(f"invalid config: {exc}") from exc
         return cls(**kwargs)
 
-    def to_dict(self) -> dict:
-        return {
-            "dims": {"K": self.dims.K, "T": self.dims.T,
-                     "R_k": list(self.dims.R_k), "L_k": list(self.dims.L_k)},
-            "seeds": list(self.seeds),
-            "susinr_grid_db": list(self.susinr_grid_db),
-            "P": self.P,
-            "algorithms": list(self.algorithms),
-            "channel_model": self.channel_model,
-            "rho": self.rho,
-            "workers": self.workers,
-            "optimizer": {
-                "max_iters": self.optimizer.max_iters,
-                "tol_grad": self.optimizer.tol_grad,
-                "tol_change": self.optimizer.tol_change,
-                "memory": self.optimizer.memory,
-            },
-        }
-
 
 @dataclass(frozen=True)
 class RunRecord:

@@ -1,8 +1,12 @@
 """Batched MMSE-IRC spectral efficiency and its gradient in the precoder.
 
-Users with the same (R_k, L_k) are stacked (`ChannelSet.groups`), so each
-step is one batched array operation per group rather than a loop over users.
-For each user, with lam = sigma2 / P,
+`build_channel_set` stacks users with the same (R_k, L_k) into one
+`UserGroup` of `ChannelSet.groups`, so each step is one batched array
+operation per group rather than a loop over users. A group's `cols` index
+each user's own streams among all L, and `own` holds the flat positions of
+those streams in an (n, L_k, L) array such as Z, so the signal terms are
+gathered, and their adjoints scattered, without a mask. For each user, with
+lam = sigma2 / P,
 
     B = H_k W,  Q = B B^H + lam I,  G = A^H Q^{-1}  (A = user k's columns of B),
     Z = G B,    SINR_l = |Z_ll|^2 / (sum_{i != l} |Z_li|^2 + lam ||g_l||^2),
@@ -61,10 +65,10 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
     interference and no effective noise) raises UndefinedSinrError.
     """
     power = np.abs(Z) ** 2
-    own = group.select
-    signal = (power * own).sum(axis=2)
+    signal = power.take(group.own)
+    np.put(power, group.own, 0.0)  # what is left of each row is interference
     g_power = np.einsum("nlr,nlr->nl", G, G.conj()).real
-    den = np.where(own, 0.0, power).sum(axis=2) + g_power * lam
+    den = power.sum(axis=2) + g_power * lam
     if not den.all():
         bad = int(group.cols[den == 0.0][0])
         raise UndefinedSinrError(
@@ -72,7 +76,7 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
         )
     sinr = signal / den
     eff = geometric_means(sinr)
-    return sinr, den, eff, float(own.shape[1] * np.log1p(eff).sum() / _LN2)
+    return sinr, den, eff, float(group.cols.shape[1] * np.log1p(eff).sum() / _LN2)
 
 
 def geometric_means(sinr: np.ndarray) -> np.ndarray:
@@ -154,10 +158,10 @@ def irc_backward(cache: IrcCache) -> np.ndarray:
         # Twice d SE_k / d sinr_l for SE_k = L_k log2(1 + geomean(sinr)); the
         # factor 2 of the ascent gradient is exact here and carries through.
         c = 2.0 * geo / ((1.0 + geo) * _LN2 * p.sinr)
-        u_w = (c / p.den)[:, :, None]
         v_w = (c * p.sinr / p.den)[:, :, None]
-        own = p.group.select
-        D_Z = np.where(own, u_w, -v_w) * p.Z
+        own = p.group.own
+        D_Z = -v_w * p.Z
+        np.put(D_Z, own, c / p.den * p.Z.take(own))
         D_G = D_Z @ _h(p.B) - lam * v_w * p.G    # detector row powers enter via lam
         D_A = p.Q_inv @ _h(D_G)                   # (n, R_k, L_k)
         Y = D_A @ p.G                             # (n, R_k, R_k)

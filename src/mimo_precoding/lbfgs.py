@@ -16,6 +16,14 @@ import numpy as np
 # Pairs with curvature at or below this are dropped and the history reset.
 CURVATURE_MIN = 1e-12
 
+# Armijo backtracking: each search starts at INITIAL_STEP, contracts by
+# BACKTRACK after each rejected trial and gives up after MAX_LINE_SEARCH
+# trials; a trial is accepted when f rises by at least ARMIJO_C1 * step * g.d.
+INITIAL_STEP = 1.0
+BACKTRACK = 0.5
+MAX_LINE_SEARCH = 25
+ARMIJO_C1 = 1e-4
+
 TERM_GRADIENT = "gradient-tolerance"
 TERM_CHANGE = "change-tolerance"
 TERM_MAX_ITERS = "max-iterations"
@@ -53,9 +61,7 @@ def _two_loop(g: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, float]]) 
 
 
 def maximize(value_and_grad, x0: np.ndarray, *, max_iters: int, tol_grad: float,
-             tol_change: float, memory: int = 10, c1: float = 1e-4,
-             backtrack: float = 0.5, max_line_search: int = 25,
-             initial_step: float = 1.0, value=None, callback=None):
+             tol_change: float, memory: int = 10, value=None, callback=None):
     """Maximize a smooth function of a real vector.
 
     value_and_grad(x) returns (f, g) with g the ascent gradient; value(x), when
@@ -102,16 +108,16 @@ def maximize(value_and_grad, x0: np.ndarray, *, max_iters: int, tol_grad: float,
             d = g.copy()
             gd = float(g @ g)
 
-        step = initial_step
+        step = INITIAL_STEP
         x_new = None
-        for _ in range(max_line_search):
+        for _ in range(MAX_LINE_SEARCH):
             cand = x + step * d
             f_cand = value(cand)
             n_value += 1
-            if np.isfinite(f_cand) and f_cand >= f + c1 * step * gd:
+            if np.isfinite(f_cand) and f_cand >= f + ARMIJO_C1 * step * gd:
                 x_new = cand
                 break
-            step *= backtrack
+            step *= BACKTRACK
         if x_new is None:
             termination = TERM_LINE_SEARCH
             break

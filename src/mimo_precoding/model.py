@@ -1,5 +1,5 @@
 """System model: dimensions, per-user channel SVD factors, stacked decomposition,
-and noise calibration from a target single-user SINR.
+user groups and noise calibration from a target single-user SINR.
 
 Conventions. User k has channel H_k of shape (R_k, T) and is served L_k symbol
 streams. The reduced SVD is stored as H_k = U^H S V with U (R_k, R_k) unitary,
@@ -10,6 +10,7 @@ orthonormal rows. Truncated factors keep the leading L_k rows/values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -152,14 +153,14 @@ class UserChannel:
 class UserGroup:
     """Users sharing one (R_k, L_k) shape, stacked for batched linear algebra.
 
-    select[i] is the (L_k, L) one-hot matrix that picks user users[i]'s own
-    streams out of all L: W select[i]^T = W_k.
+    own[i, l] is the flat index of entry (i, l, cols[i, l]) in an (n, L_k, L)
+    array: the position of user users[i]'s own stream l among all L.
     """
 
-    users: np.ndarray   # (n,) user indices, ascending
-    H: np.ndarray       # (n, R_k, T)
-    cols: np.ndarray    # (n, L_k) stacked stream indices of each user
-    select: np.ndarray  # (n, L_k, L)
+    users: np.ndarray  # (n,) user indices, ascending
+    H: np.ndarray      # (n, R_k, T)
+    cols: np.ndarray   # (n, L_k) stacked stream indices of each user
+    own: np.ndarray    # (n, L_k) flat indices of cols in an (n, L_k, L) array
 
 
 @dataclass(frozen=True)
@@ -168,12 +169,13 @@ class ChannelSet:
 
     Rows are stacked in user order, contiguous per user. U and U_tilde are
     block-diagonal with one block per user. The truncated S_tilde and V_tilde
-    are built with the set; the other stacked factors on first use. All arrays
-    are read-only.
+    and the user groups are built with the set; the other stacked factors on
+    first use. All arrays are read-only. Build one with build_channel_set.
     """
 
     dims: SystemDims
     users: tuple[UserChannel, ...]
+    groups: tuple[UserGroup, ...]  # users bucketed by (R_k, L_k)
     S_tilde: np.ndarray  # (L,)
     V_tilde: np.ndarray  # (L, T)
 
@@ -202,36 +204,17 @@ class ChannelSet:
         """(L, R) block-diagonal of the users' leading rows of U."""
         return _frozen(scipy.linalg.block_diag(*[u.U_tilde for u in self.users]))
 
-    @cached_property
-    def groups(self) -> tuple[UserGroup, ...]:
-        """Users bucketed by (R_k, L_k), buckets in order of first appearance."""
-        dims = self.dims
-        shapes = list(zip(dims.R_k, dims.L_k))
-        out = []
-        for shape in dict.fromkeys(shapes):
-            users = np.array([k for k, s in enumerate(shapes) if s == shape])
-            cols = np.array([np.arange(dims.L)[dims.layer_slice(k)] for k in users])
-            select = np.zeros((len(users), shape[1], dims.L))
-            np.put_along_axis(select, cols[:, :, None], 1.0, axis=2)
-            out.append(UserGroup(
-                users=_frozen(users),
-                H=_frozen(np.stack([self.users[k].H for k in users])),
-                cols=_frozen(cols),
-                select=_frozen(select),
-            ))
-        return tuple(out)
-
 
 def decompose_user(H_k: np.ndarray, L_k: int, user: int | None = None) -> UserChannel:
     """Reduced SVD of one user channel: decompose_users on a batch of one."""
     H = np.asarray(H_k, dtype=np.complex128)
-    return decompose_users(H[None], (L_k,), (user,))[0]
+    return decompose_users(H[None], L_k, (user,))[0]
 
 
-def decompose_users(H: np.ndarray, L_k, users) -> list[UserChannel]:
+def decompose_users(H: np.ndarray, L_k: int, users) -> list[UserChannel]:
     """Reduced SVDs of a stack of same-shape user channels in one batched call.
 
-    H has shape (n, R_k, T); L_k and users give each matrix's stream count and
+    H has shape (n, R_k, T) and every matrix carries L_k streams; users gives
     the user index that errors name (None reads "channel"). The phase of each
     row of V is fixed so that its largest-magnitude entry is real and positive
     (the matching row of U absorbs the conjugate phase), which makes
@@ -248,9 +231,9 @@ def decompose_users(H: np.ndarray, L_k, users) -> list[UserChannel]:
     n, R_k, T = H.shape
     if R_k > T:
         raise DimensionError(f"need R_k <= T, got R_k={R_k}, T={T}")
-    for l in L_k:
-        if not 1 <= l <= R_k:
-            raise DimensionError(f"need 1 <= L_k <= R_k, got L_k={l}, R_k={R_k}")
+    L_k = int(L_k)
+    if not 1 <= L_k <= R_k:
+        raise DimensionError(f"need 1 <= L_k <= R_k, got L_k={L_k}, R_k={R_k}")
     if not np.all(np.isfinite(H)):
         raise ValueError("channel matrix has non-finite entries")
 
@@ -273,61 +256,67 @@ def decompose_users(H: np.ndarray, L_k, users) -> list[UserChannel]:
     U = u.conj().transpose(0, 2, 1) * np.conj(phase)[:, :, None]
 
     s_max = s[:, 0]
-    s_last = s[np.arange(n), np.asarray(L_k, dtype=np.intp) - 1]
-    weak = (s_max == 0.0) | (s_last <= RANK_TOL * s_max)
+    weak = (s_max == 0.0) | (s[:, L_k - 1] <= RANK_TOL * s_max)
     if weak.any():
         i = int(np.argmax(weak))
         who = f"user {users[i]}" if users[i] is not None else "channel"
         raise DegenerateChannelError(
-            f"{who}: rank below requested stream count L_k={L_k[i]} "
-            f"(leading singular values {s[i, :L_k[i]]})"
+            f"{who}: rank below requested stream count L_k={L_k} "
+            f"(leading singular values {s[i, :L_k]})"
         )
 
     H, U, s, vh = _frozen(H), _frozen(U), _frozen(s), _frozen(vh)
-    return [UserChannel(H=H[i], U=U[i], S=s[i], V=vh[i], L_k=int(L_k[i])) for i in range(n)]
-
-
-def stack(users) -> ChannelSet:
-    """Assemble per-user factors into the stacked decomposition.
-
-    The product of the stacked factors reproduces the stacked channel because
-    each diagonal block of U^H multiplies only its own user's rows of S V.
-    """
-    users = tuple(users)
-    if not users:
-        raise DimensionError("at least one user required")
-    T = users[0].T
-    for k, u in enumerate(users):
-        if u.T != T:
-            raise DimensionError(f"user {k} has T={u.T}, expected {T}")
-    dims = SystemDims(
-        K=len(users),
-        T=T,
-        R_k=tuple(u.R_k for u in users),
-        L_k=tuple(u.L_k for u in users),
-    )
-    return ChannelSet(
-        dims=dims,
-        users=users,
-        S_tilde=_frozen(np.concatenate([u.S_tilde for u in users])),
-        V_tilde=_frozen(np.vstack([u.V_tilde for u in users])),
-    )
+    return [UserChannel(H=H[i], U=U[i], S=s[i], V=vh[i], L_k=L_k) for i in range(n)]
 
 
 def build_channel_set(channels, layer_counts) -> ChannelSet:
-    """Decompose a list of matrices, one decompose_users call per distinct
-    shape, then stack them in list order."""
-    pairs = [(np.asarray(H, dtype=np.complex128), L) for H, L in zip(channels, layer_counts)]
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for k, (H, _) in enumerate(pairs):
-        by_shape.setdefault(H.shape, []).append(k)
-    users: list = [None] * len(pairs)
-    for idx in by_shape.values():
-        batch = decompose_users(np.stack([pairs[k][0] for k in idx]),
-                                [pairs[k][1] for k in idx], idx)
-        for k, user in zip(idx, batch):
+    """Decompose per-user channel matrices and stack them in list order.
+
+    Users are bucketed by (R_k, L_k), buckets in order of first appearance;
+    each bucket is one decompose_users call and becomes one UserGroup. The
+    product of the stacked factors reproduces the stacked channel because
+    each diagonal block of U^H multiplies only its own user's rows of S V.
+    """
+    mats = [np.asarray(H, dtype=np.complex128) for H in channels]
+    layer_counts = tuple(layer_counts)
+    if len(layer_counts) != len(mats):
+        raise DimensionError(
+            f"user {min(len(mats), len(layer_counts))}: got {len(mats)} channel "
+            f"matrices but {len(layer_counts)} layer counts"
+        )
+    if not mats:
+        raise DimensionError("at least one user required")
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for k, (H, L_k) in enumerate(zip(mats, layer_counts)):
+        if H.ndim != 2:
+            raise DimensionError(f"channel must be a matrix, got ndim={H.ndim}")
+        if H.shape[1] != mats[0].shape[1]:
+            raise DimensionError(f"user {k} has T={H.shape[1]}, expected {mats[0].shape[1]}")
+        if isinstance(L_k, bool) or not isinstance(L_k, numbers.Integral):
+            raise DimensionError(f"user {k}: layer count must be an integer, got {L_k!r}")
+        buckets.setdefault((H.shape[0], int(L_k)), []).append(k)
+
+    L_k = tuple(int(l) for l in layer_counts)
+    starts = np.cumsum((0,) + L_k)
+    users: list = [None] * len(mats)
+    groups = []
+    for (_, L), idx in buckets.items():
+        H = np.stack([mats[k] for k in idx])
+        for k, user in zip(idx, decompose_users(H, L, idx)):
             users[k] = user
-    return stack(users)
+        cols = starts[idx][:, None] + np.arange(L)
+        own = (np.arange(len(idx))[:, None] * L + np.arange(L)) * starts[-1] + cols
+        groups.append(UserGroup(users=_frozen(np.array(idx)), H=_frozen(H),
+                                cols=_frozen(cols), own=_frozen(own)))
+    dims = SystemDims(K=len(mats), T=mats[0].shape[1],
+                      R_k=tuple(H.shape[0] for H in mats), L_k=L_k)
+    return ChannelSet(
+        dims=dims,
+        users=tuple(users),
+        groups=tuple(groups),
+        S_tilde=_frozen(np.concatenate([u.S_tilde for u in users])),
+        V_tilde=_frozen(np.vstack([u.V_tilde for u in users])),
+    )
 
 
 def susinr_gain(dims: SystemDims, s_tilde: np.ndarray) -> float:

@@ -73,10 +73,6 @@ class OptimizerConfig:
     tol_grad: float = 1e-5      # infinity norm of the real-embedded gradient
     tol_change: float = 1e-9    # on both objective change and step norm
     memory: int = 10
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    max_line_search: int = 25
-    initial_step: float = 1.0
     start: str = "arzf"
     start_matrix: np.ndarray | None = None
 
@@ -364,10 +360,6 @@ def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
         tol_grad=cfg.tol_grad,
         tol_change=cfg.tol_change,
         memory=cfg.memory,
-        c1=cfg.armijo_c1,
-        backtrack=cfg.backtrack,
-        max_line_search=cfg.max_line_search,
-        initial_step=cfg.initial_step,
         value=evaluator.value,
         callback=on_iteration,
     )

@@ -47,11 +47,10 @@ class TestScenarioConfig:
         assert len(cfg.algorithms) == 8
 
     def test_from_dict_round_trip(self):
-        cfg = tiny_config()
-        again = ScenarioConfig.from_dict(cfg.to_dict())
-        assert again.dims == cfg.dims
-        assert again.seeds == cfg.seeds
-        assert again.algorithms == cfg.algorithms
+        raw = {"dims": {"K": 2, "T": 8, "R_k": 2, "L_k": 1}, "seeds": [0, 1],
+               "susinr_grid_db": [0.0, 12.0], "algorithms": ["RZF", "ARZF"],
+               "optimizer": {"max_iters": 20}}
+        assert ScenarioConfig.from_dict(raw) == tiny_config()
 
     def test_from_dict_seed_count_shorthand(self):
         cfg = ScenarioConfig.from_dict({"seeds": 5})
@@ -68,6 +67,7 @@ class TestScenarioConfig:
         {"rho": 1.5},
         {"definitely_not_a_key": 1},
         {"dims": {"K": 2, "T": 4, "R_k": 8, "L_k": 1}},
+        {"optimizer": {"backtrack": 0.3}},
     ])
     def test_invalid_configs(self, raw):
         with pytest.raises(ConfigError):

@@ -11,9 +11,11 @@ from mimo_precoding import (
     build_channel_set,
     decompose_user,
     decompose_users,
+    generate_channels,
     noise_from_susinr,
-    stack,
+    read_channels,
     susinr,
+    write_channels,
 )
 from mimo_precoding.model import susinr_gain
 
@@ -148,7 +150,7 @@ class TestBuildChannelSet:
     def test_out_of_order_singular_values_are_sorted(self, monkeypatch):
         rng = np.random.default_rng(14)
         H = complex_randn(rng, (3, 3, 6))
-        expected = decompose_users(H, [2, 2, 2], [0, 1, 2])
+        expected = decompose_users(H, 2, [0, 1, 2])
         svd = np.linalg.svd
 
         def ascending_svd(a, full_matrices=True):
@@ -156,7 +158,7 @@ class TestBuildChannelSet:
             return u[..., ::-1], s[..., ::-1], vh[..., ::-1, :]
 
         monkeypatch.setattr(np.linalg, "svd", ascending_svd)
-        got = decompose_users(H, [2, 2, 2], [0, 1, 2])
+        got = decompose_users(H, 2, [0, 1, 2])
         for a, b in zip(got, expected):
             for x, y in ((a.U, b.U), (a.S, b.S), (a.V, b.V)):
                 assert x.tobytes() == y.tobytes()
@@ -173,19 +175,63 @@ class TestBuildChannelSet:
                               (user.S, alone.S), (user.V, alone.V)):
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("layers, user", [
+        ([1], 1),             # fewer layer counts than matrices
+        ([1, 1, 1, 1], 3),    # more layer counts than matrices
+        ([1, 1.5, 1], 1),     # would be floored to 1
+        ([1, True, 1], 1),
+    ])
+    def test_bad_layer_counts_name_the_user(self, layers, user):
+        with pytest.raises(DimensionError, match=f"^user {user}: "):
+            build_channel_set([np.eye(2)] * 3, layers)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=1, max_size=7),
+           st.integers(0, 2**32 - 1))
+    def test_groups(self, tmp_path_factory, shapes, seed):
+        R_k = tuple(r for r, _ in shapes)
+        L_k = tuple(1 + l % r for r, l in shapes)
+        dims = SystemDims(K=len(shapes), T=5, R_k=R_k, L_k=L_k)
+        ch = generate_channels(dims, seed)
+
+        members = [k for g in ch.groups for k in g.users]
+        assert sorted(members) == list(range(dims.K))
+        keys = list(zip(R_k, L_k))
+        assert [keys[g.users[0]] for g in ch.groups] == list(dict.fromkeys(keys))
+        for g in ch.groups:
+            assert [keys[k] for k in g.users] == [keys[g.users[0]]] * len(g.users)
+            assert list(g.users) == sorted(g.users)
+            for i, k in enumerate(g.users):
+                assert g.H[i].tobytes() == ch.users[k].H.tobytes()
+                assert list(g.cols[i]) == list(range(dims.L))[dims.layer_slice(k)]
+            n, L_g = g.cols.shape
+            Z = np.random.default_rng(seed).random((n, L_g, dims.L))
+            i, l = np.arange(n)[:, None], np.arange(L_g)
+            assert np.array_equal(Z.reshape(-1)[g.own], Z[i, l, g.cols])
+
+        path = tmp_path_factory.mktemp("groups") / "ch.bin"
+        write_channels(ch, path)
+        back = read_channels(path)
+        assert len(back.groups) == len(ch.groups)
+        for a, b in zip(back.groups, ch.groups):
+            for name in ("users", "H", "cols", "own"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
 
 class TestStack:
     def test_single_user_matches_own_factors(self):
         rng = np.random.default_rng(4)
-        user = decompose_user(complex_randn(rng, (3, 6)), L_k=2)
-        ch = stack([user])
+        H = complex_randn(rng, (3, 6))
+        user = decompose_user(H, L_k=2)
+        ch = build_channel_set([H], [2])
         np.testing.assert_array_equal(ch.H, user.H)
         np.testing.assert_array_equal(ch.U, user.U)
         np.testing.assert_array_equal(ch.V_tilde, user.V_tilde)
 
     def test_two_identity_users(self):
-        users = [decompose_user(np.eye(2), 1), decompose_user(np.eye(2), 1)]
-        ch = stack(users)
+        ch = build_channel_set([np.eye(2), np.eye(2)], [1, 1])
+        users = ch.users
         np.testing.assert_allclose(ch.H, np.vstack([np.eye(2), np.eye(2)]), atol=1e-12)
         expected_U = np.zeros((4, 4), dtype=complex)
         expected_U[:2, :2] = users[0].U
@@ -206,12 +252,9 @@ class TestStack:
 
     def test_mismatched_T(self):
         rng = np.random.default_rng(5)
-        users = [
-            decompose_user(complex_randn(rng, (2, 4)), 1),
-            decompose_user(complex_randn(rng, (2, 6)), 1),
-        ]
-        with pytest.raises(DimensionError):
-            stack(users)
+        mats = [complex_randn(rng, (2, 4)), complex_randn(rng, (2, 6))]
+        with pytest.raises(DimensionError, match="^user 1 has T=6, expected 4$"):
+            build_channel_set(mats, [1, 1])
 
 
 class TestNoiseCalibration:
