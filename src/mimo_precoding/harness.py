@@ -15,9 +15,10 @@ import numpy as np
 from .baselines import BaselineConfig, compute_baseline
 from .channels import MODELS, generate_channels
 from .errors import ConfigError, DimensionError, MimoError
+from .irc import irc_scores
 from .model import ChannelSet, SystemDims, SystemParams, noise_from_susinr
 from .optimizer import ObjectiveSpec, OptimizerConfig, lbfgs_maximize
-from .quality import PrecodingMatrix, spectral_efficiency_irc
+from .quality import PrecodingMatrix
 
 BASELINE_ALGOS = ("MRT", "ZF", "RZF", "ARZF")
 QN_ALGOS = ("QN-CD-RZF", "QN-CD-ARZF", "QN-IRC-RZF", "QN-IRC-ARZF")
@@ -186,23 +187,52 @@ def run_algorithm(name: str, channel: ChannelSet, params: SystemParams,
     return W, trace.iterations
 
 
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _score(precoders: list[PrecodingMatrix], channel: ChannelSet,
+           params: SystemParams) -> list[float | str]:
+    """SE-IRC of each precoder, all in one batched pass.
+
+    If the pass fails, each precoder is rescored alone, so only the ones at
+    fault fail, each with its own error text in place of its SE.
+    """
+    if not precoders:
+        return []
+    try:
+        return [float(se) for se in irc_scores(np.stack([W.W for W in precoders]),
+                                               channel, params)]
+    except (MimoError, np.linalg.LinAlgError) as exc:
+        if len(precoders) == 1:
+            return [_failure(exc)]
+    return [out for W in precoders for out in _score([W], channel, params)]
+
+
 def _run_cell(cfg: ScenarioConfig, seed: int, susinr_db: float) -> list[RunRecord]:
+    """Build each algorithm's precoder in turn (wall_ms times the build alone),
+    then score all that built together."""
     channel = generate_channels(cfg.dims, seed, cfg.channel_model, cfg.rho)
     sigma2 = noise_from_susinr(channel, cfg.P, susinr_db)
     params = SystemParams(P=cfg.P, sigma2=sigma2, L=cfg.dims.L)
-    records = []
+    records, built = [], {}  # built: record index -> precoder
     for algo in cfg.algorithms:
         t0 = time.perf_counter()
         try:
             W, iterations = run_algorithm(algo, channel, params, cfg.optimizer)
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            se = spectral_efficiency_irc(W, channel, params).se_bits
-            records.append(RunRecord(seed, susinr_db, algo, float(se), wall_ms, iterations))
         except (MimoError, np.linalg.LinAlgError) as exc:
-            # Numerical trouble fails only this cell; a programming error propagates.
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            records.append(RunRecord(seed, susinr_db, algo, None, wall_ms, None,
-                                     error=f"{type(exc).__name__}: {exc}"))
+            # Numerical trouble fails only this row; a programming error propagates.
+            records.append(RunRecord(seed, susinr_db, algo, None,
+                                     (time.perf_counter() - t0) * 1e3, None, _failure(exc)))
+            continue
+        built[len(records)] = W
+        records.append(RunRecord(seed, susinr_db, algo, None,
+                                 (time.perf_counter() - t0) * 1e3, iterations))
+    for i, score in zip(built, _score(list(built.values()), channel, params)):
+        if isinstance(score, str):
+            records[i] = replace(records[i], iterations=None, error=score)
+        else:
+            records[i] = replace(records[i], se_irc_bits=score)
     return records
 
 
@@ -210,8 +240,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute the full (seed, susinr, algorithm) grid.
 
     Noise power is calibrated per (seed, susinr) so the channel hits the
-    requested quality level, every algorithm is scored by the identical
-    MMSE-IRC spectral-efficiency path, and rows always come out in
+    requested quality level, a cell's precoders are scored together by the
+    one MMSE-IRC spectral-efficiency pass, and rows always come out in
     configuration order regardless of worker scheduling.
     """
     cells = [(seed, susinr) for seed in cfg.seeds for susinr in cfg.susinr_grid_db]

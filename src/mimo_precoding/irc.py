@@ -14,7 +14,9 @@ lam = sigma2 / P,
 the effective SINR is the geometric mean of the user's SINRs and the spectral
 efficiency sums L_k log2(1 + effective SINR) over users. `irc_forward` returns
 that value with a cache from which `irc_backward` pulls the gradient back
-through the detector without repeating the forward pass.
+through the detector without repeating the forward pass. `irc_scores` values
+a stack of precoders in one pass by folding them into each group's user axis
+(`UserGroup.tiled`); every value equals irc_forward's bit for bit.
 """
 
 from __future__ import annotations
@@ -60,9 +62,11 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
     they add up to.
 
     Z is (n, L_k, L) and G the (n, L_k, R_k) detector rows. Returns the SINRs
-    and their denominators, both (n, L_k), the (n,) effective SINRs and the
-    group's spectral efficiency in bit/s/Hz. A zero denominator (no
-    interference and no effective noise) raises UndefinedSinrError.
+    and their denominators, both (n, L_k), the effective SINRs shaped like
+    group.users and the group's spectral efficiency in bit/s/Hz: a scalar,
+    or one per precoder for a group tiled over a stack of precoders. A zero
+    denominator (no interference and no effective noise) raises
+    UndefinedSinrError.
     """
     power = np.abs(Z) ** 2
     signal = power.take(group.own)
@@ -75,8 +79,8 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
             f"symbol {bad}: zero denominator (no interference and no effective noise)"
         )
     sinr = signal / den
-    eff = geometric_means(sinr)
-    return sinr, den, eff, float(group.cols.shape[1] * np.log1p(eff).sum() / _LN2)
+    eff = geometric_means(sinr).reshape(group.users.shape)
+    return sinr, den, eff, group.cols.shape[1] * np.log1p(eff).sum(axis=-1) / _LN2
 
 
 def geometric_means(sinr: np.ndarray) -> np.ndarray:
@@ -87,14 +91,20 @@ def geometric_means(sinr: np.ndarray) -> np.ndarray:
 
 
 def detect(W: np.ndarray, group: UserGroup, lam: float):
-    """MMSE-IRC detectors of one group: returns B = H W, Q^{-1} and G = A^H Q^{-1}."""
+    """MMSE-IRC detectors of one group: returns B = H W, Q^{-1} and G = A^H Q^{-1}.
+
+    W is one (T, L) precoder, or a (b, T, L) stack for a group tiled over b.
+    """
     n, R, T = group.H.shape
-    B = (group.H.reshape(n * R, T) @ W).reshape(n, R, W.shape[1])  # one GEMM
+    # One GEMM per precoder, of the shape a lone precoder gets, keeps each
+    # precoder's B bit-identical; one (n R, T) x (T, b L) GEMM would not be,
+    # since BLAS blocks the product differently as its width grows.
+    B = (group.H.reshape(n * R, T) @ W).reshape(-1, R, W.shape[-1])
     Q = B @ _h(B)
     diag = np.arange(R)
     Q[:, diag, diag] += lam
     Q_inv = _hpd_inverse(Q, group.users, check_singular=lam == 0.0)
-    A_t = B[np.arange(n)[:, None], :, group.cols]  # (n, L_k, R_k): A transposed
+    A_t = B[np.arange(len(B))[:, None], :, group.cols]  # (n, L_k, R_k): A transposed
     return B, Q_inv, A_t.conj() @ Q_inv
 
 
@@ -132,9 +142,25 @@ def irc_forward(Wp, channel: ChannelSet, params: SystemParams) -> tuple[float, I
         B, Q_inv, G = detect(W, group, lam)
         Z = G @ B
         sinr, den, eff, se_group = score_group(Z, G, group, lam)
-        se += se_group
+        se += float(se_group)
         passes.append(GroupPass(group, B, Q_inv, G, Z, sinr, den, eff))
     return se, IrcCache(lam, W.shape, tuple(passes))
+
+
+def irc_scores(Ws, channel: ChannelSet, params: SystemParams) -> np.ndarray:
+    """MMSE-IRC spectral efficiencies of a (b, T, L) stack of precoders in one
+    pass; entry j equals irc_forward(Ws[j])[0] bit for bit.
+
+    An error of any precoder fails the whole pass.
+    """
+    W = np.asarray(Ws, dtype=np.complex128)
+    lam = params.noise_to_signal
+    se = np.zeros(len(W))
+    for group in channel.groups:
+        tiled = group.tiled(len(W), W.shape[-1])
+        B, _, G = detect(W, tiled, lam)
+        se += score_group(G @ B, G, tiled, lam)[3]
+    return se
 
 
 def irc_backward(cache: IrcCache) -> np.ndarray:

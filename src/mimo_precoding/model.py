@@ -162,6 +162,21 @@ class UserGroup:
     cols: np.ndarray   # (n, L_k) stacked stream indices of each user
     own: np.ndarray    # (n, L_k) flat indices of cols in an (n, L_k, L) array
 
+    def tiled(self, b: int, L: int) -> "UserGroup":
+        """The group repeated for a stack of b precoders with L streams each.
+
+        Row j * n + i of cols and own stands for user users[i] under precoder
+        j, so a (b * n, L_k, L) array holds the b precoders' arrays one after
+        another; own is offset by j * n * L_k * L accordingly. users becomes
+        (b, n), row j for precoder j, which is how per-user results split into
+        precoders. H is shared, not repeated: H_i W_j is row j * n + i of the
+        stacked product.
+        """
+        offsets = np.arange(b)[:, None, None] * self.own.size * L
+        return UserGroup(users=np.tile(self.users, (b, 1)), H=self.H,
+                         cols=np.tile(self.cols, (b, 1)),
+                         own=(self.own + offsets).reshape(-1, self.own.shape[1]))
+
 
 @dataclass(frozen=True)
 class ChannelSet:
@@ -231,6 +246,8 @@ def decompose_users(H: np.ndarray, L_k: int, users) -> list[UserChannel]:
     n, R_k, T = H.shape
     if R_k > T:
         raise DimensionError(f"need R_k <= T, got R_k={R_k}, T={T}")
+    if isinstance(L_k, bool) or not isinstance(L_k, numbers.Integral):
+        raise DimensionError(f"layer count must be an integer, got {L_k!r}")
     L_k = int(L_k)
     if not 1 <= L_k <= R_k:
         raise DimensionError(f"need 1 <= L_k <= R_k, got L_k={L_k}, R_k={R_k}")

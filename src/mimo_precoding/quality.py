@@ -141,8 +141,9 @@ def spectral_efficiency(W, channel: ChannelSet, detection: DetectionSet,
 def spectral_efficiency_irc(W, channel: ChannelSet, params: SystemParams) -> SinrReport:
     """Spectral efficiency with the MMSE-IRC detector recomputed for this precoder.
 
-    This single path scores every algorithm in the benchmark harness and is the
-    quantity maximized by the IRC objective.
+    It is the quantity maximized by the IRC objective. The benchmark harness
+    scores a cell's precoders together with irc.irc_scores, which gives every
+    precoder's se_bits bit for bit.
     """
     se, cache = irc_forward(as_array(W), channel, params)
     return _report(channel, [(p.group, p.sinr, p.eff) for p in cache.passes], se)

@@ -3,17 +3,30 @@ import json
 import numpy as np
 import pytest
 
+import mimo_precoding.harness as harness
 from mimo_precoding import (
     ConfigError,
+    MimoError,
     OptimizerConfig,
+    PrecodingMatrix,
     RunReport,
     ScenarioConfig,
     SingularMatrixError,
     SystemDims,
+    SystemParams,
     export_report,
+    generate_channels,
+    noise_from_susinr,
     run_scenario,
+    spectral_efficiency_irc,
 )
 from mimo_precoding.harness import RunRecord
+
+RAGGED_CORR = dict(
+    dims=SystemDims(K=8, T=64, R_k=(1, 2, 2, 4, 4, 4, 8, 8), L_k=(1, 1, 2, 1, 2, 4, 2, 4)),
+    channel_model="exp-correlated",
+    rho=0.9,
+)
 
 
 def tiny_config(**overrides):
@@ -35,6 +48,28 @@ def strip_wall_ms(text: str) -> str:
         del cells[4]  # wall_ms column
         lines.append(",".join(cells))
     return "\n".join(lines)
+
+
+def reference_cell(cfg, seed, susinr_db):
+    """One cell's rows without wall_ms, each precoder built and then scored
+    alone by spectral_efficiency_irc: the harness before batched scoring."""
+    channel = generate_channels(cfg.dims, seed, cfg.channel_model, cfg.rho)
+    sigma2 = noise_from_susinr(channel, cfg.P, susinr_db)
+    params = SystemParams(P=cfg.P, sigma2=sigma2, L=cfg.dims.L)
+    rows = []
+    for algo in cfg.algorithms:
+        try:
+            W, iterations = harness.run_algorithm(algo, channel, params, cfg.optimizer)
+            se = spectral_efficiency_irc(W, channel, params).se_bits
+            rows.append((seed, susinr_db, algo, float(se), iterations, None))
+        except (MimoError, np.linalg.LinAlgError) as exc:
+            rows.append((seed, susinr_db, algo, None, None, f"{type(exc).__name__}: {exc}"))
+    return rows
+
+
+def rows_without_wall_ms(report):
+    return [(r.seed, r.susinr_db, r.algorithm, r.se_irc_bits, r.iterations, r.error)
+            for r in report.rows]
 
 
 class TestScenarioConfig:
@@ -123,8 +158,6 @@ class TestRunScenario:
             assert all(b >= a for a, b in zip(curve, curve[1:]))
 
     def test_cell_failure_recorded_not_raised(self, monkeypatch):
-        import mimo_precoding.harness as harness
-
         real = harness.run_algorithm
 
         def flaky(name, channel, params, opt_cfg):
@@ -140,9 +173,33 @@ class TestRunScenario:
         assert report.failures[0].algorithm == "ZF"
         assert "synthetic failure" in report.failures[0].error
 
-    def test_programming_error_propagates(self, monkeypatch):
-        import mimo_precoding.harness as harness
+    @pytest.mark.parametrize("setting", [{}, RAGGED_CORR], ids=["iid", "ragged-corr"])
+    def test_rows_equal_scoring_each_precoder_alone(self, setting):
+        cfg = ScenarioConfig(seeds=(0, 1), susinr_grid_db=(0.0, 24.0),
+                             optimizer=OptimizerConfig(max_iters=10), **setting)
+        expected = [row for seed in cfg.seeds for db in cfg.susinr_grid_db
+                    for row in reference_cell(cfg, seed, db)]
+        assert rows_without_wall_ms(run_scenario(cfg)) == expected
 
+    def test_scoring_failure_fails_only_its_row(self, monkeypatch):
+        real = harness.run_algorithm
+
+        def silent_zf(name, channel, params, opt_cfg):
+            W, iterations = real(name, channel, params, opt_cfg)
+            if name == "ZF":
+                W = PrecodingMatrix(np.zeros_like(W.W))  # undefined SINR at scoring
+            return W, iterations
+
+        monkeypatch.setattr(harness, "run_algorithm", silent_zf)
+        cfg = tiny_config(seeds=(0,), susinr_grid_db=(12.0,),
+                          algorithms=("MRT", "ZF", "RZF", "ARZF"))
+        report = run_scenario(cfg)
+        assert [r.algorithm for r in report.failures] == ["ZF"]
+        assert report.failures[0].error.startswith("UndefinedSinrError: symbol 0: ")
+        assert report.failures[0].wall_ms is not None
+        assert rows_without_wall_ms(report) == reference_cell(cfg, 0, 12.0)
+
+    def test_programming_error_propagates(self, monkeypatch):
         def buggy(name, channel, params, opt_cfg):
             raise RuntimeError("synthetic bug")
 

@@ -28,7 +28,7 @@ from mimo_precoding import (
     spectral_efficiency_irc,
     symbol_sinr,
 )
-from mimo_precoding.irc import irc_backward, irc_forward
+from mimo_precoding.irc import irc_backward, irc_forward, irc_scores
 
 from conftest import calibrated_params, complex_randn, embed, fd_gradient, mixed_rows_precoder
 
@@ -169,6 +169,30 @@ class TestForward:
         W[:, 1] = 0.0
         with pytest.raises(UndefinedSinrError, match="symbol 1"):
             spectral_efficiency_irc(W, channel, params)
+
+
+class TestScores:
+    @settings(max_examples=60, deadline=None)
+    @given(ragged_case(max_users=7), st.integers(1, 8), st.data())
+    def test_batch_equals_single_scoring_bit_for_bit(self, case, b, data):
+        channel, params, W = case
+        T, L = W.shape
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        Ws = np.stack([W] + [mixed_rows_precoder(rng, T, L, params.P) for _ in range(b - 1)])
+        if T > 1:  # one silent antenna; at T = 1 it would silence every stream
+            Ws[data.draw(st.integers(0, b - 1)), data.draw(st.integers(0, T - 1))] = 0.0
+        se = irc_scores(Ws, channel, params)
+        assert se.shape == (b,)
+        for W_j, se_j in zip(Ws, se):
+            assert se_j == spectral_efficiency_irc(W_j, channel, params).se_bits
+
+    def test_one_undefined_precoder_fails_the_pass(self):
+        channel = generate_channels(SystemDims.uniform(K=2, T=8, R=2, L=1), seed=2)
+        params = calibrated_params(channel)
+        Ws = complex_randn(np.random.default_rng(3), (3, 8, 2))
+        Ws[1, :, 1] = 0.0
+        with pytest.raises(UndefinedSinrError, match="symbol 1"):
+            irc_scores(Ws, channel, params)
 
 
 class TestBackward:

@@ -121,6 +121,14 @@ class TestDecomposeUser:
         with pytest.raises(ValueError):
             decompose_user(np.array([[np.nan, 0.0]]), L_k=1)
 
+    @pytest.mark.parametrize("L_k", [1.5, True, 2.0, "2"])
+    def test_non_integer_layer_count(self, L_k):
+        H = complex_randn(np.random.default_rng(4), (2, 4))
+        with pytest.raises(DimensionError, match="layer count must be an integer"):
+            decompose_user(H, L_k=L_k)
+        with pytest.raises(DimensionError, match="layer count must be an integer"):
+            decompose_users(H[None], L_k, [0])
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_reconstruction_property(self, R_k, seed):
@@ -208,6 +216,13 @@ class TestBuildChannelSet:
             Z = np.random.default_rng(seed).random((n, L_g, dims.L))
             i, l = np.arange(n)[:, None], np.arange(L_g)
             assert np.array_equal(Z.reshape(-1)[g.own], Z[i, l, g.cols])
+            t = g.tiled(3, dims.L)  # precoder j's rows follow precoder j - 1's
+            assert t.H is g.H
+            assert t.users.tolist() == [g.users.tolist()] * 3
+            assert t.cols.tobytes() == np.concatenate([g.cols] * 3).tobytes()
+            Z3 = np.random.default_rng(seed).random((3 * n, L_g, dims.L))
+            i3 = np.arange(3 * n)[:, None]
+            assert np.array_equal(Z3.reshape(-1)[t.own], Z3[i3, l, t.cols])
 
         path = tmp_path_factory.mktemp("groups") / "ch.bin"
         write_channels(ch, path)
