@@ -6,8 +6,8 @@ Subcommands:
               SE-IRC per channel-quality point and algorithm
     trace     run one quasi-Newton optimization and dump its per-iteration trace
 
-Exit codes: 0 on success, 1 on configuration errors, 2 when a sweep finished
-but some grid cells failed.
+Exit codes: 0 on success, 1 on configuration errors (an output that cannot be
+written among them), 2 when a sweep finished but some grid cells failed.
 """
 
 from __future__ import annotations
@@ -46,8 +46,10 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         for chunk in text.split(","):
             chunk = chunk.strip()
             if "-" in chunk[1:]:
-                lo, hi = chunk.split("-", 1)
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(x) for x in chunk.split("-", 1))
+                if hi < lo:
+                    raise ConfigError(f"range {chunk!r} in {text!r} is reversed")
+                out.extend(range(lo, hi + 1))
             else:
                 out.append(int(chunk))
     except ValueError as exc:
@@ -128,6 +130,12 @@ def load_scenario(args) -> ScenarioConfig:
     return cfg
 
 
+def _check_out(path: Path) -> None:
+    """Reject an output in a missing directory before any work is done."""
+    if not path.parent.is_dir():
+        raise ConfigError(f"cannot write {path}: directory {path.parent} does not exist")
+
+
 def _format_for(path: Path, explicit: str | None) -> str:
     if explicit:
         return explicit
@@ -150,6 +158,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = load_scenario(args)
+    _check_out(args.out)
     report = run_scenario(cfg)
     export_report(report, _format_for(args.out, args.format), args.out)
     n_fail = len(report.failures)
@@ -174,6 +183,7 @@ def _mean_se_table(report) -> str:
 
 def _cmd_trace(args) -> int:
     cfg = load_scenario(args)
+    _check_out(args.out)
     algo = cfg.algorithms[0]
     if algo not in QN_ALGOS:
         qn = [a for a in cfg.algorithms if a in QN_ALGOS]
@@ -233,10 +243,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MimoError as exc:
+    except (MimoError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,7 @@ uniform SE scoring under MMSE-IRC detection and report export.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -62,8 +63,10 @@ class ScenarioConfig:
             raise ConfigError("seeds must be nonnegative")
         if not self.susinr_grid_db:
             raise ConfigError("susinr_grid_db must be non-empty")
-        if self.P <= 0:
-            raise ConfigError(f"P must be positive, got {self.P}")
+        if not all(map(math.isfinite, self.susinr_grid_db)):
+            raise ConfigError(f"susinr_grid_db entries must be finite, got {self.susinr_grid_db}")
+        if not (math.isfinite(self.P) and self.P > 0):
+            raise ConfigError(f"P must be positive and finite, got {self.P}")
         if not self.algorithms:
             raise ConfigError("algorithms must be non-empty")
         for a in self.algorithms:

@@ -134,6 +134,20 @@ def _ratio_over(num, power: np.ndarray, over: np.ndarray, fill: float) -> np.nda
     return np.divide(num, power, out=np.full(power.shape, fill), where=over)
 
 
+def _ball(W: np.ndarray, P: float):
+    """Where W stands against the per-antenna power ball, once per point:
+    its row power, the mask of rows outside the ball and the factor
+    sqrt(cap/power) that puts them on it (1.0 on the other rows). Mask and
+    factor are None when every row is inside. The projection and its chain
+    rule both start from it."""
+    power = _row_power(W)
+    cap = P / W.shape[0]
+    over = power > cap
+    if not over.any():
+        return power, None, None
+    return power, over, np.sqrt(_ratio_over(cap, power, over, 1.0))
+
+
 def project(W, P: float) -> np.ndarray:
     """Row-wise projection onto the per-antenna power ball of radius sqrt(P/T).
 
@@ -143,39 +157,37 @@ def project(W, P: float) -> np.ndarray:
     idempotent.
     """
     Wm = as_array(W)
-    return _project(Wm, P, _row_power(Wm))
+    return _project(Wm, P, _ball(Wm, P))
 
 
-def _project(W: np.ndarray, P: float, power: np.ndarray) -> np.ndarray:
-    """project(W, P) given the row power of W, which the chain rule reuses."""
-    cap = P / W.shape[0]
+def _project(W: np.ndarray, P: float, ball) -> np.ndarray:
+    """project(W, P) given _ball(W, P), which the chain rule reuses."""
+    _, over, scale = ball
     out = W.copy()
-    for _ in range(4):
-        over = power > cap
-        if not over.any():
+    for i in range(4):
+        if i:
+            _, over, scale = _ball(out, P)
+        if over is None:
             break
-        out *= np.sqrt(_ratio_over(cap, power, over, 1.0))[:, None]
-        power = _row_power(out)
+        out *= scale[:, None]
     return out
 
 
-def _chain_projection(D: np.ndarray, W: np.ndarray, P: float,
-                      power: np.ndarray) -> np.ndarray:
+def _chain_projection(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
     """Pull the gradient D at proj(W) back through the projection at W, given
-    the row power of W.
+    _ball(W, P).
 
     Interior rows (including rows exactly on the boundary) use the identity
     branch. For a row outside the ball the projection w -> w sqrt(cap)/||w||
     contributes a tangential projection (the radial component of D carries no
     first-order change) scaled by sqrt(cap)/||w||.
     """
-    cap = P / W.shape[0]
-    over = power > cap
-    if not over.any():
+    power, over, scale = ball
+    if over is None:
         return D
     radial = np.einsum("ml,ml->m", D, W.conj()).real
     tangent = D - _ratio_over(radial, power, over, 0.0)[:, None] * W
-    return np.sqrt(_ratio_over(cap, power, over, 1.0))[:, None] * tangent
+    return scale[:, None] * tangent
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +247,8 @@ def _cd_gradient(Wp: np.ndarray, channel: ChannelSet, params: SystemParams) -> n
     return (2.0 / _LN2) * (Vt.conj().T @ M)
 
 
-def _pull_back(D: np.ndarray, W: np.ndarray, P: float, power: np.ndarray) -> np.ndarray:
-    out = _chain_projection(D, W, P, power)
+def _pull_back(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
+    out = _chain_projection(D, W, ball)
     if not np.isfinite(out).all():
         raise NumericalFailureError("gradient has non-finite entries")
     return out
@@ -246,9 +258,9 @@ def gradient(W, spec) -> np.ndarray:
     """Complex ascent gradient of the projected objective at W."""
     Wm = as_array(W)
     P = _spec_power(spec)
-    power = _row_power(Wm)
-    _, cache = _forward(_project(Wm, P, power), spec)
-    return _pull_back(_backward(cache, spec), Wm, P, power)
+    ball = _ball(Wm, P)
+    _, cache = _forward(_project(Wm, P, ball), spec)
+    return _pull_back(_backward(cache, spec), Wm, ball)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +308,12 @@ class _Evaluator:
     """Objective value and gradient over the engine's vector x.
 
     The engine asks for value_and_grad only at the line-search candidate it
-    has just accepted, so the forward pass of the last value call is kept and
-    reused: an accepted step costs its trials' forward passes plus one
-    backward pass. The row power of the unprojected W is kept with it, since
-    the projection and its chain rule both start from it.
+    has just accepted, passing the very array of the last value call, and
+    never writes into an array it has handed out. So the forward pass of the
+    last value call is kept, keyed on the identity of x, and reused: an
+    accepted step costs its trials' forward passes plus one backward pass.
+    The unprojected W's place against the power ball (_ball) is kept with
+    it, since the projection and its chain rule both start from it.
     """
 
     def __init__(self, spec, param):
@@ -310,12 +324,11 @@ class _Evaluator:
         self._last = None
 
     def _forward(self, x: np.ndarray):
-        if self._x is None or not np.array_equal(x, self._x):
-            x = x.copy()  # W may be a view of x
-            W, aux = self.param.decode_full(x)
-            power = _row_power(W)
-            f, cache = _forward(_project(W, self.P, power), self.spec)
-            self._x, self._last = x, (f, W, power, aux, cache)
+        if x is not self._x:
+            W, aux = self.param.decode_full(x)  # W may be a view of x
+            ball = _ball(W, self.P)
+            f, cache = _forward(_project(W, self.P, ball), self.spec)
+            self._x, self._last = x, (f, W, ball, aux, cache)
         return self._last
 
     def value(self, x: np.ndarray) -> float:
@@ -327,8 +340,8 @@ class _Evaluator:
             return -np.inf
 
     def value_and_grad(self, x: np.ndarray):
-        f, W, power, aux, cache = self._forward(x)
-        D = _pull_back(_backward(cache, self.spec), W, self.P, power)
+        f, W, ball, aux, cache = self._forward(x)
+        D = _pull_back(_backward(cache, self.spec), W, ball)
         return f, self.param.chain(D, W, aux)
 
 

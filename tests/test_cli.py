@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mimo_precoding import SingularMatrixError, file_size, read_channels, run_scenario
 from mimo_precoding.cli import main
 
@@ -48,6 +50,13 @@ class TestRun:
         out = tmp_path / "report.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--seeds", "0-3"]) == 0
         assert len(out.read_text().splitlines()) == 1 + 4
+
+    def test_reversed_seed_range_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "report.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seeds", "0,5-2"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -103,6 +112,31 @@ class TestRun:
         cfg = write_config(tmp_path)
         out = tmp_path / "report.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("command,algo", [("run", "RZF"), ("trace", "QN-IRC-ARZF")])
+class TestUnwritableOutput:
+    def test_missing_directory_exits_one_before_any_work(self, tmp_path, capsys,
+                                                         monkeypatch, command, algo):
+        import mimo_precoding.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before checking the output path")
+
+        monkeypatch.setattr(cli, "run_scenario", no_work)
+        monkeypatch.setattr(cli, "generate_channels", no_work)
+        cfg = write_config(tmp_path, algorithms=[algo])
+        out = tmp_path / "missing" / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--iters", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert str(out.parent) in err
+
+    def test_directory_as_output_exits_one(self, tmp_path, capsys, command, algo):
+        cfg = write_config(tmp_path, algorithms=[algo])
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path), "--iters", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestGenerate:

@@ -98,6 +98,11 @@ class TestScenarioConfig:
         {"algorithms": ["ZF", "bogus"]},
         {"susinr_grid_db": []},
         {"P": -1.0},
+        {"P": float("nan")},
+        {"P": float("inf")},
+        {"susinr_grid_db": [0.0, float("nan")]},
+        {"susinr_grid_db": [float("inf")]},
+        {"susinr_grid_db": [float("-inf"), 12.0]},
         {"channel_model": "quadriga"},
         {"rho": 1.5},
         {"definitely_not_a_key": 1},

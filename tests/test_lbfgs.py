@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mimo_precoding import lbfgs
 
@@ -41,11 +43,48 @@ class TestTwoLoop:
         np.testing.assert_array_equal(lbfgs._two_loop(g, pairs), reference_two_loop(g, pairs))
         np.testing.assert_array_equal(g, g_before)
 
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 10), n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1),
+           exponents=st.lists(st.floats(-150.0, 150.0), min_size=21, max_size=21),
+           orthogonal=st.booleans())
+    def test_matches_reference_bitwise_over_memory_and_magnitudes(
+            self, m, n, seed, exponents, orthogonal):
+        # g and every s and y get their own magnitude in [1e-150, 1e150]. With
+        # orthogonal, the newest s and g have disjoint supports, so the first
+        # multiplier of the recursion is exactly 0, and g's zeros are -0.0:
+        # the signed zeros of a*y must reach r as numpy's r - a*y leaves them.
+        rng = np.random.default_rng(seed)
+        scale = iter(10.0 ** np.array(exponents))
+        g = next(scale) * rng.standard_normal(n)
+        pairs = []
+        for _ in range(m):
+            z = rng.standard_normal(n)
+            s = next(scale) * z
+            y = next(scale) * (z + 0.5 * rng.standard_normal(n))
+            pairs.append((s, y, 1.0 / float(s @ y)))
+        if orthogonal:
+            g[: n // 2] = -0.0
+            pairs[-1][0][n // 2:] = 0.0
+            assert float(pairs[-1][0] @ g) == 0.0
+        with np.errstate(all="ignore"):
+            expected = reference_two_loop(g, pairs)
+        assume(np.isfinite(expected).all())
+        assert lbfgs._two_loop(g, pairs).tobytes() == expected.tobytes()
+
     def test_no_pairs_is_a_copy_of_the_gradient(self):
         g = np.arange(3.0)
         d = lbfgs._two_loop(g, [])
         np.testing.assert_array_equal(d, g)
         assert d is not g
+
+
+@pytest.mark.parametrize("g", [
+    [3.0, -5.0, 1.0], [-0.0, -0.0], [0.0, -0.0], [0.0], [2.0, np.nan], [-np.inf, 1.0], [],
+])
+def test_inf_norm_is_max_abs_bitwise(g):
+    g = np.array(g, dtype=float)
+    expected = float(np.max(np.abs(g))) if g.size else 0.0
+    assert np.float64(lbfgs._inf_norm(g)).tobytes() == np.float64(expected).tobytes()
 
 
 class TestEngine:
@@ -117,6 +156,34 @@ class TestEngine:
                        callback=lambda i, x, f, gn, step: seen.append(i))
         assert seen[0] == 0
         assert seen == list(range(len(seen)))
+
+    def test_never_writes_into_a_handed_out_array(self):
+        # The optimizer's evaluator caches on the identity of x: it relies on
+        # the engine passing value_and_grad the very array of the last value
+        # call (the accepted trial) and never writing into an array it has
+        # handed out. Rosenbrock makes the line search backtrack.
+        handed = []  # (name, array, its bytes when handed out)
+
+        def recorded(name, fn):
+            def wrapper(x):
+                handed.append((name, x, x.tobytes()))
+                return fn(x)
+            return wrapper
+
+        def vag(x):
+            a, b = x
+            f = -((1 - a) ** 2 + 100.0 * (b - a * a) ** 2)
+            return f, np.array([2 * (1 - a) + 400.0 * a * (b - a * a), -200.0 * (b - a * a)])
+
+        _, info = lbfgs.maximize(recorded("value_and_grad", vag), np.array([-1.2, 1.0]),
+                                 max_iters=200, tol_grad=1e-8, tol_change=1e-14,
+                                 value=recorded("value", lambda x: vag(x)[0]))
+        assert info["n_value_evals"] > len(info["history"])  # some trials were rejected
+        for name, x, before in handed:
+            assert x.tobytes() == before, name
+        for i, (name, x, _) in enumerate(handed):
+            if name == "value_and_grad" and i:
+                assert handed[i - 1][0] == "value" and handed[i - 1][1] is x
 
     def test_separate_value_path_used_in_line_search(self):
         calls = {"value": 0, "vag": 0}

@@ -167,6 +167,35 @@ class TestGradient:
         assert f == objective(W, spec)
         np.testing.assert_array_equal(param.decode_full(g)[0], gradient(W, spec))
 
+    @pytest.mark.parametrize("kind", ["cd", "irc"])
+    def test_evaluator_caches_on_identity(self, kind, monkeypatch):
+        # The same array is served from the cache; an equal fresh array is
+        # recomputed to the same bits; a different array is recomputed.
+        import mimo_precoding.optimizer as optimizer
+
+        forwards = []
+        real_forward = optimizer._forward
+        monkeypatch.setattr(optimizer, "_forward",
+                            lambda Wp, s: forwards.append(1) or real_forward(Wp, s))
+        spec = (cd_spec if kind == "cd" else irc_spec)(33, K=4, T=16, R=4, L=2)
+        W = mixed_rows_precoder(np.random.default_rng(34), 16, 8, spec.params.P)
+        param = _ProjectionParam(W.shape, spec.params.P)
+        evaluator = _Evaluator(spec, param)
+        x = param.encode(W)
+        f = evaluator.value(x)
+        f1, g1 = evaluator.value_and_grad(x)
+        assert len(forwards) == 1
+        f2, g2 = evaluator.value_and_grad(x.copy())
+        assert len(forwards) == 2
+        assert np.float64(f1).tobytes() == np.float64(f2).tobytes() == np.float64(f).tobytes()
+        assert g1.tobytes() == g2.tobytes()
+        V = W.copy()
+        V[0, 0] *= 0.5
+        f3, g3 = evaluator.value_and_grad(param.encode(V))
+        assert len(forwards) == 3
+        assert f3 == objective(V, spec)
+        np.testing.assert_array_equal(param.decode_full(g3)[0], gradient(V, spec))
+
     def test_exterior_rows_lose_radial_component(self):
         spec = cd_spec(13)
         rng = np.random.default_rng(14)
