@@ -20,24 +20,14 @@ _COND_WARN = 1e12
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Which closed-form precoder to build and with what constants.
-
-    power_alloc holds the diagonal of the per-stream power allocation matrix;
-    None means equal allocation (identity).
-    """
+    """Which closed-form precoder to build and with what constants."""
 
     kind: str
     params: SystemParams
-    power_alloc: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown baseline kind {self.kind!r}, expected one of {KINDS}")
-        if self.power_alloc is not None:
-            p = np.asarray(self.power_alloc, dtype=float)
-            if p.ndim != 1 or np.any(p <= 0):
-                raise ValueError("power_alloc must be a 1-D array of positive entries")
-            object.__setattr__(self, "power_alloc", p)
 
 
 def normalize_power(W_raw: np.ndarray, P: float) -> PrecodingMatrix:
@@ -57,19 +47,9 @@ def normalize_power(W_raw: np.ndarray, P: float) -> PrecodingMatrix:
     return PrecodingMatrix(W * (np.sqrt(P / T) / top))
 
 
-def _power_diag(cfg: BaselineConfig, L: int) -> np.ndarray:
-    if cfg.power_alloc is None:
-        return np.ones(L)
-    if cfg.power_alloc.shape[0] != L:
-        raise DimensionError(
-            f"power_alloc has length {cfg.power_alloc.shape[0]}, expected L={L}"
-        )
-    return cfg.power_alloc
-
-
 def _regularized_inverse_precoder(channel: ChannelSet, reg_diag: np.ndarray | None,
-                                  p_alloc: np.ndarray, context: str) -> np.ndarray:
-    """V^H (V V^H + diag(reg))^{-1} P_alloc without forming the inverse."""
+                                  context: str) -> np.ndarray:
+    """V^H (V V^H + diag(reg))^{-1} without forming the inverse."""
     Vt = channel.V_tilde
     gram = Vt @ Vt.conj().T
     if reg_diag is None:
@@ -89,7 +69,7 @@ def _regularized_inverse_precoder(channel: ChannelSet, reg_diag: np.ndarray | No
         lhs = gram + np.diag(reg_diag)
     try:
         c, low = scipy.linalg.cho_factor(lhs, check_finite=False)
-        X = scipy.linalg.cho_solve((c, low), np.diag(p_alloc).astype(np.complex128),
+        X = scipy.linalg.cho_solve((c, low), np.eye(len(Vt), dtype=np.complex128),
                                    check_finite=False)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise SingularMatrixError(f"{context}: {exc}") from exc
@@ -98,23 +78,19 @@ def _regularized_inverse_precoder(channel: ChannelSet, reg_diag: np.ndarray | No
 
 def mrt(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
     """Maximum-ratio transmission: beams along the conjugated singular vectors."""
-    p = _power_diag(cfg, channel.dims.L)
-    return normalize_power(channel.V_tilde.conj().T * p[None, :], cfg.params.P)
+    return normalize_power(channel.V_tilde.conj().T, cfg.params.P)
 
 
 def zf(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
     """Zero-forcing: decorrelates streams through the inverse Gram matrix."""
-    p = _power_diag(cfg, channel.dims.L)
-    W = _regularized_inverse_precoder(channel, None, p, "zero-forcing")
+    W = _regularized_inverse_precoder(channel, None, "zero-forcing")
     return normalize_power(W, cfg.params.P)
 
 
 def rzf(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
     """Regularized zero-forcing with the scalar regularizer sigma2 * L / P."""
-    L = channel.dims.L
-    p = _power_diag(cfg, L)
-    reg = np.full(L, cfg.params.regularizer)
-    W = _regularized_inverse_precoder(channel, reg, p, "regularized zero-forcing")
+    reg = np.full(channel.dims.L, cfg.params.regularizer)
+    W = _regularized_inverse_precoder(channel, reg, "regularized zero-forcing")
     return normalize_power(W, cfg.params.P)
 
 
@@ -127,9 +103,8 @@ def arzf(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
     s = channel.S_tilde
     if np.any(s <= 0):
         raise DegenerateChannelError("adaptive RZF needs positive leading singular values")
-    p = _power_diag(cfg, channel.dims.L)
     reg = cfg.params.regularizer / s**2
-    W = _regularized_inverse_precoder(channel, reg, p, "adaptive regularized zero-forcing")
+    W = _regularized_inverse_precoder(channel, reg, "adaptive regularized zero-forcing")
     return normalize_power(W, cfg.params.P)
 
 

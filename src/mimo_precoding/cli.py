@@ -197,7 +197,7 @@ def _cmd_trace(args) -> int:
     params = SystemParams(P=cfg.P, sigma2=sigma2, L=cfg.dims.L)
     kind, start = parse_qn_name(algo)
     spec = ObjectiveSpec(kind=kind, channel=channel, params=params)
-    opt_cfg = replace(cfg.optimizer, start=start, start_matrix=None)
+    opt_cfg = replace(cfg.optimizer, start=start)
 
     score = None
     if kind != "irc":

@@ -80,6 +80,10 @@ class ScenarioConfig:
             raise ConfigError(f"rho must be in [0, 1), got {self.rho}")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        opt = self.optimizer
+        if opt.start != OptimizerConfig.start or opt.start_matrix is not None:
+            raise ConfigError("optimizer.start and optimizer.start_matrix cannot be set in a "
+                              "scenario: the algorithm name (e.g. QN-IRC-ARZF) picks the start")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -186,7 +190,7 @@ def run_algorithm(name: str, channel: ChannelSet, params: SystemParams,
         return W, 0
     kind, start = parse_qn_name(name)
     spec = ObjectiveSpec(kind=kind, channel=channel, params=params)
-    W, trace = lbfgs_maximize(spec, replace(opt_cfg, start=start, start_matrix=None))
+    W, trace = lbfgs_maximize(spec, replace(opt_cfg, start=start))
     return W, trace.iterations
 
 

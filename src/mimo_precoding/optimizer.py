@@ -8,15 +8,20 @@ complex precoder. Gradients are complex ascent gradients (twice the derivative
 with respect to the conjugated matrix) chained analytically through the
 projection and, for the IRC objective, through the detector itself.
 
+Every objective is a forward/backward pair behind one interface: its power
+budget `P` and precoder `shape`, `forward(Wp) -> (value, cache)` at an
+already-projected precoder and `backward(cache) -> complex ascent gradient`
+at that same point. The drivers call nothing else, so a gradient reuses the
+products of the forward pass it follows.
+
 A softmax reparametrization of the precoder (feasible by construction) is
 provided as an alternative route to the same problem.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -25,9 +30,7 @@ from .baselines import BaselineConfig, arzf, rzf
 from .errors import DimensionError, MimoError, NumericalFailureError
 from .irc import irc_backward, irc_forward
 from .model import ChannelSet, SystemParams
-from .quality import PrecodingMatrix, as_array, se_conjugate
-
-_LN2 = math.log(2.0)
+from .quality import PrecodingMatrix, as_array, cd_backward, cd_forward
 
 OBJECTIVE_KINDS = ("cd", "irc")
 START_KINDS = ("rzf", "arzf", "custom")
@@ -51,20 +54,47 @@ class ObjectiveSpec:
         if self.kind not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}, expected {OBJECTIVE_KINDS}")
 
+    @property
+    def P(self) -> float:
+        return self.params.P
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.channel.dims.T, self.channel.dims.L)
+
+    def forward(self, Wp: np.ndarray):
+        """Objective value at the already-projected precoder Wp, together with
+        what backward needs to differentiate it there."""
+        ch, pr = self.channel, self.params
+        if self.kind == "cd":
+            return cd_forward(Wp, ch.V_tilde, ch.S_tilde, pr.sigma2, pr.P)
+        return irc_forward(Wp, ch, pr)
+
+    def backward(self, cache) -> np.ndarray:
+        """Complex ascent gradient at the projected point of a forward call."""
+        return cd_backward(cache) if self.kind == "cd" else irc_backward(cache)
+
 
 @dataclass(frozen=True)
 class CustomObjective:
     """Escape hatch for driving the maximizer with an arbitrary smooth objective.
 
     value/wirtinger_grad act on the already-projected precoder; wirtinger_grad
-    must return the complex ascent gradient.
+    must return the complex ascent gradient. The forward cache is the
+    projected precoder itself.
     """
 
     value: Callable[[np.ndarray], float]
     wirtinger_grad: Callable[[np.ndarray], np.ndarray]
     shape: tuple[int, int]
     P: float
-    kind: str = "custom"
+    kind: ClassVar[str] = "custom"
+
+    def forward(self, Wp: np.ndarray):
+        return float(self.value(Wp)), Wp
+
+    def backward(self, Wp: np.ndarray) -> np.ndarray:
+        return np.asarray(self.wirtinger_grad(Wp), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -194,57 +224,9 @@ def _chain_projection(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
 # Objective values and complex ascent gradients
 
 
-def _spec_power(spec) -> float:
-    if spec.kind == "custom":
-        return spec.P
-    return spec.params.P
-
-
-def _spec_shape(spec) -> tuple[int, int]:
-    if spec.kind == "custom":
-        return spec.shape
-    return (spec.channel.dims.T, spec.channel.dims.L)
-
-
-def _forward(Wp: np.ndarray, spec):
-    """Objective value at the already-projected precoder Wp, together with
-    what _backward needs to differentiate it there."""
-    if spec.kind == "cd":
-        ch, pr = spec.channel, spec.params
-        return se_conjugate(Wp, ch.V_tilde, ch.S_tilde, pr.sigma2, pr.P), Wp
-    if spec.kind == "irc":
-        return irc_forward(Wp, spec.channel, spec.params)
-    return float(spec.value(Wp)), Wp
-
-
-def _backward(cache, spec) -> np.ndarray:
-    """Complex ascent gradient at the projected point of a _forward call."""
-    if spec.kind == "cd":
-        return _cd_gradient(cache, spec.channel, spec.params)
-    if spec.kind == "irc":
-        return irc_backward(cache)
-    return np.asarray(spec.wirtinger_grad(cache), dtype=np.complex128)
-
-
 def objective(W, spec) -> float:
     """Objective value at the projection of W."""
-    return _forward(project(W, _spec_power(spec)), spec)[0]
-
-
-def _cd_gradient(Wp: np.ndarray, channel: ChannelSet, params: SystemParams) -> np.ndarray:
-    Vt = channel.V_tilde
-    s = channel.S_tilde
-    A = Vt @ Wp                                    # (L, L), entry (l, i) = v_l w_i
-    power = np.abs(A) ** 2
-    noise = params.sigma2 / (params.P * s**2)
-    off_power = power.copy()
-    np.fill_diagonal(off_power, 0.0)
-    totals = power.sum(axis=1) + noise
-    rest = off_power.sum(axis=1) + noise
-    A_off = A.copy()
-    np.fill_diagonal(A_off, 0.0)
-    M = A / totals[:, None] - A_off / rest[:, None]
-    return (2.0 / _LN2) * (Vt.conj().T @ M)
+    return spec.forward(project(W, spec.P))[0]
 
 
 def _pull_back(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
@@ -257,10 +239,9 @@ def _pull_back(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
 def gradient(W, spec) -> np.ndarray:
     """Complex ascent gradient of the projected objective at W."""
     Wm = as_array(W)
-    P = _spec_power(spec)
-    ball = _ball(Wm, P)
-    _, cache = _forward(_project(Wm, P, ball), spec)
-    return _pull_back(_backward(cache, spec), Wm, ball)
+    ball = _ball(Wm, spec.P)
+    _, cache = spec.forward(_project(Wm, spec.P, ball))
+    return _pull_back(spec.backward(cache), Wm, ball)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +249,12 @@ def gradient(W, spec) -> np.ndarray:
 
 
 def _starting_point(spec, cfg: OptimizerConfig) -> np.ndarray:
-    P = _spec_power(spec)
     if cfg.start == "custom":
         W0 = np.asarray(cfg.start_matrix, dtype=np.complex128)
-        if W0.shape != _spec_shape(spec):
+        if W0.shape != spec.shape:
             raise DimensionError(
-                f"start_matrix must have shape (T, L) = {_spec_shape(spec)}, got {W0.shape}")
-        return project(W0, P)
+                f"start_matrix must have shape (T, L) = {spec.shape}, got {W0.shape}")
+        return project(W0, spec.P)
     if spec.kind == "custom":
         raise ValueError("custom objectives need start='custom' with start_matrix")
     base_cfg = BaselineConfig(kind=cfg.start.upper(), params=spec.params)
@@ -319,7 +299,7 @@ class _Evaluator:
     def __init__(self, spec, param):
         self.spec = spec
         self.param = param
-        self.P = _spec_power(spec)
+        self.P = spec.P
         self._x = None
         self._last = None
 
@@ -327,7 +307,7 @@ class _Evaluator:
         if x is not self._x:
             W, aux = self.param.decode_full(x)  # W may be a view of x
             ball = _ball(W, self.P)
-            f, cache = _forward(_project(W, self.P, ball), self.spec)
+            f, cache = self.spec.forward(_project(W, self.P, ball))
             self._x, self._last = x, (f, W, ball, aux, cache)
         return self._last
 
@@ -341,7 +321,7 @@ class _Evaluator:
 
     def value_and_grad(self, x: np.ndarray):
         f, W, ball, aux, cache = self._forward(x)
-        D = _pull_back(_backward(cache, self.spec), W, ball)
+        D = _pull_back(self.spec.backward(cache), W, ball)
         return f, self.param.chain(D, W, aux)
 
 
@@ -355,7 +335,7 @@ def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
     and param(x) is the precoder returned for the final x.
     """
     cfg = cfg or OptimizerConfig()
-    param = param_type(_spec_shape(spec), _spec_power(spec))
+    param = param_type(spec.shape, spec.P)
     x0 = param.encode(_starting_point(spec, cfg))
     records: list[IterationRecord] = []
 

@@ -1,5 +1,7 @@
 """Scalar quality measures: per-symbol SINR, effective per-user SINR, spectral
-efficiency, single-user SINR, and the conjugate-detection approximations."""
+efficiency, single-user SINR, and the conjugate-detection approximations,
+whose surrogate se_conjugate is also a forward/backward pair (cd_forward,
+cd_backward) for the optimizer."""
 
 from __future__ import annotations
 
@@ -17,6 +19,8 @@ from .errors import (
 )
 from .irc import geometric_means, irc_forward, score_group
 from .model import ChannelSet, SystemParams, susinr_gain
+
+_LN2 = math.log(2.0)
 
 
 def as_array(W) -> np.ndarray:
@@ -48,10 +52,6 @@ class PrecodingMatrix:
     @property
     def n_antennas(self) -> int:
         return self.W.shape[0]
-
-    @property
-    def n_streams(self) -> int:
-        return self.W.shape[1]
 
     def row_power(self) -> np.ndarray:
         """Per-antenna power, the squared norm of each row."""
@@ -192,15 +192,33 @@ def se_conjugate(W, v_rows: np.ndarray, s_values: np.ndarray, sigma2: float, P: 
     zero. Aggregation is per symbol, unlike spectral_efficiency's per-user
     geometric mean; the two only coincide when every L_k equals one.
     """
+    return cd_forward(W, v_rows, s_values, sigma2, P)[0]
+
+
+def cd_forward(W, v_rows: np.ndarray, s_values: np.ndarray, sigma2: float, P: float):
+    """se_conjugate's value together with what cd_backward needs: the rows
+    V~, A = V~ W and the per-symbol sums totals (all i) and rest (i != l),
+    noise included."""
     Wm = as_array(W)
     s = np.asarray(s_values, dtype=float)
     if np.any(s <= 0):
         raise DegenerateChannelError("singular values must be positive")
-    A = np.asarray(v_rows, dtype=np.complex128) @ Wm    # (L, L)
+    Vt = np.asarray(v_rows, dtype=np.complex128)
+    A = Vt @ Wm    # (L, L), entry (l, i) = v_l w_i
     power = np.abs(A) ** 2
     noise = sigma2 / (P * s**2)
     off = power.copy()
     np.fill_diagonal(off, 0.0)
     totals = power.sum(axis=1) + noise
     rest = off.sum(axis=1) + noise
-    return float(np.sum(np.log2(totals)) - np.sum(np.log2(rest)))
+    value = float(np.sum(np.log2(totals)) - np.sum(np.log2(rest)))
+    return value, (Vt, A, totals, rest)
+
+
+def cd_backward(cache) -> np.ndarray:
+    """Complex ascent gradient of se_conjugate at the W of a cd_forward call."""
+    Vt, A, totals, rest = cache
+    A_off = A.copy()
+    np.fill_diagonal(A_off, 0.0)
+    M = A / totals[:, None] - A_off / rest[:, None]
+    return (2.0 / _LN2) * (Vt.conj().T @ M)

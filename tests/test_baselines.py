@@ -183,11 +183,3 @@ class TestSharedContracts:
         assert W.feasible(params.P, tol=1e-12)
         cap = params.P / ch.dims.T
         assert W.row_power().max() == pytest.approx(cap, abs=1e-12)
-
-    def test_power_alloc_scale_invariance(self):
-        ch = random_channel(13, K=2, T=8, R=2, L=2)
-        params = calibrated_params(ch)
-        p = np.array([1.0, 2.0, 0.5, 1.5])
-        a = rzf(ch, BaselineConfig(kind="RZF", params=params, power_alloc=p)).W
-        b = rzf(ch, BaselineConfig(kind="RZF", params=params, power_alloc=3.0 * p)).W
-        np.testing.assert_allclose(a, b, atol=1e-12)

@@ -64,6 +64,14 @@ class TestRun:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "r.csv")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_optimizer_start_in_config_exits_one(self, tmp_path, capsys):
+        # The algorithm name picks the start; a start in the scenario would be ignored.
+        cfg = write_config(tmp_path, algorithms=["QN-IRC-RZF"],
+                           optimizer={"start": "custom", "start_matrix": [[0.0]] * 8})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+        assert "algorithm name" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_unknown_algorithm_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, algorithms=["WAT"])
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1

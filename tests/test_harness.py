@@ -108,6 +108,9 @@ class TestScenarioConfig:
         {"definitely_not_a_key": 1},
         {"dims": {"K": 2, "T": 4, "R_k": 8, "L_k": 1}},
         {"optimizer": {"backtrack": 0.3}},
+        {"optimizer": {"start": "rzf"}},
+        {"optimizer": {"start_matrix": [[0.0, 0.0]] * 8}},
+        {"optimizer": {"start": "custom", "start_matrix": [[0.0, 0.0]] * 8}},
     ])
     def test_invalid_configs(self, raw):
         with pytest.raises(ConfigError):

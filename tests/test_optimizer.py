@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -9,6 +10,8 @@ from mimo_precoding import (
     CustomObjective,
     ObjectiveSpec,
     OptimizerConfig,
+    SystemDims,
+    generate_channels,
     gradient,
     lbfgs_maximize,
     objective,
@@ -33,6 +36,30 @@ def cd_spec(seed=0, K=2, T=8, R=2, L=1, susinr_db=10.0):
 def irc_spec(seed=0, K=2, T=8, R=2, L=1, susinr_db=10.0):
     ch = random_channel(seed, K=K, T=T, R=R, L=L)
     return ObjectiveSpec(kind="irc", channel=ch, params=calibrated_params(ch, susinr_db))
+
+
+def reference_cd_gradient(Wp, channel, params):
+    """The CD ascent gradient at the projected point Wp, formed from scratch
+    and independently of cd_forward's cache."""
+    Vt = channel.V_tilde
+    s = channel.S_tilde
+    A = Vt @ Wp                                    # (L, L), entry (l, i) = v_l w_i
+    power = np.abs(A) ** 2
+    noise = params.sigma2 / (params.P * s**2)
+    off_power = power.copy()
+    np.fill_diagonal(off_power, 0.0)
+    totals = power.sum(axis=1) + noise
+    rest = off_power.sum(axis=1) + noise
+    A_off = A.copy()
+    np.fill_diagonal(A_off, 0.0)
+    M = A / totals[:, None] - A_off / rest[:, None]
+    return (2.0 / math.log(2.0)) * (Vt.conj().T @ M)
+
+
+def ragged_cd_spec(seed, susinr_db=10.0):
+    dims = SystemDims(K=3, T=8, R_k=(2, 4, 3), L_k=(1, 2, 3))
+    ch = generate_channels(dims, seed=seed)
+    return ObjectiveSpec(kind="cd", channel=ch, params=calibrated_params(ch, susinr_db))
 
 
 class TestProject:
@@ -124,6 +151,32 @@ class TestObjective:
         assert objective(W, spec) == pytest.approx(expected, rel=1e-14)
 
 
+class TestCdForwardBackward:
+    CASES = {
+        "mixed-rows": lambda: (cd_spec(40), mixed_rows_precoder(
+            np.random.default_rng(41), 8, 2, 1.0)),
+        "zero": lambda: (cd_spec(42), np.zeros((8, 2), dtype=complex)),
+        "multi-stream": lambda: (cd_spec(43, K=4, T=16, R=4, L=2), mixed_rows_precoder(
+            np.random.default_rng(44), 16, 8, 1.0)),
+        "ragged": lambda: (ragged_cd_spec(45), mixed_rows_precoder(
+            np.random.default_rng(46), 8, 6, 1.0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_backward_equals_reference_gradient_bitwise(self, case):
+        spec, W = self.CASES[case]()
+        Wp = project(W, spec.P)
+        g = spec.backward(spec.forward(Wp)[1])
+        assert g.tobytes() == reference_cd_gradient(Wp, spec.channel, spec.params).tobytes()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_se_conjugate_is_the_forward_value_bitwise(self, case):
+        spec, W = self.CASES[case]()
+        ch, pr = spec.channel, spec.params
+        value = se_conjugate(W, ch.V_tilde, ch.S_tilde, pr.sigma2, pr.P)
+        assert np.float64(value).tobytes() == np.float64(spec.forward(W)[0]).tobytes()
+
+
 class TestGradient:
     def test_cd_zero_precoder_critical_point(self):
         spec = cd_spec(7)
@@ -174,9 +227,10 @@ class TestGradient:
         import mimo_precoding.optimizer as optimizer
 
         forwards = []
-        real_forward = optimizer._forward
-        monkeypatch.setattr(optimizer, "_forward",
-                            lambda Wp, s: forwards.append(1) or real_forward(Wp, s))
+        for name in ("cd_forward", "irc_forward"):
+            real = getattr(optimizer, name)
+            monkeypatch.setattr(optimizer, name,
+                                lambda *a, real=real: forwards.append(1) or real(*a))
         spec = (cd_spec if kind == "cd" else irc_spec)(33, K=4, T=16, R=4, L=2)
         W = mixed_rows_precoder(np.random.default_rng(34), 16, 8, spec.params.P)
         param = _ProjectionParam(W.shape, spec.params.P)
@@ -314,7 +368,8 @@ class TestLbfgsMaximize:
         _, trace = lbfgs_maximize(spec, OptimizerConfig(max_iters=20), score_fn=score)
         assert [r.objective for r in trace.records] == [r.se_irc_bits for r in trace.records]
 
-    def test_irc_budget_one_forward_per_trial_one_backward_per_step(self, monkeypatch):
+    @staticmethod
+    def _assert_one_forward_per_trial_one_backward_per_step(kind, monkeypatch):
         import mimo_precoding.optimizer as optimizer
 
         calls = {"forward": 0, "backward": 0}
@@ -325,14 +380,21 @@ class TestLbfgsMaximize:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(optimizer, "irc_forward", counted("forward", optimizer.irc_forward))
-        monkeypatch.setattr(optimizer, "irc_backward", counted("backward", optimizer.irc_backward))
-        _, trace = lbfgs_maximize(irc_spec(21, K=4, T=16, R=4, L=2),
-                                  OptimizerConfig(max_iters=30))
+        for name in ("forward", "backward"):
+            attr = f"{kind}_{name}"
+            monkeypatch.setattr(optimizer, attr, counted(name, getattr(optimizer, attr)))
+        spec = (cd_spec if kind == "cd" else irc_spec)(21, K=4, T=16, R=4, L=2)
+        _, trace = lbfgs_maximize(spec, OptimizerConfig(max_iters=30))
         assert trace.iterations >= 10
         assert trace.n_value_evals >= trace.iterations
         assert calls["forward"] == trace.n_value_evals + 1
         assert calls["backward"] == trace.n_grad_evals == trace.iterations + 1
+
+    def test_irc_budget_one_forward_per_trial_one_backward_per_step(self, monkeypatch):
+        self._assert_one_forward_per_trial_one_backward_per_step("irc", monkeypatch)
+
+    def test_cd_budget_one_forward_per_trial_one_backward_per_step(self, monkeypatch):
+        self._assert_one_forward_per_trial_one_backward_per_step("cd", monkeypatch)
 
     def test_rzf_start_supported(self):
         spec = cd_spec(20)
