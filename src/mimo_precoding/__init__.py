@@ -1,22 +1,14 @@
 """Multi-user MIMO precoding under per-antenna power constraints.
 
-Closed-form precoders (MRT, ZF, RZF, ARZF), linear detection (MMSE, MMSE-IRC,
-conjugate), spectral-efficiency quality measures, a projected quasi-Newton
-maximizer with analytic complex gradients, and a benchmark harness with
-reproducible synthetic channels.
+Closed-form precoders (MRT, ZF, RZF, ARZF), spectral efficiency under MMSE-IRC
+and conjugate detection, a projected quasi-Newton maximizer with analytic
+complex gradients, and a benchmark harness with reproducible synthetic
+channels.
 """
 
 from .baselines import BaselineConfig, arzf, compute_baseline, mrt, normalize_power, rzf, zf
 from .channel_io import file_size, read_channels, write_channels
 from .channels import generate_channels
-from .detection import (
-    DetectionSet,
-    conjugate,
-    conjugate_detection_set,
-    irc_detection_set,
-    mmse,
-    mmse_irc,
-)
 from .errors import (
     ChannelFileError,
     ConfigError,
@@ -37,6 +29,7 @@ from .harness import (
     export_report,
     run_scenario,
 )
+from .irc import mmse_irc
 from .model import (
     ChannelSet,
     SystemDims,
@@ -62,10 +55,10 @@ from .optimizer import (
 from .quality import (
     PrecodingMatrix,
     SinrReport,
+    conjugate,
     effective_sinr,
     se_conjugate,
     sinr_conjugate,
-    spectral_efficiency,
     spectral_efficiency_irc,
     susinr,
     symbol_sinr,

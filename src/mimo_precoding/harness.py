@@ -17,7 +17,7 @@ from .baselines import BaselineConfig, compute_baseline
 from .channels import MODELS, generate_channels
 from .errors import ConfigError, DimensionError, MimoError
 from .irc import irc_scores
-from .model import ChannelSet, SystemDims, SystemParams, noise_from_susinr
+from .model import ChannelSet, SystemDims, SystemParams, is_count, noise_from_susinr
 from .optimizer import ObjectiveSpec, OptimizerConfig, lbfgs_maximize
 from .quality import PrecodingMatrix
 
@@ -52,9 +52,10 @@ class ScenarioConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if isinstance(self.workers, bool) or any(isinstance(s, bool) for s in self.seeds):
-            raise ConfigError("seeds and workers must be integers, not booleans")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        seeds = tuple(self.seeds)
+        if not all(map(is_count, seeds)):
+            raise ConfigError(f"seeds must be integers, got {seeds!r}")
+        object.__setattr__(self, "seeds", tuple(map(int, seeds)))
         object.__setattr__(self, "susinr_grid_db", tuple(float(x) for x in self.susinr_grid_db))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.seeds:
@@ -78,8 +79,8 @@ class ScenarioConfig:
             )
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError(f"rho must be in [0, 1), got {self.rho}")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        if not (is_count(self.workers) and self.workers >= 1):
+            raise ConfigError(f"workers must be an integer of at least 1, got {self.workers!r}")
         opt = self.optimizer
         if opt.start != OptimizerConfig.start or opt.start_matrix is not None:
             raise ConfigError("optimizer.start and optimizer.start_matrix cannot be set in a "
@@ -101,18 +102,16 @@ class ScenarioConfig:
         try:
             if "dims" in raw:
                 d = raw["dims"]
-                K = int(d["K"])
+                K = d["K"]
                 R = d.get("R_k", 4)
                 L = d.get("L_k", 2)
-                R_k = tuple(R) if isinstance(R, (list, tuple)) else (int(R),) * K
-                L_k = tuple(L) if isinstance(L, (list, tuple)) else (int(L),) * K
-                kwargs["dims"] = SystemDims(K=K, T=int(d["T"]), R_k=R_k, L_k=L_k)
-            for key in ("seeds", "workers"):
-                if isinstance(raw.get(key), bool):
-                    raise ConfigError(f"{key} must be an integer, not a boolean")
+                n = K if is_count(K) else 1  # SystemDims then names the bad K
+                R_k = tuple(R) if isinstance(R, (list, tuple)) else (R,) * n
+                L_k = tuple(L) if isinstance(L, (list, tuple)) else (L,) * n
+                kwargs["dims"] = SystemDims(K=K, T=d["T"], R_k=R_k, L_k=L_k)
             if "seeds" in raw:
                 s = raw["seeds"]
-                kwargs["seeds"] = tuple(range(int(s))) if isinstance(s, int) else tuple(s)
+                kwargs["seeds"] = tuple(range(s)) if is_count(s) else tuple(s)
             if "susinr_grid_db" in raw:
                 kwargs["susinr_grid_db"] = tuple(raw["susinr_grid_db"])
             if "P" in raw:
@@ -124,7 +123,7 @@ class ScenarioConfig:
             if "rho" in raw:
                 kwargs["rho"] = float(raw["rho"])
             if "workers" in raw:
-                kwargs["workers"] = int(raw["workers"])
+                kwargs["workers"] = raw["workers"]
             if "optimizer" in raw:
                 kwargs["optimizer"] = OptimizerConfig(**raw["optimizer"])
         except ConfigError:

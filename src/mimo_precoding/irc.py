@@ -17,6 +17,10 @@ that value with a cache from which `irc_backward` pulls the gradient back
 through the detector without repeating the forward pass. `irc_scores` values
 a stack of precoders in one pass by folding them into each group's user axis
 (`UserGroup.tiled`); every value equals irc_forward's bit for bit.
+
+`mmse_irc` is the per-user reference detector the batched kernel is checked
+against: one user, one Cholesky solve, with an optional cross-check against
+the explicit interference-covariance form of the same detector.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericalFailureError, SingularMatrixError, UndefinedSinrError
-from .model import ChannelSet, SystemParams, UserGroup
+from .model import ChannelSet, SystemDims, SystemParams, UserGroup
 
 _LN2 = math.log(2.0)
 
@@ -106,6 +111,51 @@ def detect(W: np.ndarray, group: UserGroup, lam: float):
     Q_inv = _hpd_inverse(Q, group.users, check_singular=lam == 0.0)
     A_t = B[np.arange(len(B))[:, None], :, group.cols]  # (n, L_k, R_k): A transposed
     return B, Q_inv, A_t.conj() @ Q_inv
+
+
+def _hermitian_solve(Q: np.ndarray, rhs: np.ndarray, context: str,
+                     check_singular: bool = False) -> np.ndarray:
+    # Cholesky of the Hermitian positive-definite normal matrix; cheaper and
+    # more stable than forming the inverse.
+    if check_singular and np.linalg.cond(Q) > COND_LIMIT:
+        raise SingularMatrixError(f"{context}: system matrix is singular")
+    try:
+        c, low = scipy.linalg.cho_factor(Q, check_finite=False)
+        return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        raise SingularMatrixError(f"{context}: {exc}") from exc
+
+
+def mmse_irc(H_k: np.ndarray, W: np.ndarray, k: int, dims: SystemDims,
+             noise_to_signal: float, check_covariance_form: bool = False) -> np.ndarray:
+    """Interference-aware MMSE detector for user k given the full precoder.
+
+    Computed in the simplified form (H_k W_k)^H (H_k W (H_k W)^H + lam I)^{-1},
+    which folds the other-user covariance into the Gram matrix of the full
+    product. With check_covariance_form the explicit-covariance expression is
+    evaluated too and a mismatch beyond 1e-10 raises.
+    """
+    H = np.asarray(H_k, dtype=np.complex128)
+    Wm = np.asarray(W, dtype=np.complex128)
+    cols = dims.layer_slice(k)
+    B = H @ Wm                      # (R_k, L)
+    A = B[:, cols]                  # (R_k, L_k)
+    R_k = H.shape[0]
+    Q = B @ B.conj().T + noise_to_signal * np.eye(R_k)
+    G = _hermitian_solve(Q, A, f"mmse-irc detection, user {k}",
+                         check_singular=noise_to_signal == 0.0).conj().T
+
+    if check_covariance_form:
+        W_k = Wm[:, cols]
+        R_uu = H @ (Wm @ Wm.conj().T - W_k @ W_k.conj().T) @ H.conj().T
+        Q_cov = A @ A.conj().T + R_uu + noise_to_signal * np.eye(R_k)
+        G_cov = _hermitian_solve(Q_cov, A, f"mmse-irc covariance form, user {k}").conj().T
+        scale = max(np.linalg.norm(G), 1e-300)
+        if np.linalg.norm(G - G_cov) / scale > 1e-10:
+            raise NumericalFailureError(
+                f"user {k}: simplified and covariance-form MMSE-IRC disagree"
+            )
+    return G
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""System model: dimensions, per-user channel SVD factors, stacked decomposition,
-user groups and noise calibration from a target single-user SINR.
+"""System model: dimensions, per-user channel SVD factors, user groups and
+noise calibration from a target single-user SINR.
 
 Conventions. User k has channel H_k of shape (R_k, T) and is served L_k symbol
 streams. The reduced SVD is stored as H_k = U^H S V with U (R_k, R_k) unitary,
@@ -10,17 +10,19 @@ orthonormal rows. Truncated factors keep the leading L_k rows/values.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateChannelError, DimensionError
 
 # Singular values below this fraction of the largest one count as zero.
 RANK_TOL = 1e-12
+
+
+def is_count(x) -> bool:
+    """True for an integer (numpy's included) that is not a boolean."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -45,8 +47,13 @@ class SystemDims:
     L_k: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "R_k", tuple(int(r) for r in self.R_k))
-        object.__setattr__(self, "L_k", tuple(int(l) for l in self.L_k))
+        R_k, L_k = tuple(self.R_k), tuple(self.L_k)
+        if not all(map(is_count, (self.K, self.T, *R_k, *L_k))):
+            raise DimensionError(
+                f"K, T, R_k and L_k must be integers, got K={self.K!r}, T={self.T!r}, "
+                f"R_k={R_k!r}, L_k={L_k!r}")
+        object.__setattr__(self, "R_k", tuple(map(int, R_k)))
+        object.__setattr__(self, "L_k", tuple(map(int, L_k)))
         if self.K < 1 or self.T < 1:
             raise DimensionError(f"K and T must be positive, got K={self.K}, T={self.T}")
         if len(self.R_k) != self.K or len(self.L_k) != self.K:
@@ -78,11 +85,6 @@ class SystemDims:
         """Slice of user k's streams within the stacked L dimension."""
         start = sum(self.L_k[:k])
         return slice(start, start + self.L_k[k])
-
-    def receive_slice(self, k: int) -> slice:
-        """Slice of user k's rows within the stacked R dimension."""
-        start = sum(self.R_k[:k])
-        return slice(start, start + self.R_k[k])
 
 
 @dataclass(frozen=True)
@@ -180,12 +182,11 @@ class UserGroup:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """All users' channels plus the stacked factors H = U^H diag(S) V.
+    """All users' channels, their user groups and the truncated factors.
 
-    Rows are stacked in user order, contiguous per user. U and U_tilde are
-    block-diagonal with one block per user. The truncated S_tilde and V_tilde
-    and the user groups are built with the set; the other stacked factors on
-    first use. All arrays are read-only. Build one with build_channel_set.
+    S_tilde and V_tilde stack the users' leading singular values and right
+    singular vectors in user order, contiguous per user. All arrays are
+    read-only. Build one with build_channel_set.
     """
 
     dims: SystemDims
@@ -193,31 +194,6 @@ class ChannelSet:
     groups: tuple[UserGroup, ...]  # users bucketed by (R_k, L_k)
     S_tilde: np.ndarray  # (L,)
     V_tilde: np.ndarray  # (L, T)
-
-    @cached_property
-    def H(self) -> np.ndarray:
-        """(R, T) stacked channel."""
-        return _frozen(np.vstack([u.H for u in self.users]))
-
-    @cached_property
-    def S(self) -> np.ndarray:
-        """(R,) stacked singular values."""
-        return _frozen(np.concatenate([u.S for u in self.users]))
-
-    @cached_property
-    def U(self) -> np.ndarray:
-        """(R, R) block-diagonal."""
-        return _frozen(scipy.linalg.block_diag(*[u.U for u in self.users]))
-
-    @cached_property
-    def V(self) -> np.ndarray:
-        """(R, T) stacked right singular vectors."""
-        return _frozen(np.vstack([u.V for u in self.users]))
-
-    @cached_property
-    def U_tilde(self) -> np.ndarray:
-        """(L, R) block-diagonal of the users' leading rows of U."""
-        return _frozen(scipy.linalg.block_diag(*[u.U_tilde for u in self.users]))
 
 
 def decompose_user(H_k: np.ndarray, L_k: int, user: int | None = None) -> UserChannel:
@@ -246,7 +222,7 @@ def decompose_users(H: np.ndarray, L_k: int, users) -> list[UserChannel]:
     n, R_k, T = H.shape
     if R_k > T:
         raise DimensionError(f"need R_k <= T, got R_k={R_k}, T={T}")
-    if isinstance(L_k, bool) or not isinstance(L_k, numbers.Integral):
+    if not is_count(L_k):
         raise DimensionError(f"layer count must be an integer, got {L_k!r}")
     L_k = int(L_k)
     if not 1 <= L_k <= R_k:
@@ -287,12 +263,10 @@ def decompose_users(H: np.ndarray, L_k: int, users) -> list[UserChannel]:
 
 
 def build_channel_set(channels, layer_counts) -> ChannelSet:
-    """Decompose per-user channel matrices and stack them in list order.
+    """Decompose per-user channel matrices and keep them in list order.
 
     Users are bucketed by (R_k, L_k), buckets in order of first appearance;
-    each bucket is one decompose_users call and becomes one UserGroup. The
-    product of the stacked factors reproduces the stacked channel because
-    each diagonal block of U^H multiplies only its own user's rows of S V.
+    each bucket is one decompose_users call and becomes one UserGroup.
     """
     mats = [np.asarray(H, dtype=np.complex128) for H in channels]
     layer_counts = tuple(layer_counts)
@@ -309,7 +283,7 @@ def build_channel_set(channels, layer_counts) -> ChannelSet:
             raise DimensionError(f"channel must be a matrix, got ndim={H.ndim}")
         if H.shape[1] != mats[0].shape[1]:
             raise DimensionError(f"user {k} has T={H.shape[1]}, expected {mats[0].shape[1]}")
-        if isinstance(L_k, bool) or not isinstance(L_k, numbers.Integral):
+        if not is_count(L_k):
             raise DimensionError(f"user {k}: layer count must be an integer, got {L_k!r}")
         buckets.setdefault((H.shape[0], int(L_k)), []).append(k)
 

@@ -20,7 +20,9 @@ provided as an alternative route to the same problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -29,8 +31,8 @@ from . import lbfgs
 from .baselines import BaselineConfig, arzf, rzf
 from .errors import DimensionError, MimoError, NumericalFailureError
 from .irc import irc_backward, irc_forward
-from .model import ChannelSet, SystemParams
-from .quality import PrecodingMatrix, as_array, cd_backward, cd_forward
+from .model import ChannelSet, SystemParams, is_count
+from .quality import PrecodingMatrix, as_array, cd_backward, cd_forward, cd_noise
 
 OBJECTIVE_KINDS = ("cd", "irc")
 START_KINDS = ("rzf", "arzf", "custom")
@@ -62,13 +64,17 @@ class ObjectiveSpec:
     def shape(self) -> tuple[int, int]:
         return (self.channel.dims.T, self.channel.dims.L)
 
+    @cached_property
+    def _cd_noise(self) -> np.ndarray:
+        """The CD surrogate's per-symbol noise, fixed for the spec."""
+        return cd_noise(self.channel.S_tilde, self.params.sigma2, self.params.P)
+
     def forward(self, Wp: np.ndarray):
         """Objective value at the already-projected precoder Wp, together with
         what backward needs to differentiate it there."""
-        ch, pr = self.channel, self.params
         if self.kind == "cd":
-            return cd_forward(Wp, ch.V_tilde, ch.S_tilde, pr.sigma2, pr.P)
-        return irc_forward(Wp, ch, pr)
+            return cd_forward(Wp, self.channel.V_tilde, self._cd_noise)
+        return irc_forward(Wp, self.channel, self.params)
 
     def backward(self, cache) -> np.ndarray:
         """Complex ascent gradient at the projected point of a forward call."""
@@ -109,12 +115,13 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.start_matrix is not None and not np.all(np.isfinite(self.start_matrix)):
             raise ValueError("start_matrix has non-finite entries")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol_grad <= 0 or self.tol_change <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.memory < 1:
-            raise ValueError("memory must be at least 1")
+        if not (is_count(self.max_iters) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
+        if not (0 < self.tol_grad < math.inf and 0 < self.tol_change < math.inf):
+            raise ValueError(f"tolerances must be positive and finite, got "
+                             f"tol_grad={self.tol_grad!r}, tol_change={self.tol_change!r}")
+        if not (is_count(self.memory) and self.memory >= 1):
+            raise ValueError(f"memory must be an integer of at least 1, got {self.memory!r}")
         if self.start not in START_KINDS:
             raise ValueError(f"unknown start {self.start!r}, expected one of {START_KINDS}")
         if self.start == "custom" and self.start_matrix is None:

@@ -1,7 +1,11 @@
-"""Scalar quality measures: per-symbol SINR, effective per-user SINR, spectral
-efficiency, single-user SINR, and the conjugate-detection approximations,
-whose surrogate se_conjugate is also a forward/backward pair (cd_forward,
-cd_backward) for the optimizer."""
+"""Scalar quality measures: per-symbol SINR, effective per-user SINR, the
+MMSE-IRC spectral efficiency, single-user SINR, and conjugate detection with
+its approximations, whose surrogate se_conjugate is also a forward/backward
+pair (cd_forward, cd_backward) for the optimizer.
+
+symbol_sinr, sinr_conjugate and conjugate are the per-user references that
+the batched paths (irc.py and cd_forward) are checked against.
+"""
 
 from __future__ import annotations
 
@@ -10,15 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectionSet
 from .errors import (
     DegenerateChannelError,
     DimensionError,
     InfiniteSusinrError,
     UndefinedSinrError,
 )
-from .irc import geometric_means, irc_forward, score_group
-from .model import ChannelSet, SystemParams, susinr_gain
+from .irc import geometric_means, irc_forward
+from .model import ChannelSet, SystemParams, UserChannel, susinr_gain
 
 _LN2 = math.log(2.0)
 
@@ -108,36 +111,6 @@ def effective_sinr(per_symbol) -> float:
     return float(geometric_means(x))
 
 
-def _report(channel: ChannelSet, groups, se: float) -> SinrReport:
-    """Scatter per-group (group, sinr, eff) results back to stream and user order."""
-    per_symbol = np.empty(channel.dims.L)
-    per_user = np.empty(channel.dims.K)
-    for group, sinr, eff in groups:
-        per_symbol[group.cols] = sinr
-        per_user[group.users] = eff
-    return SinrReport(
-        per_symbol=per_symbol,
-        per_user_effective=per_user,
-        se_bits=float(se),
-        zero_sinr_users=tuple(int(k) for k in np.flatnonzero(per_user == 0.0)),
-    )
-
-
-def spectral_efficiency(W, channel: ChannelSet, detection: DetectionSet,
-                        sigma2: float, P: float) -> SinrReport:
-    """Total spectral efficiency sum_k L_k log2(1 + effective SINR_k) in bit/s/Hz."""
-    Wm = as_array(W)
-    lam = sigma2 / P
-    groups = []
-    se = 0.0
-    for group in channel.groups:
-        G = np.stack([detection.blocks[k] for k in group.users])
-        sinr, _, eff, se_group = score_group(G @ (group.H @ Wm), G, group, lam)
-        se += se_group
-        groups.append((group, sinr, eff))
-    return _report(channel, groups, se)
-
-
 def spectral_efficiency_irc(W, channel: ChannelSet, params: SystemParams) -> SinrReport:
     """Spectral efficiency with the MMSE-IRC detector recomputed for this precoder.
 
@@ -146,7 +119,17 @@ def spectral_efficiency_irc(W, channel: ChannelSet, params: SystemParams) -> Sin
     precoder's se_bits bit for bit.
     """
     se, cache = irc_forward(as_array(W), channel, params)
-    return _report(channel, [(p.group, p.sinr, p.eff) for p in cache.passes], se)
+    per_symbol = np.empty(channel.dims.L)
+    per_user = np.empty(channel.dims.K)
+    for p in cache.passes:
+        per_symbol[p.group.cols] = p.sinr
+        per_user[p.group.users] = p.eff
+    return SinrReport(
+        per_symbol=per_symbol,
+        per_user_effective=per_user,
+        se_bits=float(se),
+        zero_sinr_users=tuple(int(k) for k in np.flatnonzero(per_user == 0.0)),
+    )
 
 
 def susinr(channel: ChannelSet, sigma2: float, P: float) -> float:
@@ -164,6 +147,14 @@ def susinr(channel: ChannelSet, sigma2: float, P: float) -> float:
         raise InfiniteSusinrError("single-user SINR is infinite at zero noise power")
     gain = susinr_gain(channel.dims, channel.S_tilde)
     return 10.0 * math.log10(P * gain / sigma2)
+
+
+def conjugate(user: UserChannel) -> np.ndarray:
+    """Conjugate detector S_tilde^{-1} U_tilde built from the channel's own SVD."""
+    s = user.S_tilde
+    if np.any(s <= 0):
+        raise DegenerateChannelError("conjugate detection needs positive leading singular values")
+    return user.U_tilde / s[:, None]
 
 
 def sinr_conjugate(W, v_l: np.ndarray, s_l: float, sigma2: float, P: float, l: int) -> float:
@@ -189,24 +180,30 @@ def se_conjugate(W, v_rows: np.ndarray, s_values: np.ndarray, sigma2: float, P: 
     Evaluated as sum_l log2(sum_i |v_l w_i|^2 + n_l) - sum_l log2(sum_{i!=l}
     |v_l w_i|^2 + n_l) with n_l = sigma2 / (P s_l^2). The two-sum form keeps the
     value and its gradient numerically consistent, and makes W = 0 give exactly
-    zero. Aggregation is per symbol, unlike spectral_efficiency's per-user
-    geometric mean; the two only coincide when every L_k equals one.
+    zero. Aggregation is per symbol, unlike spectral_efficiency_irc's per-user
+    geometric mean; the two coincide for conjugate detection when every L_k
+    equals one.
     """
-    return cd_forward(W, v_rows, s_values, sigma2, P)[0]
+    return cd_forward(W, v_rows, cd_noise(s_values, sigma2, P))[0]
 
 
-def cd_forward(W, v_rows: np.ndarray, s_values: np.ndarray, sigma2: float, P: float):
-    """se_conjugate's value together with what cd_backward needs: the rows
-    V~, A = V~ W and the per-symbol sums totals (all i) and rest (i != l),
-    noise included."""
-    Wm = as_array(W)
+def cd_noise(s_values: np.ndarray, sigma2: float, P: float) -> np.ndarray:
+    """Per-symbol effective noise n_l = sigma2 / (P s_l^2) of the conjugate
+    detector, fixed for a channel and noise level."""
     s = np.asarray(s_values, dtype=float)
     if np.any(s <= 0):
         raise DegenerateChannelError("singular values must be positive")
+    return sigma2 / (P * s**2)
+
+
+def cd_forward(W, v_rows: np.ndarray, noise: np.ndarray):
+    """se_conjugate's value, given cd_noise's per-symbol noise, together with
+    what cd_backward needs: the rows V~, A = V~ W and the per-symbol sums
+    totals (all i) and rest (i != l), noise included."""
+    Wm = as_array(W)
     Vt = np.asarray(v_rows, dtype=np.complex128)
     A = Vt @ Wm    # (L, L), entry (l, i) = v_l w_i
     power = np.abs(A) ** 2
-    noise = sigma2 / (P * s**2)
     off = power.copy()
     np.fill_diagonal(off, 0.0)
     totals = power.sum(axis=1) + noise

@@ -12,6 +12,11 @@ def random_channel(seed, K=2, T=8, R=2, L=1, model="iid-gaussian", rho=0.0):
                              model=model, rho=rho)
 
 
+def stacked(channel):
+    """(R, T) channel of all users, rows in user order."""
+    return np.vstack([u.H for u in channel.users])
+
+
 def calibrated_params(channel, susinr_db=12.0, P=1.0):
     sigma2 = noise_from_susinr(channel, P, susinr_db)
     return SystemParams(P=P, sigma2=sigma2, L=channel.dims.L)

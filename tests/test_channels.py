@@ -4,19 +4,21 @@ import pytest
 from mimo_precoding import ConfigError, SystemDims, generate_channels
 from mimo_precoding.channels import _exp_correlation_sqrt
 
+from conftest import stacked
+
 
 class TestDeterminism:
     def test_same_seed_same_bits(self):
         dims = SystemDims.uniform(K=1, T=2, R=1, L=1)
         a = generate_channels(dims, seed=5)
         b = generate_channels(dims, seed=5)
-        np.testing.assert_array_equal(a.H, b.H)
+        np.testing.assert_array_equal(stacked(a), stacked(b))
 
     def test_different_seeds_differ(self):
         dims = SystemDims.uniform(K=2, T=4, R=2, L=1)
         a = generate_channels(dims, seed=0)
         b = generate_channels(dims, seed=1)
-        assert not np.array_equal(a.H, b.H)
+        assert not np.array_equal(stacked(a), stacked(b))
 
     def test_adding_users_preserves_earlier_streams(self):
         small = generate_channels(SystemDims.uniform(K=2, T=8, R=2, L=1), seed=3)
@@ -28,7 +30,7 @@ class TestDeterminism:
         dims = SystemDims.uniform(K=2, T=8, R=2, L=1)
         a = generate_channels(dims, seed=4, model="iid-gaussian")
         b = generate_channels(dims, seed=4, model="exp-correlated", rho=0.0)
-        np.testing.assert_array_equal(a.H, b.H)
+        np.testing.assert_array_equal(stacked(a), stacked(b))
 
 
 class TestStatistics:
@@ -37,7 +39,7 @@ class TestStatistics:
         # identity, entrywise.
         dims = SystemDims.uniform(K=8, T=64, R=4, L=2)
         n_sets = 313  # 313 * 32 rows > 1e4
-        rows = np.vstack([generate_channels(dims, seed=s).H for s in range(n_sets)])
+        rows = np.vstack([stacked(generate_channels(dims, seed=s)) for s in range(n_sets)])
         cov = rows.conj().T @ rows / rows.shape[0]
         delta = np.abs(cov - np.eye(64))
         assert delta.max() <= 0.05
@@ -50,7 +52,7 @@ class TestStatistics:
         acc = np.zeros((T, T), dtype=complex)
         n = 3000
         for s in range(n):
-            H = generate_channels(dims, seed=s, model="exp-correlated", rho=rho).H
+            H = stacked(generate_channels(dims, seed=s, model="exp-correlated", rho=rho))
             acc += H.conj().T @ H
         idx = np.arange(T)
         C_t = rho ** np.abs(idx[:, None] - idx[None, :])
@@ -61,7 +63,7 @@ class TestStatistics:
 
     def test_unit_entry_variance(self):
         dims = SystemDims.uniform(K=4, T=32, R=4, L=1)
-        H = np.vstack([generate_channels(dims, seed=s).H for s in range(50)])
+        H = np.vstack([stacked(generate_channels(dims, seed=s)) for s in range(50)])
         assert np.mean(np.abs(H) ** 2) == pytest.approx(1.0, rel=0.05)
 
 

@@ -72,6 +72,12 @@ class TestRun:
         assert "algorithm name" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    def test_non_integer_max_iters_in_config_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, algorithms=["QN-IRC-RZF"], optimizer={"max_iters": 2.5})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+        assert "max_iters" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_unknown_algorithm_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, algorithms=["WAT"])
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1

@@ -4,50 +4,18 @@ import pytest
 from mimo_precoding import (
     DegenerateChannelError,
     SingularMatrixError,
+    SystemDims,
     conjugate,
     decompose_user,
-    irc_detection_set,
-    mmse,
     mmse_irc,
 )
 
 from conftest import calibrated_params, complex_randn, random_channel
 
 
-class TestMmse:
-    def test_identity_regularized(self):
-        np.testing.assert_allclose(mmse(np.eye(2), 1.0), 0.5 * np.eye(2), atol=1e-12)
-
-    def test_identity_unregularized(self):
-        np.testing.assert_allclose(mmse(np.eye(2), 0.0), np.eye(2), atol=1e-12)
-
-    def test_normal_equation_residual_oracle(self):
-        rng = np.random.default_rng(0)
-        A = complex_randn(rng, (4, 2))
-        lam = 0.1
-        G = mmse(A, lam)
-        residual = G @ (A @ A.conj().T + lam * np.eye(4)) - A.conj().T
-        assert np.linalg.norm(residual) <= 1e-10
-
-    def test_singular_without_regularization(self):
-        with pytest.raises(SingularMatrixError):
-            mmse(np.ones((2, 2)), 0.0)
-
-    def test_pseudo_inverse_limit(self):
-        # Full-rank normal matrix: the 1e-12 ridge is already indistinguishable
-        # from the true inverse.
-        rng = np.random.default_rng(1)
-        A = complex_randn(rng, (2, 2))
-        G = mmse(A, 1e-12)
-        assert np.linalg.norm(G - np.linalg.pinv(A)) <= 1e-6
-
-    def test_pseudo_inverse_limit_tall(self):
-        # With fewer streams than antennas the normal matrix itself is rank
-        # deficient, so the ridge must stay above the numerical null space.
-        rng = np.random.default_rng(1)
-        A = complex_randn(rng, (4, 2))
-        G = mmse(A, 1e-8)
-        assert np.linalg.norm(G - np.linalg.pinv(A)) <= 1e-6
+def mmse_oracle(A, lam):
+    """The plain MMSE detector A^H (A A^H + lam I)^{-1}."""
+    return A.conj().T @ np.linalg.inv(A @ A.conj().T + lam * np.eye(A.shape[0]))
 
 
 class TestMmseIrc:
@@ -58,7 +26,7 @@ class TestMmseIrc:
         W = np.zeros((8, 2), dtype=complex)
         W[:, 0] = complex_randn(rng, 8)
         G_irc = mmse_irc(ch.users[0].H, W, 0, ch.dims, params.noise_to_signal)
-        G_mmse = mmse(ch.users[0].H @ W[:, :1], params.noise_to_signal)
+        G_mmse = mmse_oracle(ch.users[0].H @ W[:, :1], params.noise_to_signal)
         np.testing.assert_allclose(G_irc, G_mmse, atol=1e-12)
 
     def test_single_user_equals_mmse(self):
@@ -67,7 +35,7 @@ class TestMmseIrc:
         rng = np.random.default_rng(5)
         W = complex_randn(rng, (8, 2))
         G_irc = mmse_irc(ch.users[0].H, W, 0, ch.dims, params.noise_to_signal)
-        G_mmse = mmse(ch.users[0].H @ W, params.noise_to_signal)
+        G_mmse = mmse_oracle(ch.users[0].H @ W, params.noise_to_signal)
         np.testing.assert_allclose(G_irc, G_mmse, atol=1e-12)
 
     def test_covariance_form_cross_check(self):
@@ -87,15 +55,13 @@ class TestMmseIrc:
             G = mmse_irc(user.H, W, k, ch.dims, lam, check_covariance_form=True)
             assert np.linalg.norm(G - G_cov) / np.linalg.norm(G_cov) <= 1e-10
 
-    def test_detection_set_shapes(self):
-        ch = random_channel(8, K=3, T=8, R=2, L=2)
-        params = calibrated_params(ch)
-        rng = np.random.default_rng(9)
-        W = complex_randn(rng, (8, 6))
-        det = irc_detection_set(ch, W, params)
-        assert det.kind == "mmse-irc"
-        assert [b.shape for b in det.blocks] == [(2, 2)] * 3
-        assert det.assembled().shape == (6, 6)
+    def test_zero_noise_rank_deficient_is_singular(self):
+        # Two streams through a rank-one channel leave Q = B B^H singular.
+        H = np.ones((2, 4), dtype=complex)
+        W = complex_randn(np.random.default_rng(8), (4, 2))
+        dims = SystemDims(K=1, T=4, R_k=(2,), L_k=(2,))
+        with pytest.raises(SingularMatrixError, match="user 0"):
+            mmse_irc(H, W, 0, dims, 0.0)
 
 
 class TestConjugate:

@@ -111,6 +111,20 @@ class TestScenarioConfig:
         {"optimizer": {"start": "rzf"}},
         {"optimizer": {"start_matrix": [[0.0, 0.0]] * 8}},
         {"optimizer": {"start": "custom", "start_matrix": [[0.0, 0.0]] * 8}},
+        # Non-integer counts were truncated, booleans read as 0/1.
+        {"dims": {"K": 2.7, "T": 8, "R_k": 2, "L_k": 1}},
+        {"dims": {"K": True, "T": 8, "R_k": 2, "L_k": 1}},
+        {"dims": {"K": 2, "T": 8.0, "R_k": 2, "L_k": 1}},
+        {"dims": {"K": 2, "T": 8, "R_k": True, "L_k": 1}},
+        {"dims": {"K": 2, "T": 8, "R_k": 2, "L_k": [1.9, 1]}},
+        {"seeds": 2.5},
+        {"seeds": [2.5]},
+        {"workers": 2.5},
+        {"optimizer": {"max_iters": 2.5}},
+        {"optimizer": {"max_iters": True}},
+        {"optimizer": {"memory": 2.5}},
+        {"optimizer": {"tol_grad": float("nan")}},
+        {"optimizer": {"tol_change": float("inf")}},
     ])
     def test_invalid_configs(self, raw):
         with pytest.raises(ConfigError):

@@ -22,7 +22,6 @@ from mimo_precoding import (
     build_channel_set,
     generate_channels,
     gradient,
-    irc_detection_set,
     mmse_irc,
     objective,
     spectral_efficiency_irc,
@@ -142,11 +141,14 @@ class TestForward:
 
     def test_detection_set_matches_per_user_detectors(self):
         channel, params, W = ragged_corr_case(3)
-        det = irc_detection_set(channel, W, params)
-        for k, user in enumerate(channel.users):
-            G = mmse_irc(user.H, W, k, channel.dims, params.noise_to_signal)
-            assert det.blocks[k].shape == (channel.dims.L_k[k], user.R_k)
-            assert rel(det.blocks[k], G) <= 1e-12
+        passes = irc_forward(W, channel, params)[1].passes
+        for p in passes:
+            for j, k in enumerate(p.group.users):
+                user = channel.users[k]
+                G = mmse_irc(user.H, W, k, channel.dims, params.noise_to_signal)
+                assert p.G[j].shape == (channel.dims.L_k[k], user.R_k)
+                assert rel(p.G[j], G) <= 1e-12
+        assert sorted(k for p in passes for k in p.group.users) == list(range(channel.dims.K))
 
     def test_zero_noise_rank_deficient_is_singular(self):
         channel = generate_channels(SystemDims.uniform(K=2, T=8, R=2, L=1), seed=1)

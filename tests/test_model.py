@@ -33,10 +33,10 @@ class TestSystemDims:
         assert dims.R_k == (4,) * 8
         assert dims.L == 16
 
-    def test_layer_and_receive_slices(self):
+    def test_layer_slice(self):
         dims = SystemDims(K=3, T=8, R_k=(2, 4, 3), L_k=(1, 2, 3))
         assert dims.layer_slice(1) == slice(1, 3)
-        assert dims.receive_slice(2) == slice(6, 9)
+        assert dims.layer_slice(2) == slice(3, 6)
 
     @pytest.mark.parametrize("kwargs", [
         dict(K=1, T=4, R_k=(5,), L_k=(1,)),       # R_k > T
@@ -44,6 +44,10 @@ class TestSystemDims:
         dict(K=1, T=4, R_k=(2,), L_k=(0,)),       # L_k < 1
         dict(K=2, T=4, R_k=(2,), L_k=(1, 1)),     # length mismatch
         dict(K=0, T=4, R_k=(), L_k=()),
+        dict(K=1, T=4, R_k=(2.5,), L_k=(1,)),    # non-integer counts
+        dict(K=1, T=4.0, R_k=(2,), L_k=(1,)),
+        dict(K=True, T=4, R_k=(2,), L_k=(1,)),    # booleans are not counts
+        dict(K=1, T=4, R_k=(2,), L_k=(True,)),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(DimensionError):
@@ -240,29 +244,17 @@ class TestStack:
         H = complex_randn(rng, (3, 6))
         user = decompose_user(H, L_k=2)
         ch = build_channel_set([H], [2])
-        np.testing.assert_array_equal(ch.H, user.H)
-        np.testing.assert_array_equal(ch.U, user.U)
+        np.testing.assert_array_equal(ch.users[0].H, user.H)
+        np.testing.assert_array_equal(ch.users[0].U, user.U)
         np.testing.assert_array_equal(ch.V_tilde, user.V_tilde)
 
-    def test_two_identity_users(self):
-        ch = build_channel_set([np.eye(2), np.eye(2)], [1, 1])
-        users = ch.users
-        np.testing.assert_allclose(ch.H, np.vstack([np.eye(2), np.eye(2)]), atol=1e-12)
-        expected_U = np.zeros((4, 4), dtype=complex)
-        expected_U[:2, :2] = users[0].U
-        expected_U[2:, 2:] = users[1].U
-        np.testing.assert_array_equal(ch.U, expected_U)
-        assert ch.U_tilde.shape == (2, 4)
-
-    def test_stacked_factorization_oracle(self):
-        ch = random_channel(0, K=8, T=64, R=4, L=2)
-        rebuilt = ch.U.conj().T @ np.diag(ch.S) @ ch.V
-        assert np.linalg.norm(rebuilt - ch.H) / np.linalg.norm(ch.H) <= 1e-10
-
     def test_user_order_preserved(self):
-        ch = random_channel(1, K=3, T=8, R=2, L=1)
+        # Users 0 and 2 share a group, so grouping must not reorder them.
+        rng = np.random.default_rng(1)
+        mats = [complex_randn(rng, (R, 8)) for R in (2, 3, 2)]
+        ch = build_channel_set(mats, [1, 2, 1])
         for k, user in enumerate(ch.users):
-            np.testing.assert_array_equal(ch.H[ch.dims.receive_slice(k)], user.H)
+            np.testing.assert_array_equal(user.H, mats[k])
             np.testing.assert_array_equal(ch.V_tilde[ch.dims.layer_slice(k)], user.V_tilde)
 
     def test_mismatched_T(self):

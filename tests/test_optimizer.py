@@ -410,6 +410,12 @@ class TestLbfgsMaximize:
             OptimizerConfig(start="custom")
         with pytest.raises(ValueError):
             OptimizerConfig(start="mrt")
+        # Counts must be integers, not truncated floats or booleans, and
+        # tolerances finite: a NaN tol_grad never stops a run.
+        for kwargs in (dict(max_iters=2.5), dict(max_iters=True), dict(memory=2.5),
+                       dict(tol_grad=float("nan")), dict(tol_change=float("inf"))):
+            with pytest.raises(ValueError):
+                OptimizerConfig(**kwargs)
 
     @pytest.mark.parametrize("shape", [(8, 3), (3, 2), (16,)])
     def test_wrong_shape_start_matrix_rejected(self, shape):
