@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import DegenerateChannelError, DimensionError, SingularMatrixError, ZeroPrecoderError
 from .model import ChannelSet, SystemParams
@@ -47,11 +48,21 @@ def normalize_power(W_raw: np.ndarray, P: float) -> PrecodingMatrix:
     return PrecodingMatrix(W * (np.sqrt(P / T) / top))
 
 
+@lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n, dtype=np.complex128)
+    eye.setflags(write=False)
+    return eye
+
+
 def _regularized_inverse_precoder(channel: ChannelSet, reg_diag: np.ndarray | None,
                                   context: str) -> np.ndarray:
-    """V^H (V V^H + diag(reg))^{-1} without forming the inverse."""
-    Vt = channel.V_tilde
-    gram = Vt @ Vt.conj().T
+    """V^H (V V^H + diag(reg))^{-1} without forming the inverse.
+
+    The Cholesky factorization and solve are the LAPACK calls that scipy's
+    cho_factor and cho_solve make, without their wrappers' checks.
+    """
+    gram = channel.gram
     if reg_diag is None:
         cond = np.linalg.cond(gram)
         if cond > 1e14:
@@ -67,13 +78,15 @@ def _regularized_inverse_precoder(channel: ChannelSet, reg_diag: np.ndarray | No
         lhs = gram
     else:
         lhs = gram + np.diag(reg_diag)
-    try:
-        c, low = scipy.linalg.cho_factor(lhs, check_finite=False)
-        X = scipy.linalg.cho_solve((c, low), np.eye(len(Vt), dtype=np.complex128),
-                                   check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SingularMatrixError(f"{context}: {exc}") from exc
-    return Vt.conj().T @ X
+    c, info = zpotrf(lhs, clean=False)
+    if info > 0:
+        raise SingularMatrixError(
+            f"{context}: {info}-th leading minor of the array is not positive definite")
+    if info == 0:
+        X, info = zpotrs(c, _identity(len(c)))
+    if info != 0:  # an argument LAPACK rejects is a bug here, not a bad channel
+        raise ValueError(f"{context}: LAPACK reported an illegal value in argument {-info}")
+    return channel.V_tilde.conj().T @ X
 
 
 def mrt(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:

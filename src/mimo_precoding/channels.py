@@ -9,6 +9,8 @@ by build_channel_set, the same path channel files take.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .errors import ConfigError
@@ -51,11 +53,11 @@ def generate_channels(dims: SystemDims, seed: int, model: str = "iid-gaussian",
         sqrt_ct = _exp_correlation_sqrt(dims.T, rho)
         sqrt_cr = {R_k: _exp_correlation_sqrt(R_k, rho) for R_k in set(dims.R_k)}
 
-    mats = []
-    for k, R_k in enumerate(dims.R_k):
-        draw = _user_rng(seed, k).standard_normal((2, R_k, dims.T))
-        H = (draw[0] + 1j * draw[1]) / np.sqrt(2.0)
-        if colored:
-            H = sqrt_cr[R_k] @ H @ sqrt_ct
-        mats.append(H)
+    # Each user keeps their own stream; one complex build covers every draw.
+    draws = np.concatenate([_user_rng(seed, k).standard_normal((2, R_k, dims.T))
+                            for k, R_k in enumerate(dims.R_k)], axis=1)
+    H = (draws[0] + 1j * draws[1]) / np.sqrt(2.0)
+    mats = [H[end - R_k:end] for R_k, end in zip(dims.R_k, accumulate(dims.R_k))]
+    if colored:
+        mats = [sqrt_cr[len(H_k)] @ H_k @ sqrt_ct for H_k in mats]
     return build_channel_set(mats, dims.L_k)

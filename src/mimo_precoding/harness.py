@@ -32,6 +32,13 @@ def _default_dims() -> SystemDims:
     return SystemDims.uniform(K=8, T=64, R=4, L=2)
 
 
+def _number(name: str, x):
+    """x itself, unless it is a boolean, which a float field would read as 0 or 1."""
+    if isinstance(x, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a number, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one benchmark sweep.
@@ -56,7 +63,10 @@ class ScenarioConfig:
         if not all(map(is_count, seeds)):
             raise ConfigError(f"seeds must be integers, got {seeds!r}")
         object.__setattr__(self, "seeds", tuple(map(int, seeds)))
-        object.__setattr__(self, "susinr_grid_db", tuple(float(x) for x in self.susinr_grid_db))
+        object.__setattr__(self, "susinr_grid_db",
+                           tuple(float(_number("susinr_grid_db", x)) for x in self.susinr_grid_db))
+        _number("P", self.P)
+        _number("rho", self.rho)
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
@@ -115,13 +125,13 @@ class ScenarioConfig:
             if "susinr_grid_db" in raw:
                 kwargs["susinr_grid_db"] = tuple(raw["susinr_grid_db"])
             if "P" in raw:
-                kwargs["P"] = float(raw["P"])
+                kwargs["P"] = float(_number("P", raw["P"]))
             if "algorithms" in raw:
                 kwargs["algorithms"] = tuple(raw["algorithms"])
             if "channel_model" in raw:
                 kwargs["channel_model"] = raw["channel_model"]
             if "rho" in raw:
-                kwargs["rho"] = float(raw["rho"])
+                kwargs["rho"] = float(_number("rho", raw["rho"]))
             if "workers" in raw:
                 kwargs["workers"] = raw["workers"]
             if "optimizer" in raw:
@@ -221,24 +231,24 @@ def _run_cell(cfg: ScenarioConfig, seed: int, susinr_db: float) -> list[RunRecor
     channel = generate_channels(cfg.dims, seed, cfg.channel_model, cfg.rho)
     sigma2 = noise_from_susinr(channel, cfg.P, susinr_db)
     params = SystemParams(P=cfg.P, sigma2=sigma2, L=cfg.dims.L)
-    records, built = [], {}  # built: record index -> precoder
+    rows, built = [], {}  # rows: (wall_ms, iterations, error); built: row index -> precoder
     for algo in cfg.algorithms:
         t0 = time.perf_counter()
         try:
             W, iterations = run_algorithm(algo, channel, params, cfg.optimizer)
         except (MimoError, np.linalg.LinAlgError) as exc:
             # Numerical trouble fails only this row; a programming error propagates.
-            records.append(RunRecord(seed, susinr_db, algo, None,
-                                     (time.perf_counter() - t0) * 1e3, None, _failure(exc)))
+            rows.append(((time.perf_counter() - t0) * 1e3, None, _failure(exc)))
             continue
-        built[len(records)] = W
-        records.append(RunRecord(seed, susinr_db, algo, None,
-                                 (time.perf_counter() - t0) * 1e3, iterations))
-    for i, score in zip(built, _score(list(built.values()), channel, params)):
-        if isinstance(score, str):
-            records[i] = replace(records[i], iterations=None, error=score)
-        else:
-            records[i] = replace(records[i], se_irc_bits=score)
+        built[len(rows)] = W
+        rows.append(((time.perf_counter() - t0) * 1e3, iterations, None))
+    scores = dict(zip(built, _score(list(built.values()), channel, params)))
+    records = []
+    for i, (algo, (wall_ms, iterations, error)) in enumerate(zip(cfg.algorithms, rows)):
+        se = scores.get(i)
+        if isinstance(se, str):
+            se, iterations, error = None, None, se
+        records.append(RunRecord(seed, susinr_db, algo, se, wall_ms, iterations, error))
     return records
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,11 +28,18 @@ def is_count(x) -> bool:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only contiguous copy that leaves the caller's array writable."""
     out = np.ascontiguousarray(a)
     if out is a:
         out = a.copy()
     out.setflags(write=False)
     return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark an array this module made, and hands out, read-only."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -155,14 +164,19 @@ class UserChannel:
 class UserGroup:
     """Users sharing one (R_k, L_k) shape, stacked for batched linear algebra.
 
-    own[i, l] is the flat index of entry (i, l, cols[i, l]) in an (n, L_k, L)
-    array: the position of user users[i]'s own stream l among all L.
+    H, U, S and V stack the group's channels and their reduced SVD factors in
+    the order of users. own[i, l] is the flat index of entry (i, l, cols[i, l])
+    in an (n, L_k, L) array: the position of user users[i]'s own stream l
+    among all L.
     """
 
     users: np.ndarray  # (n,) user indices, ascending
     H: np.ndarray      # (n, R_k, T)
     cols: np.ndarray   # (n, L_k) stacked stream indices of each user
     own: np.ndarray    # (n, L_k) flat indices of cols in an (n, L_k, L) array
+    U: np.ndarray      # (n, R_k, R_k)
+    S: np.ndarray      # (n, R_k)
+    V: np.ndarray      # (n, R_k, T)
 
     def tiled(self, b: int, L: int) -> "UserGroup":
         """The group repeated for a stack of b precoders with L streams each.
@@ -171,13 +185,14 @@ class UserGroup:
         j, so a (b * n, L_k, L) array holds the b precoders' arrays one after
         another; own is offset by j * n * L_k * L accordingly. users becomes
         (b, n), row j for precoder j, which is how per-user results split into
-        precoders. H is shared, not repeated: H_i W_j is row j * n + i of the
-        stacked product.
+        precoders. H and the factors are shared, not repeated: H_i W_j is row
+        j * n + i of the stacked product.
         """
         offsets = np.arange(b)[:, None, None] * self.own.size * L
         return UserGroup(users=np.tile(self.users, (b, 1)), H=self.H,
                          cols=np.tile(self.cols, (b, 1)),
-                         own=(self.own + offsets).reshape(-1, self.own.shape[1]))
+                         own=(self.own + offsets).reshape(-1, self.own.shape[1]),
+                         U=self.U, S=self.S, V=self.V)
 
 
 @dataclass(frozen=True)
@@ -185,15 +200,30 @@ class ChannelSet:
     """All users' channels, their user groups and the truncated factors.
 
     S_tilde and V_tilde stack the users' leading singular values and right
-    singular vectors in user order, contiguous per user. All arrays are
-    read-only. Build one with build_channel_set.
+    singular vectors in user order, contiguous per user. users and gram are
+    computed on first use. All arrays are read-only. Build one with
+    build_channel_set.
     """
 
     dims: SystemDims
-    users: tuple[UserChannel, ...]
     groups: tuple[UserGroup, ...]  # users bucketed by (R_k, L_k)
     S_tilde: np.ndarray  # (L,)
     V_tilde: np.ndarray  # (L, T)
+
+    @cached_property
+    def users(self) -> tuple[UserChannel, ...]:
+        """Each user's channel and factors in user order, views of the groups'."""
+        users: list = [None] * self.dims.K
+        for g in self.groups:
+            L_k = g.cols.shape[1]
+            for i, k in enumerate(g.users.tolist()):
+                users[k] = UserChannel(H=g.H[i], U=g.U[i], S=g.S[i], V=g.V[i], L_k=L_k)
+        return tuple(users)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """(L, L) stream Gram matrix V_tilde V_tilde^H, read-only."""
+        return _read_only(self.V_tilde @ self.V_tilde.conj().T)
 
 
 def decompose_user(H_k: np.ndarray, L_k: int, user: int | None = None) -> UserChannel:
@@ -227,13 +257,20 @@ def decompose_users(H: np.ndarray, L_k: int, users) -> list[UserChannel]:
     L_k = int(L_k)
     if not 1 <= L_k <= R_k:
         raise DimensionError(f"need 1 <= L_k <= R_k, got L_k={L_k}, R_k={R_k}")
-    if not np.all(np.isfinite(H)):
-        raise ValueError("channel matrix has non-finite entries")
+    U, s, V = _factors(H, L_k, users)
+    H = _frozen(H)
+    return [UserChannel(H=H[i], U=U[i], S=s[i], V=V[i], L_k=L_k) for i in range(n)]
 
+
+def _factors(H: np.ndarray, L_k: int, users) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only U, S, V of decompose_users for a complex (n, R_k, T) stack of
+    checked shape."""
+    if not np.isfinite(H).all():
+        raise ValueError("channel matrix has non-finite entries")
     u, s, vh = np.linalg.svd(H, full_matrices=False)
     # LAPACK returns s descending, so the stable reorder is the identity and
     # is skipped unless some row is out of order.
-    if np.any(s[:, 1:] > s[:, :-1]):
+    if (s[:, 1:] > s[:, :-1]).any():
         order = np.argsort(-s, kind="stable", axis=1)
         u = np.take_along_axis(u, order[:, None, :], axis=2)
         s = np.take_along_axis(s, order, axis=1)
@@ -241,12 +278,14 @@ def decompose_users(H: np.ndarray, L_k: int, users) -> list[UserChannel]:
 
     # Phase fix: one unitary diagonal applied to the rows of both U and V
     # leaves U^H S V unchanged.
-    peak = np.argmax(np.abs(vh), axis=2)
-    anchor = np.take_along_axis(vh, peak[:, :, None], axis=2)[:, :, 0]
+    n, R_k, T = vh.shape
+    rows = vh.reshape(n * R_k, T)
+    anchor = rows[np.arange(n * R_k), np.abs(rows).argmax(axis=1)].reshape(n, R_k)
     mag = np.abs(anchor)
     phase = np.where(mag > 0, anchor / np.where(mag > 0, mag, 1.0), 1.0)
-    vh = vh * np.conj(phase)[:, :, None]
-    U = u.conj().transpose(0, 2, 1) * np.conj(phase)[:, :, None]
+    conj_phase = np.conj(phase)[:, :, None]
+    V = vh * conj_phase
+    U = np.ascontiguousarray(u.conj().transpose(0, 2, 1) * conj_phase)
 
     s_max = s[:, 0]
     weak = (s_max == 0.0) | (s[:, L_k - 1] <= RANK_TOL * s_max)
@@ -257,16 +296,32 @@ def decompose_users(H: np.ndarray, L_k: int, users) -> list[UserChannel]:
             f"{who}: rank below requested stream count L_k={L_k} "
             f"(leading singular values {s[i, :L_k]})"
         )
+    return _read_only(U), _read_only(s), _read_only(V)
 
-    H, U, s, vh = _frozen(H), _frozen(U), _frozen(s), _frozen(vh)
-    return [UserChannel(H=H[i], U=U[i], S=s[i], V=vh[i], L_k=L_k) for i in range(n)]
+
+@lru_cache(maxsize=64)
+def _layout(T: int, R_k: tuple[int, ...], L_k: tuple[int, ...]):
+    """Dimensions and user groups of a channel set, which depend on the
+    shapes alone: SystemDims, then (L_k, users, cols, own) per group, groups
+    in order of first appearance. All arrays are read-only."""
+    dims = SystemDims(K=len(R_k), T=T, R_k=R_k, L_k=L_k)
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for k, key in enumerate(zip(R_k, L_k)):
+        buckets.setdefault(key, []).append(k)
+    starts = np.cumsum((0,) + L_k)
+    groups = []
+    for (_, L), idx in buckets.items():
+        cols = starts[idx][:, None] + np.arange(L)
+        own = (np.arange(len(idx))[:, None] * L + np.arange(L)) * starts[-1] + cols
+        groups.append((L, _read_only(np.array(idx)), _read_only(cols), _read_only(own)))
+    return dims, tuple(groups)
 
 
 def build_channel_set(channels, layer_counts) -> ChannelSet:
     """Decompose per-user channel matrices and keep them in list order.
 
     Users are bucketed by (R_k, L_k), buckets in order of first appearance;
-    each bucket is one decompose_users call and becomes one UserGroup.
+    each bucket is one batched SVD and becomes one UserGroup.
     """
     mats = [np.asarray(H, dtype=np.complex128) for H in channels]
     layer_counts = tuple(layer_counts)
@@ -277,7 +332,6 @@ def build_channel_set(channels, layer_counts) -> ChannelSet:
         )
     if not mats:
         raise DimensionError("at least one user required")
-    buckets: dict[tuple[int, int], list[int]] = {}
     for k, (H, L_k) in enumerate(zip(mats, layer_counts)):
         if H.ndim != 2:
             raise DimensionError(f"channel must be a matrix, got ndim={H.ndim}")
@@ -285,29 +339,21 @@ def build_channel_set(channels, layer_counts) -> ChannelSet:
             raise DimensionError(f"user {k} has T={H.shape[1]}, expected {mats[0].shape[1]}")
         if not is_count(L_k):
             raise DimensionError(f"user {k}: layer count must be an integer, got {L_k!r}")
-        buckets.setdefault((H.shape[0], int(L_k)), []).append(k)
 
-    L_k = tuple(int(l) for l in layer_counts)
-    starts = np.cumsum((0,) + L_k)
-    users: list = [None] * len(mats)
+    T = mats[0].shape[1]
+    dims, layout = _layout(T, tuple(H.shape[0] for H in mats), tuple(map(int, layer_counts)))
+    S_tilde = np.empty(dims.L)
+    V_tilde = np.empty((dims.L, T), dtype=np.complex128)
     groups = []
-    for (_, L), idx in buckets.items():
-        H = np.stack([mats[k] for k in idx])
-        for k, user in zip(idx, decompose_users(H, L, idx)):
-            users[k] = user
-        cols = starts[idx][:, None] + np.arange(L)
-        own = (np.arange(len(idx))[:, None] * L + np.arange(L)) * starts[-1] + cols
-        groups.append(UserGroup(users=_frozen(np.array(idx)), H=_frozen(H),
-                                cols=_frozen(cols), own=_frozen(own)))
-    dims = SystemDims(K=len(mats), T=mats[0].shape[1],
-                      R_k=tuple(H.shape[0] for H in mats), L_k=L_k)
-    return ChannelSet(
-        dims=dims,
-        users=tuple(users),
-        groups=tuple(groups),
-        S_tilde=_frozen(np.concatenate([u.S_tilde for u in users])),
-        V_tilde=_frozen(np.vstack([u.V_tilde for u in users])),
-    )
+    for L, users, cols, own in layout:
+        H = np.stack([mats[k] for k in users.tolist()])
+        U, S, V = _factors(H, L, users)
+        S_tilde[cols] = S[:, :L]
+        V_tilde[cols] = V[:, :L]
+        groups.append(UserGroup(users=users, H=_read_only(H), cols=cols, own=own,
+                                U=U, S=S, V=V))
+    return ChannelSet(dims=dims, groups=tuple(groups),
+                      S_tilde=_read_only(S_tilde), V_tilde=_read_only(V_tilde))
 
 
 def susinr_gain(dims: SystemDims, s_tilde: np.ndarray) -> float:
@@ -317,13 +363,12 @@ def susinr_gain(dims: SystemDims, s_tilde: np.ndarray) -> float:
     factor multiplying inside the outer mean. Evaluated in log space.
     """
     s = np.asarray(s_tilde, dtype=float)
-    if np.any(s <= 0):
+    if (s <= 0).any():
         raise DegenerateChannelError("singular values must be positive")
+    logs = np.log(s)
     log_terms = []
-    for k in range(dims.K):
-        sl = s[dims.layer_slice(k)]
-        L_k = dims.L_k[k]
-        log_terms.append(-math.log(L_k) + (2.0 / L_k) * float(np.sum(np.log(sl))))
+    for L_k, end in zip(dims.L_k, accumulate(dims.L_k)):
+        log_terms.append(-math.log(L_k) + (2.0 / L_k) * float(logs[end - L_k:end].sum()))
     return math.exp(sum(log_terms) / dims.K)
 
 

@@ -117,9 +117,10 @@ class OptimizerConfig:
             raise ValueError("start_matrix has non-finite entries")
         if not (is_count(self.max_iters) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
-        if not (0 < self.tol_grad < math.inf and 0 < self.tol_change < math.inf):
-            raise ValueError(f"tolerances must be positive and finite, got "
-                             f"tol_grad={self.tol_grad!r}, tol_change={self.tol_change!r}")
+        for name in ("tol_grad", "tol_change"):
+            tol = getattr(self, name)
+            if isinstance(tol, (bool, np.bool_)) or not 0 < tol < math.inf:
+                raise ValueError(f"{name} must be a positive finite number, got {tol!r}")
         if not (is_count(self.memory) and self.memory >= 1):
             raise ValueError(f"memory must be an integer of at least 1, got {self.memory!r}")
         if self.start not in START_KINDS:

@@ -1,19 +1,28 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mimo_precoding.baselines as baselines
 from mimo_precoding import (
     BaselineConfig,
+    ScenarioConfig,
+    SingularMatrixError,
+    SystemDims,
     SystemParams,
     ZeroPrecoderError,
     arzf,
     build_channel_set,
+    compute_baseline,
+    generate_channels,
     mrt,
     normalize_power,
+    run_scenario,
     rzf,
     zf,
 )
+from mimo_precoding.baselines import _regularized_inverse_precoder
 
 from conftest import calibrated_params, complex_randn, random_channel
 
@@ -183,3 +192,57 @@ class TestSharedContracts:
         assert W.feasible(params.P, tol=1e-12)
         cap = params.P / ch.dims.T
         assert W.row_power().max() == pytest.approx(cap, abs=1e-12)
+
+
+def scipy_reference(channel, cfg):
+    """ZF/RZF/ARZF through scipy's cho_factor/cho_solve, as the builders
+    computed them before calling LAPACK directly."""
+    p = cfg.params
+    Vt = channel.V_tilde
+    gram = Vt @ Vt.conj().T
+    reg = {"ZF": None, "RZF": np.full(channel.dims.L, p.regularizer),
+           "ARZF": p.regularizer / channel.S_tilde**2}[cfg.kind]
+    lhs = gram if reg is None else gram + np.diag(reg)
+    c, low = scipy.linalg.cho_factor(lhs, check_finite=False)
+    X = scipy.linalg.cho_solve((c, low), np.eye(len(Vt), dtype=np.complex128),
+                               check_finite=False)
+    return normalize_power(Vt.conj().T @ X, p.P).W
+
+
+class TestDirectLapack:
+    @pytest.mark.parametrize("dims,model,rho", [
+        (SystemDims.uniform(K=8, T=64, R=4, L=2), "iid-gaussian", 0.0),
+        (SystemDims(K=8, T=64, R_k=(1, 2, 2, 4, 4, 4, 8, 8), L_k=(1, 1, 2, 1, 2, 4, 2, 4)),
+         "exp-correlated", 0.9),
+    ], ids=["uniform", "ragged"])
+    @pytest.mark.parametrize("kind", ["ZF", "RZF", "ARZF"])
+    def test_equals_scipy_cholesky_bitwise(self, dims, model, rho, kind):
+        for seed in range(4):
+            ch = generate_channels(dims, seed, model, rho)
+            for susinr_db in (-4.0, 12.0, 40.0):
+                cfg = BaselineConfig(kind=kind, params=calibrated_params(ch, susinr_db))
+                got = compute_baseline(ch, cfg).W
+                assert got.tobytes() == scipy_reference(ch, cfg).tobytes()
+
+    def test_gram_is_cached_and_read_only(self):
+        ch = random_channel(13, K=3, T=8, R=2, L=2)
+        assert ch.gram is ch.gram
+        assert not ch.gram.flags.writeable
+        assert ch.gram.tobytes() == (ch.V_tilde @ ch.V_tilde.conj().T).tobytes()
+
+    def test_indefinite_system_raises_singular_matrix_error(self):
+        ch = random_channel(14, K=2, T=8, R=2, L=2)
+        with pytest.raises(SingularMatrixError, match=r"^test context: 1-th leading minor "
+                                                      r"of the array is not positive definite$"):
+            _regularized_inverse_precoder(ch, np.full(ch.dims.L, -10.0), "test context")
+
+    @pytest.mark.parametrize("routine", ["zpotrf", "zpotrs"])
+    def test_illegal_argument_is_a_programming_error(self, monkeypatch, routine):
+        # LAPACK's info < 0 flags a bad call, not a bad channel: it must not
+        # become a failed row.
+        real = getattr(baselines, routine)
+        monkeypatch.setattr(baselines, routine, lambda *a, **kw: (real(*a, **kw)[0], -3))
+        cfg = ScenarioConfig(dims=SystemDims.uniform(K=2, T=8, R=2, L=2), seeds=(0,),
+                             susinr_grid_db=(12.0,), algorithms=("MRT", "RZF"))
+        with pytest.raises(ValueError, match="illegal value in argument 3"):
+            run_scenario(cfg)

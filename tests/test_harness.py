@@ -130,6 +130,33 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(raw)
 
+    # float(True) is 1.0 and 0 < True holds, so booleans used to pass as numbers.
+    @pytest.mark.parametrize("raw, field", [
+        ({"P": True}, "P"),
+        ({"rho": False}, "rho"),
+        ({"susinr_grid_db": [12.0, True]}, "susinr_grid_db"),
+        ({"susinr_grid_db": [np.False_]}, "susinr_grid_db"),
+        ({"optimizer": {"tol_grad": True}}, "tol_grad"),
+        ({"optimizer": {"tol_change": True}}, "tol_change"),
+    ])
+    def test_boolean_in_float_field_names_the_field(self, raw, field):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(P=True), "P"),
+        (dict(rho=np.False_), "rho"),
+        (dict(susinr_grid_db=(0.0, True)), "susinr_grid_db"),
+    ])
+    def test_boolean_in_float_field_rejected_by_constructor(self, kwargs, field):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["tol_grad", "tol_change"])
+    def test_boolean_tolerance_rejected_by_optimizer_config(self, field):
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: True})
+
 
 class TestRunScenario:
     def test_single_cell(self):

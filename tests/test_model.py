@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,6 +288,24 @@ class TestNoiseCalibration:
         ch = random_channel(8, K=3, T=8, R=2, L=2)
         sigma2 = noise_from_susinr(ch, 2.0, target)
         assert susinr(ch, sigma2, 2.0) == pytest.approx(target, abs=1e-9)
+
+    def test_equals_per_user_loop_bitwise(self):
+        # The users with 16 and 9 streams sum enough logs for numpy's pairwise
+        # summation to unroll; at these dims a plain left-to-right sum changes
+        # 6 of the 15 values below.
+        def per_user_loop(ch, P, target_db):
+            dims, s = ch.dims, ch.S_tilde
+            terms = [-math.log(dims.L_k[k])
+                     + (2.0 / dims.L_k[k]) * float(np.sum(np.log(s[dims.layer_slice(k)])))
+                     for k in range(dims.K)]
+            return P * math.exp(sum(terms) / dims.K) * 10.0 ** (-target_db / 10.0)
+
+        dims = SystemDims(K=3, T=24, R_k=(2, 16, 12), L_k=(1, 16, 9))
+        for seed in range(5):
+            ch = generate_channels(dims, seed, "exp-correlated", 0.5)
+            for target in (-4.0, 12.0, 40.0):
+                got = noise_from_susinr(ch, 2.0, target)
+                assert got.hex() == per_user_loop(ch, 2.0, target).hex()
 
     def test_zero_singular_value_rejected(self):
         dims = SystemDims(K=1, T=2, R_k=(1,), L_k=(1,))
