@@ -3,6 +3,7 @@ per-antenna power budget by scaling with the maximal row norm."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,6 +18,11 @@ from .quality import PrecodingMatrix
 KINDS = ("MRT", "ZF", "RZF", "ARZF")
 
 _COND_WARN = 1e12
+# ||G||_F ||G^{-1}||_F never reads below the 2-norm condition number; this
+# margin absorbs the roundoff of the computed inverse and of the SVD, so any
+# Gram matrix whose condition number could read above _COND_WARN is checked
+# exactly.
+_COND_MARGIN = 16.0
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,14 @@ def normalize_power(W_raw: np.ndarray, P: float) -> PrecodingMatrix:
     top = norms.max() if norms.size else 0.0
     if top == 0.0:
         raise ZeroPrecoderError("cannot normalize an all-zero precoding matrix")
-    return PrecodingMatrix(W * (np.sqrt(P / T) / top))
+    scale = np.sqrt(P / T) / top
+    # A NaN or infinite entry makes top non-finite; a finite top and scale
+    # bound every scaled entry by sqrt(P / T), so the result needs no rescan.
+    if not (math.isfinite(top) and math.isfinite(scale)):
+        raise ValueError("precoder has non-finite entries")
+    # C order whatever the input's: MRT hands in the F-ordered V_tilde^H, and
+    # the GEMMs that score a precoder round differently on an F-ordered one.
+    return PrecodingMatrix._adopt(np.multiply(W, scale, order="C"))
 
 
 @lru_cache(maxsize=16)
@@ -61,9 +74,21 @@ def _regularized_inverse_precoder(channel: ChannelSet, reg_diag: np.ndarray | No
 
     The Cholesky factorization and solve are the LAPACK calls that scipy's
     cho_factor and cho_solve make, without their wrappers' checks.
+
+    Without regularization the Gram matrix is checked for conditioning:
+    above 1e14 it counts as singular, above _COND_WARN a RuntimeWarning is
+    issued. The exact 2-norm condition number takes an SVD, so it is computed
+    only when LAPACK fails or when ||G||_F ||G^{-1}||_F, an upper bound on it
+    from the solve already made, comes within _COND_MARGIN of _COND_WARN.
     """
     gram = channel.gram
-    if reg_diag is None:
+    lhs = gram if reg_diag is None else gram + np.diag(reg_diag)
+    c, info = zpotrf(lhs, clean=False)
+    if info == 0:
+        X, info = zpotrs(c, _identity(len(c)))
+    # A failed factorization, or a bound that is NaN, takes the exact path too.
+    if reg_diag is None and not (
+            info == 0 and np.linalg.norm(gram) * np.linalg.norm(X) <= _COND_WARN / _COND_MARGIN):
         cond = np.linalg.cond(gram)
         if cond > 1e14:
             raise SingularMatrixError(
@@ -75,15 +100,9 @@ def _regularized_inverse_precoder(channel: ChannelSet, reg_diag: np.ndarray | No
                 RuntimeWarning,
                 stacklevel=3,
             )
-        lhs = gram
-    else:
-        lhs = gram + np.diag(reg_diag)
-    c, info = zpotrf(lhs, clean=False)
     if info > 0:
         raise SingularMatrixError(
             f"{context}: {info}-th leading minor of the array is not positive definite")
-    if info == 0:
-        X, info = zpotrs(c, _identity(len(c)))
     if info != 0:  # an argument LAPACK rejects is a bug here, not a bad channel
         raise ValueError(f"{context}: LAPACK reported an illegal value in argument {-info}")
     return channel.V_tilde.conj().T @ X

@@ -90,6 +90,8 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
 
 def geometric_means(sinr: np.ndarray) -> np.ndarray:
     """Geometric mean over the last axis; a zero anywhere collapses it to zero."""
+    if (sinr > 0.0).all():  # no mask needed; the same bits as the masked path
+        return np.exp(np.log(sinr).sum(axis=-1) / sinr.shape[-1])
     logs = np.log(np.where(sinr > 0.0, sinr, 1.0))
     means = np.exp(logs.sum(axis=-1) / sinr.shape[-1])
     return np.where((sinr == 0.0).any(axis=-1), 0.0, means)

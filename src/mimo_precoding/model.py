@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -188,10 +187,10 @@ class UserGroup:
         precoders. H and the factors are shared, not repeated: H_i W_j is row
         j * n + i of the stacked product.
         """
-        offsets = np.arange(b)[:, None, None] * self.own.size * L
-        return UserGroup(users=np.tile(self.users, (b, 1)), H=self.H,
-                         cols=np.tile(self.cols, (b, 1)),
-                         own=(self.own + offsets).reshape(-1, self.own.shape[1]),
+        users, cols, own = _tiled_indices(*((a.dtype.str, a.tobytes())
+                                            for a in (self.users, self.cols, self.own)),
+                                          self.cols.shape[1], b, L)
+        return UserGroup(users=users, H=self.H, cols=cols, own=own,
                          U=self.U, S=self.S, V=self.V)
 
 
@@ -281,9 +280,7 @@ def _factors(H: np.ndarray, L_k: int, users) -> tuple[np.ndarray, np.ndarray, np
     n, R_k, T = vh.shape
     rows = vh.reshape(n * R_k, T)
     anchor = rows[np.arange(n * R_k), np.abs(rows).argmax(axis=1)].reshape(n, R_k)
-    mag = np.abs(anchor)
-    phase = np.where(mag > 0, anchor / np.where(mag > 0, mag, 1.0), 1.0)
-    conj_phase = np.conj(phase)[:, :, None]
+    conj_phase = np.conj(_unit_phases(anchor))[:, :, None]
     V = vh * conj_phase
     U = np.ascontiguousarray(u.conj().transpose(0, 2, 1) * conj_phase)
 
@@ -297,6 +294,14 @@ def _factors(H: np.ndarray, L_k: int, users) -> tuple[np.ndarray, np.ndarray, np
             f"(leading singular values {s[i, :L_k]})"
         )
     return _read_only(U), _read_only(s), _read_only(V)
+
+
+def _unit_phases(anchor: np.ndarray) -> np.ndarray:
+    """anchor / |anchor| entrywise, with 1 where |anchor| is not positive."""
+    mag = np.abs(anchor)
+    if (mag > 0).all():  # no mask needed; the same bits as the masked path
+        return anchor / mag
+    return np.where(mag > 0, anchor / np.where(mag > 0, mag, 1.0), 1.0)
 
 
 @lru_cache(maxsize=64)
@@ -315,6 +320,17 @@ def _layout(T: int, R_k: tuple[int, ...], L_k: tuple[int, ...]):
         own = (np.arange(len(idx))[:, None] * L + np.arange(L)) * starts[-1] + cols
         groups.append((L, _read_only(np.array(idx)), _read_only(cols), _read_only(own)))
     return dims, tuple(groups)
+
+
+@lru_cache(maxsize=64)
+def _tiled_indices(users, cols, own, L_k: int, b: int, L: int):
+    """Read-only users, cols and own of UserGroup.tiled, which depend on the
+    group's index arrays alone; each comes in as its (dtype, bytes)."""
+    users, cols, own = (np.frombuffer(buf, dtype=dt) for dt, buf in (users, cols, own))
+    offsets = np.arange(b)[:, None, None] * own.size * L
+    return (_read_only(np.tile(users, (b, 1))),
+            _read_only(np.tile(cols.reshape(-1, L_k), (b, 1))),
+            _read_only((own.reshape(-1, L_k) + offsets).reshape(-1, L_k)))
 
 
 def build_channel_set(channels, layer_counts) -> ChannelSet:
@@ -366,10 +382,12 @@ def susinr_gain(dims: SystemDims, s_tilde: np.ndarray) -> float:
     if (s <= 0).any():
         raise DegenerateChannelError("singular values must be positive")
     logs = np.log(s)
-    log_terms = []
-    for L_k, end in zip(dims.L_k, accumulate(dims.L_k)):
-        log_terms.append(-math.log(L_k) + (2.0 / L_k) * float(logs[end - L_k:end].sum()))
-    return math.exp(sum(log_terms) / dims.K)
+    # One row sum per user, taken a user group at a time, then summed over
+    # users in user order: the bits of a per-user loop.
+    log_terms = np.empty(dims.K)
+    for L_k, users, cols, _ in _layout(dims.T, dims.R_k, dims.L_k)[1]:
+        log_terms[users] = (2.0 / L_k) * logs[cols].sum(axis=1) - math.log(L_k)
+    return math.exp(sum(log_terms.tolist()) / dims.K)
 
 
 def noise_from_susinr(channel: ChannelSet, P: float, target_db: float) -> float:

@@ -52,6 +52,15 @@ class PrecodingMatrix:
         W.setflags(write=False)
         object.__setattr__(self, "W", W)
 
+    @classmethod
+    def _adopt(cls, W: np.ndarray) -> "PrecodingMatrix":
+        """Wrap a finite, C-ordered complex matrix that no one else holds,
+        without the constructor's copy and scan; W becomes read-only."""
+        W.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "W", W)
+        return out
+
     @property
     def n_antennas(self) -> int:
         return self.W.shape[0]
@@ -102,12 +111,15 @@ def symbol_sinr(W, H_k: np.ndarray, g_l: np.ndarray, sigma2: float, P: float, l:
 
 
 def effective_sinr(per_symbol) -> float:
-    """Geometric mean of a user's per-symbol SINRs; any zero collapses it to zero."""
+    """Geometric mean of a user's per-symbol SINRs; any zero collapses it to zero.
+
+    A negative or NaN SINR raises ValueError.
+    """
     x = np.asarray(per_symbol, dtype=float)
     if x.size == 0:
         raise DimensionError("need at least one per-symbol SINR")
-    if np.any(x < 0):
-        raise ValueError("SINR values must be nonnegative")
+    if not (x >= 0).all():
+        raise ValueError("SINR values must be nonnegative, not NaN")
     return float(geometric_means(x))
 
 

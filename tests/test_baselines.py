@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 import mimo_precoding.baselines as baselines
 from mimo_precoding import (
     BaselineConfig,
+    PrecodingMatrix,
     ScenarioConfig,
     SingularMatrixError,
     SystemDims,
@@ -55,6 +58,32 @@ class TestNormalizePower:
     def test_zero_matrix(self):
         with pytest.raises(ZeroPrecoderError):
             normalize_power(np.zeros((2, 2)), P=1.0)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 9), L=st.integers(1, 5),
+           P=st.floats(1e-3, 1e3))
+    def test_equals_public_constructor_on_scaled_input(self, order, seed, T, L, P):
+        W = np.asarray(complex_randn(np.random.default_rng(seed), (T, L)), order=order)
+        top = np.sqrt(np.einsum("ml,ml->m", W, W.conj()).real).max()
+        expected = PrecodingMatrix(W * (np.sqrt(P / T) / top)).W
+        got = normalize_power(W, P).W
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert W.flags.writeable  # the input is left alone
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_non_finite_entry_rejected(self, order, bad):
+        W = np.asarray(complex_randn(np.random.default_rng(1), (5, 3)), order=order)
+        W[2, 1] = bad
+        with pytest.raises(ValueError, match="^precoder has non-finite entries$"):
+            normalize_power(W, P=1.0)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_zero_matrix_either_order(self, order):
+        with pytest.raises(ZeroPrecoderError):
+            normalize_power(np.zeros((4, 3), dtype=complex, order=order), P=1.0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
@@ -122,6 +151,73 @@ class TestZf:
         a = zf(ch, BaselineConfig(kind="ZF", params=params)).W
         b = mrt(ch, BaselineConfig(kind="MRT", params=params)).W
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def near_dependent_channel(delta):
+    """Three users, the third a copy of the first perturbed by delta, so two
+    pairs of streams are nearly dependent: the Gram matrix's condition number
+    grows like 1 / delta^2."""
+    mats = [u.H for u in random_channel(20, K=2, T=8, R=2, L=2).users]
+    noise = complex_randn(np.random.default_rng(21), mats[0].shape)
+    return build_channel_set(mats + [mats[0] + delta * noise], [2, 2, 2])
+
+
+def zf_cfg():
+    return BaselineConfig(kind="ZF", params=SystemParams(P=1.0, sigma2=0.1, L=6))
+
+
+class TestZfConditioning:
+    """Above 1e14 the Gram matrix is singular, between 1e12 and 1e14 ZF warns,
+    below it is silent, whether or not the exact condition number is taken."""
+
+    @pytest.mark.parametrize("delta,low,high", [(1e-4, 1e9, 1e10), (1e-5, 1e11, 1e12)])
+    def test_silent_below_warning_threshold(self, delta, low, high):
+        ch = near_dependent_channel(delta)
+        assert low < np.linalg.cond(ch.gram) < high
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            W = zf(ch, zf_cfg())
+        assert W.feasible(1.0)
+
+    def test_one_warning_between_thresholds(self):
+        ch = near_dependent_channel(1e-6)
+        assert 1e12 < np.linalg.cond(ch.gram) < 1e14
+        with pytest.warns(RuntimeWarning) as record:
+            zf(ch, zf_cfg())
+        assert len(record) == 1
+        assert str(record[0].message) == (
+            "zero-forcing: stream correlation matrix condition number above 1e+12")
+        assert record[0].filename == __file__  # reported at the caller of zf
+
+    @pytest.mark.parametrize("delta,cholesky_info", [(1e-7, 0), (1e-8, 5)])
+    def test_singular_above_1e14_names_the_cond(self, delta, cholesky_info):
+        # The first Gram matrix still factors; the error must not depend on it.
+        ch = near_dependent_channel(delta)
+        assert np.linalg.cond(ch.gram) > 1e14
+        assert baselines.zpotrf(ch.gram, clean=False)[1] == cholesky_info
+        with pytest.raises(SingularMatrixError, match=r"^zero-forcing: stream correlation "
+                                                      r"matrix is singular \(cond [0-9.e+]+\)$"):
+            zf(ch, zf_cfg())
+
+    def test_failed_cholesky_below_1e14_names_the_leading_minor(self, monkeypatch):
+        ch = random_channel(22, K=3, T=8, R=2, L=2)
+        real = baselines.zpotrf
+        monkeypatch.setattr(baselines, "zpotrf", lambda *a, **kw: (real(*a, **kw)[0], 2))
+        with pytest.raises(SingularMatrixError, match=r"^zero-forcing: 2-th leading minor "
+                                                      r"of the array is not positive definite$"):
+            zf(ch, zf_cfg())
+
+    def test_well_conditioned_zf_takes_no_svd(self, monkeypatch):
+        calls = []
+        real = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        dims = SystemDims.uniform(K=8, T=64, R=4, L=2)
+        for seed in range(4):
+            ch = generate_channels(dims, seed)
+            zf(ch, BaselineConfig(kind="ZF", params=calibrated_params(ch)))
+        assert calls == []
+        zf(near_dependent_channel(1e-5), zf_cfg())  # near the threshold: exact
+        assert calls == [1]
 
 
 class TestRzf:

@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mimo_precoding import (
     ObjectiveSpec,
@@ -27,7 +28,7 @@ from mimo_precoding import (
     spectral_efficiency_irc,
     symbol_sinr,
 )
-from mimo_precoding.irc import irc_backward, irc_forward, irc_scores
+from mimo_precoding.irc import geometric_means, irc_backward, irc_forward, irc_scores
 
 from conftest import calibrated_params, complex_randn, embed, fd_gradient, mixed_rows_precoder
 
@@ -118,6 +119,26 @@ def ragged_corr_case(seed):
     W = mixed_rows_precoder(np.random.default_rng(seed), RAGGED_CORR.T, RAGGED_CORR.L,
                             params.P, exterior_fraction=0.0)
     return channel, params, W
+
+
+def masked_geometric_means(sinr):
+    """The masked form of geometric_means: logs of positive SINRs only, and
+    zero wherever a row holds a zero."""
+    logs = np.log(np.where(sinr > 0.0, sinr, 1.0))
+    means = np.exp(logs.sum(axis=-1) / sinr.shape[-1])
+    return np.where((sinr == 0.0).any(axis=-1), 0.0, means)
+
+
+class TestGeometricMeans:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=5),
+                  elements=st.floats(min_value=0.0, exclude_min=True))
+           | arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=5),
+                    elements=st.floats() | st.sampled_from([0.0, -0.0, np.inf, np.nan])))
+    def test_bitwise_equal_to_masked_form(self, sinr):
+        with np.errstate(all="ignore"):
+            got, expected = geometric_means(sinr), masked_geometric_means(sinr)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 class TestForward:

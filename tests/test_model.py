@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mimo_precoding import (
     DegenerateChannelError,
@@ -19,7 +20,7 @@ from mimo_precoding import (
     susinr,
     write_channels,
 )
-from mimo_precoding.model import susinr_gain
+from mimo_precoding.model import _unit_phases, susinr_gain
 
 from conftest import complex_randn, random_channel
 
@@ -240,6 +241,59 @@ class TestBuildChannelSet:
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
+def masked_unit_phases(anchor):
+    """The masked form of _unit_phases, which divides only where |anchor| > 0."""
+    mag = np.abs(anchor)
+    return np.where(mag > 0, anchor / np.where(mag > 0, mag, 1.0), 1.0)
+
+
+class TestUnitPhases:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.complex128, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300))
+           | arrays(np.complex128, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                    elements=st.complex_numbers(allow_nan=True, allow_infinity=True)
+                    | st.sampled_from([0j, complex(np.nan, 0.0), complex(np.inf, 1.0)])))
+    def test_bitwise_equal_to_masked_form(self, anchor):
+        with np.errstate(all="ignore"):
+            got, expected = _unit_phases(anchor), masked_unit_phases(anchor)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+class TestTiled:
+    LAYOUTS = {
+        "uniform": SystemDims.uniform(K=8, T=16, R=4, L=2),
+        "ragged": SystemDims(K=8, T=16, R_k=(1, 2, 2, 4, 4, 4, 8, 8),
+                             L_k=(1, 1, 2, 1, 2, 4, 2, 4)),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_equals_fresh_tile_read_only_and_reused(self, layout):
+        dims = self.LAYOUTS[layout]
+        ch, again = generate_channels(dims, 0), generate_channels(dims, 1)
+        for b in range(1, 6):
+            for g, h in zip(ch.groups, again.groups):
+                t = g.tiled(b, dims.L)
+                offsets = np.arange(b)[:, None, None] * g.own.size * dims.L
+                fresh = {"users": np.tile(g.users, (b, 1)), "cols": np.tile(g.cols, (b, 1)),
+                         "own": (g.own + offsets).reshape(-1, g.own.shape[1])}
+                for name, want in fresh.items():
+                    got = getattr(t, name)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+                    assert not got.flags.writeable, name
+                    # Another channel of the same layout gets the same arrays.
+                    assert getattr(h.tiled(b, dims.L), name) is got, name
+                for name in ("H", "U", "S", "V"):
+                    assert getattr(t, name) is getattr(g, name)
+
+    def test_keyed_on_index_values(self):
+        g = generate_channels(self.LAYOUTS["uniform"], 0).groups[0]
+        copy = type(g)(users=g.users.copy(), H=g.H, cols=g.cols.copy(), own=g.own.copy(),
+                       U=g.U, S=g.S, V=g.V)
+        assert copy.tiled(3, 16).own is g.tiled(3, 16).own
+        assert g.tiled(3, 17).own.tobytes() != g.tiled(3, 16).own.tobytes()
+
+
 class TestStack:
     def test_single_user_matches_own_factors(self):
         rng = np.random.default_rng(4)
@@ -264,6 +318,15 @@ class TestStack:
         mats = [complex_randn(rng, (2, 4)), complex_randn(rng, (2, 6))]
         with pytest.raises(DimensionError, match="^user 1 has T=6, expected 4$"):
             build_channel_set(mats, [1, 1])
+
+
+def per_user_loop_noise(ch, P, target_db):
+    """noise_from_susinr as a loop over users, each user's log sum on its own."""
+    dims, s = ch.dims, ch.S_tilde
+    terms = [-math.log(dims.L_k[k])
+             + (2.0 / dims.L_k[k]) * float(np.sum(np.log(s[dims.layer_slice(k)])))
+             for k in range(dims.K)]
+    return P * math.exp(sum(terms) / dims.K) * 10.0 ** (-target_db / 10.0)
 
 
 class TestNoiseCalibration:
@@ -293,19 +356,23 @@ class TestNoiseCalibration:
         # The users with 16 and 9 streams sum enough logs for numpy's pairwise
         # summation to unroll; at these dims a plain left-to-right sum changes
         # 6 of the 15 values below.
-        def per_user_loop(ch, P, target_db):
-            dims, s = ch.dims, ch.S_tilde
-            terms = [-math.log(dims.L_k[k])
-                     + (2.0 / dims.L_k[k]) * float(np.sum(np.log(s[dims.layer_slice(k)])))
-                     for k in range(dims.K)]
-            return P * math.exp(sum(terms) / dims.K) * 10.0 ** (-target_db / 10.0)
-
         dims = SystemDims(K=3, T=24, R_k=(2, 16, 12), L_k=(1, 16, 9))
         for seed in range(5):
             ch = generate_channels(dims, seed, "exp-correlated", 0.5)
             for target in (-4.0, 12.0, 40.0):
                 got = noise_from_susinr(ch, 2.0, target)
-                assert got.hex() == per_user_loop(ch, 2.0, target).hex()
+                assert got.hex() == per_user_loop_noise(ch, 2.0, target).hex()
+
+    @pytest.mark.parametrize("dims", [
+        SystemDims.uniform(K=8, T=24, R=4, L=2),
+        SystemDims(K=8, T=24, R_k=(1, 2, 2, 4, 4, 4, 8, 8), L_k=(1, 1, 2, 1, 2, 4, 2, 4)),
+    ], ids=["uniform", "ragged"])
+    def test_groups_of_several_users_equal_per_user_loop_bitwise(self, dims):
+        for seed in range(5):
+            ch = generate_channels(dims, seed, "exp-correlated", 0.5)
+            for target in (-4.0, 12.0, 40.0):
+                got = noise_from_susinr(ch, 2.0, target)
+                assert got.hex() == per_user_loop_noise(ch, 2.0, target).hex()
 
     def test_zero_singular_value_rejected(self):
         dims = SystemDims(K=1, T=2, R_k=(1,), L_k=(1,))

@@ -82,6 +82,12 @@ class TestEffectiveSinr:
         with pytest.raises(ValueError):
             effective_sinr([-1.0, 2.0])
 
+    @pytest.mark.parametrize("values", [[np.nan, 2.0], [2.0, np.nan], [np.nan]])
+    def test_nan_rejected(self, values):
+        # A NaN is not read as an SINR of one.
+        with pytest.raises(ValueError, match="NaN"):
+            effective_sinr(values)
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=8))
     def test_between_min_and_max(self, values):
