@@ -108,6 +108,14 @@ def _regularized_inverse_precoder(channel: ChannelSet, reg_diag: np.ndarray | No
     return channel.V_tilde.conj().T @ X
 
 
+def _regularizer(channel: ChannelSet, params: SystemParams) -> float:
+    """sigma2 L / P, with L checked against the channel's stream count."""
+    if params.L != channel.dims.L:
+        raise DimensionError(
+            f"params.L={params.L} but the channel carries {channel.dims.L} streams")
+    return params.regularizer
+
+
 def mrt(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
     """Maximum-ratio transmission: beams along the conjugated singular vectors."""
     return normalize_power(channel.V_tilde.conj().T, cfg.params.P)
@@ -121,7 +129,7 @@ def zf(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
 
 def rzf(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
     """Regularized zero-forcing with the scalar regularizer sigma2 * L / P."""
-    reg = np.full(channel.dims.L, cfg.params.regularizer)
+    reg = np.full(channel.dims.L, _regularizer(channel, cfg.params))
     W = _regularized_inverse_precoder(channel, reg, "regularized zero-forcing")
     return normalize_power(W, cfg.params.P)
 
@@ -135,7 +143,7 @@ def arzf(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
     s = channel.S_tilde
     if np.any(s <= 0):
         raise DegenerateChannelError("adaptive RZF needs positive leading singular values")
-    reg = cfg.params.regularizer / s**2
+    reg = _regularizer(channel, cfg.params) / s**2
     W = _regularized_inverse_precoder(channel, reg, "adaptive regularized zero-forcing")
     return normalize_power(W, cfg.params.P)
 

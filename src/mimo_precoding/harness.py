@@ -16,7 +16,7 @@ import numpy as np
 from .baselines import BaselineConfig, compute_baseline
 from .channels import MODELS, generate_channels
 from .errors import ConfigError, DimensionError, MimoError
-from .irc import irc_scores
+from .irc import irc_forward
 from .model import ChannelSet, SystemDims, SystemParams, is_count, noise_from_susinr
 from .optimizer import ObjectiveSpec, OptimizerConfig, lbfgs_maximize
 from .quality import PrecodingMatrix
@@ -217,8 +217,8 @@ def _score(precoders: list[PrecodingMatrix], channel: ChannelSet,
     if not precoders:
         return []
     try:
-        return [float(se) for se in irc_scores(np.stack([W.W for W in precoders]),
-                                               channel, params)]
+        return [float(se) for se in irc_forward(np.stack([W.W for W in precoders]),
+                                                channel, params)[0]]
     except (MimoError, np.linalg.LinAlgError) as exc:
         if len(precoders) == 1:
             return [_failure(exc)]

@@ -14,9 +14,14 @@ lam = sigma2 / P,
 the effective SINR is the geometric mean of the user's SINRs and the spectral
 efficiency sums L_k log2(1 + effective SINR) over users. `irc_forward` returns
 that value with a cache from which `irc_backward` pulls the gradient back
-through the detector without repeating the forward pass. `irc_scores` values
-a stack of precoders in one pass by folding them into each group's user axis
-(`UserGroup.tiled`); every value equals irc_forward's bit for bit.
+through the detector without repeating the forward pass.
+
+Both take one (T, L) precoder or a (b, T, L) stack. A stack is folded into
+each group's user axis (`UserGroup.tiled`) and every product keeps the shape a
+lone precoder gets, so each entry of a stack's value and each slice of its
+gradient equals that precoder's lone pass bit for bit. The gradient keeps the
+adjoint through the detector G: it is zero in exact arithmetic, but it cancels
+the detector's roundoff to first order.
 
 `mmse_irc` is the per-user reference detector the batched kernel is checked
 against: one user, one Cholesky solve, with an optional cross-check against
@@ -71,18 +76,22 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
     group.users and the group's spectral efficiency in bit/s/Hz: a scalar,
     or one per precoder for a group tiled over a stack of precoders. A zero
     denominator (no interference and no effective noise) raises
-    UndefinedSinrError.
+    UndefinedSinrError, a NaN one (from a NaN or an overflow in the precoder,
+    or a NaN noise) NumericalFailureError.
     """
     power = np.abs(Z) ** 2
     signal = power.take(group.own)
     np.put(power, group.own, 0.0)  # what is left of each row is interference
     g_power = np.einsum("nlr,nlr->nl", G, G.conj()).real
     den = power.sum(axis=2) + g_power * lam
-    if not den.all():
-        bad = int(group.cols[den == 0.0][0])
-        raise UndefinedSinrError(
-            f"symbol {bad}: zero denominator (no interference and no effective noise)"
-        )
+    if not (den > 0.0).all():  # a sum of nonnegative terms: zero or NaN
+        i = np.argmin(den > 0.0)
+        bad = int(group.cols.flat[i])
+        if den.flat[i] == 0.0:
+            raise UndefinedSinrError(
+                f"symbol {bad}: zero denominator (no interference and no effective noise)"
+            )
+        raise NumericalFailureError(f"symbol {bad}: SINR denominator is {den.flat[i]}")
     sinr = signal / den
     eff = geometric_means(sinr).reshape(group.users.shape)
     return sinr, den, eff, group.cols.shape[1] * np.log1p(eff).sum(axis=-1) / _LN2
@@ -162,7 +171,8 @@ def mmse_irc(H_k: np.ndarray, W: np.ndarray, k: int, dims: SystemDims,
 
 @dataclass(frozen=True)
 class GroupPass:
-    """Forward-pass arrays of one user group."""
+    """Forward-pass arrays of one user group, tiled over a stack of precoders
+    for a stacked pass (n then counts users times precoders)."""
 
     group: UserGroup
     B: np.ndarray     # (n, R_k, L)
@@ -171,7 +181,7 @@ class GroupPass:
     Z: np.ndarray     # (n, L_k, L)
     sinr: np.ndarray  # (n, L_k)
     den: np.ndarray   # (n, L_k)
-    eff: np.ndarray   # (n,) effective SINRs
+    eff: np.ndarray   # effective SINRs shaped like group.users
 
 
 @dataclass(frozen=True)
@@ -179,49 +189,44 @@ class IrcCache:
     """What irc_backward needs from one irc_forward call."""
 
     lam: float
-    shape: tuple[int, int]  # (T, L) of the precoder
+    shape: tuple[int, ...]  # (T, L) of the precoder, or (b, T, L) of a stack
     passes: tuple[GroupPass, ...]
 
 
-def irc_forward(Wp, channel: ChannelSet, params: SystemParams) -> tuple[float, IrcCache]:
+def irc_forward(Wp, channel: ChannelSet,
+                params: SystemParams) -> tuple[float | np.ndarray, IrcCache]:
     """MMSE-IRC spectral efficiency of the precoder Wp, and the cache that
-    irc_backward differentiates it from."""
+    irc_backward differentiates it from.
+
+    Wp is one (T, L) precoder, whose value is a float, or a (b, T, L) stack,
+    whose value is a (b,) array; an error of any precoder fails the whole pass.
+    """
     W = np.asarray(Wp, dtype=np.complex128)
     lam = params.noise_to_signal
     passes = []
-    se = 0.0
+    se = np.zeros(W.shape[:-2])
     for group in channel.groups:
+        if W.ndim == 3:
+            group = group.tiled(len(W), W.shape[-1])
         B, Q_inv, G = detect(W, group, lam)
         Z = G @ B
         sinr, den, eff, se_group = score_group(Z, G, group, lam)
-        se += float(se_group)
+        se += se_group
         passes.append(GroupPass(group, B, Q_inv, G, Z, sinr, den, eff))
-    return se, IrcCache(lam, W.shape, tuple(passes))
-
-
-def irc_scores(Ws, channel: ChannelSet, params: SystemParams) -> np.ndarray:
-    """MMSE-IRC spectral efficiencies of a (b, T, L) stack of precoders in one
-    pass; entry j equals irc_forward(Ws[j])[0] bit for bit.
-
-    An error of any precoder fails the whole pass.
-    """
-    W = np.asarray(Ws, dtype=np.complex128)
-    lam = params.noise_to_signal
-    se = np.zeros(len(W))
-    for group in channel.groups:
-        tiled = group.tiled(len(W), W.shape[-1])
-        B, _, G = detect(W, tiled, lam)
-        se += score_group(G @ B, G, tiled, lam)[3]
-    return se
+    return (se if W.ndim == 3 else float(se)), IrcCache(lam, W.shape, tuple(passes))
 
 
 def irc_backward(cache: IrcCache) -> np.ndarray:
     """Complex ascent gradient (twice the derivative in conj(W)) of the
-    spectral efficiency at the precoder of the forward pass.
+    spectral efficiency at the precoder of the forward pass: (T, L), or
+    (b, T, L) for a stacked pass, slice j that of precoder j alone.
 
     Adjoints flow from the SINRs to Z, then to the detector G = A^H Q^{-1}
     with Q = B B^H + lam I, and through both into B = H_k W. The forward
-    pass already inverted Q, so nothing is factored here.
+    pass already inverted Q, so nothing is factored here. The detector branch
+    (D_G to D_A and Y) is zero in exact arithmetic, since each MMSE-IRC row
+    maximizes its stream's SINR, but it cancels the detector's roundoff to
+    first order; without it the gradient loses four to five digits.
     """
     lam = cache.lam
     D_W = np.zeros(cache.shape, dtype=np.complex128)
@@ -229,10 +234,10 @@ def irc_backward(cache: IrcCache) -> np.ndarray:
         bad = (p.den <= 0.0) | (p.sinr <= 0.0)
         if bad.any():
             raise NumericalFailureError(
-                f"user {int(p.group.users[np.argmax(bad.any(axis=1))])}: spectral "
+                f"user {int(p.group.users.flat[np.argmax(bad.any(axis=1))])}: spectral "
                 "efficiency not differentiable (zero per-symbol SINR or denominator)"
             )
-        geo = p.eff[:, None]
+        geo = p.eff.reshape(-1, 1)
         # Twice d SE_k / d sinr_l for SE_k = L_k log2(1 + geomean(sinr)); the
         # factor 2 of the ascent gradient is exact here and carries through.
         c = 2.0 * geo / ((1.0 + geo) * _LN2 * p.sinr)
@@ -244,7 +249,8 @@ def irc_backward(cache: IrcCache) -> np.ndarray:
         D_A = p.Q_inv @ _h(D_G)                   # (n, R_k, L_k)
         Y = D_A @ p.G                             # (n, R_k, R_k)
         D_B = _h(p.G) @ D_Z - (Y + _h(Y)) @ p.B
+        D_B[np.arange(len(D_B))[:, None], :, p.group.cols] += D_A.swapaxes(1, 2)  # A = own cols
+        # One (T, n R) x (n R, L) GEMM per precoder, as detect's forward GEMM.
         n, R, T = p.group.H.shape
-        D_B[np.arange(n)[:, None], :, p.group.cols] += D_A.swapaxes(1, 2)  # A = own cols of B
-        D_W += p.group.H.reshape(n * R, T).conj().T @ D_B.reshape(n * R, -1)
+        D_W += p.group.H.reshape(n * R, T).conj().T @ D_B.reshape(*cache.shape[:-2], n * R, -1)
     return D_W

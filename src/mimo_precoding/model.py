@@ -109,10 +109,12 @@ class SystemParams:
     L: int
 
     def __post_init__(self):
-        if self.P <= 0:
-            raise ValueError(f"P must be positive, got {self.P}")
-        if self.sigma2 < 0:
-            raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
+        if not (self.P > 0 and math.isfinite(self.P)):
+            raise ValueError(f"P must be positive and finite, got {self.P}")
+        if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
+            raise ValueError(f"sigma2 must be nonnegative and finite, got {self.sigma2}")
+        if not is_count(self.L):
+            raise DimensionError(f"L must be an integer, got {self.L!r}")
         if self.L < 1:
             raise DimensionError(f"L must be positive, got {self.L}")
 

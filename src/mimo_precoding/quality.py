@@ -127,8 +127,8 @@ def spectral_efficiency_irc(W, channel: ChannelSet, params: SystemParams) -> Sin
     """Spectral efficiency with the MMSE-IRC detector recomputed for this precoder.
 
     It is the quantity maximized by the IRC objective. The benchmark harness
-    scores a cell's precoders together with irc.irc_scores, which gives every
-    precoder's se_bits bit for bit.
+    scores a cell's precoders together as one stack through irc.irc_forward,
+    which gives every precoder's se_bits bit for bit.
     """
     se, cache = irc_forward(as_array(W), channel, params)
     per_symbol = np.empty(channel.dims.L)

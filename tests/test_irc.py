@@ -6,6 +6,7 @@ loop gradient the kernel replaced, kept here verbatim as the reference.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from mimo_precoding import (
+    BaselineConfig,
+    NumericalFailureError,
     ObjectiveSpec,
     SingularMatrixError,
     SystemDims,
@@ -24,11 +27,12 @@ from mimo_precoding import (
     generate_channels,
     gradient,
     mmse_irc,
+    mrt,
     objective,
     spectral_efficiency_irc,
     symbol_sinr,
 )
-from mimo_precoding.irc import geometric_means, irc_backward, irc_forward, irc_scores
+from mimo_precoding.irc import geometric_means, irc_backward, irc_forward
 
 from conftest import calibrated_params, complex_randn, embed, fd_gradient, mixed_rows_precoder
 
@@ -184,6 +188,22 @@ class TestForward:
         with pytest.raises(UndefinedSinrError):
             irc_forward(np.eye(1, dtype=complex), channel, params)
 
+    def test_nan_precoder_entry_is_a_numerical_failure(self):
+        # A NaN reaching the SINRs used to be read as SINR 1: 16.0 bit/s/Hz.
+        channel = generate_channels(SystemDims.uniform(K=8, T=64, R=4, L=2), seed=0)
+        params = SystemParams(P=1.0, sigma2=0.1, L=16)
+        W = mrt(channel, BaselineConfig(kind="MRT", params=params)).W.copy()
+        W[0, 0] = np.nan
+        with pytest.raises(NumericalFailureError, match="denominator is nan"):
+            spectral_efficiency_irc(W, channel, params)
+
+    def test_nan_noise_is_a_numerical_failure(self):
+        # SystemParams rejects a NaN sigma2; the kernel's gate holds without it.
+        channel = generate_channels(SystemDims.uniform(K=8, T=64, R=4, L=2), seed=0)
+        W = mrt(channel, BaselineConfig(kind="MRT", params=calibrated_params(channel))).W
+        with pytest.raises(NumericalFailureError, match="denominator is nan"):
+            irc_forward(W, channel, SimpleNamespace(noise_to_signal=math.nan))
+
     def test_silent_user_is_undefined(self):
         # A user with no signal gets a zero detector, hence a zero denominator.
         channel = generate_channels(SystemDims.uniform(K=2, T=8, R=2, L=1), seed=2)
@@ -204,10 +224,14 @@ class TestScores:
         Ws = np.stack([W] + [mixed_rows_precoder(rng, T, L, params.P) for _ in range(b - 1)])
         if T > 1:  # one silent antenna; at T = 1 it would silence every stream
             Ws[data.draw(st.integers(0, b - 1)), data.draw(st.integers(0, T - 1))] = 0.0
-        se = irc_scores(Ws, channel, params)
-        assert se.shape == (b,)
-        for W_j, se_j in zip(Ws, se):
+        se, cache = irc_forward(Ws, channel, params)
+        grad = irc_backward(cache)
+        assert se.shape == (b,) and grad.shape == (b, T, L)
+        for W_j, se_j, grad_j in zip(Ws, se, grad):
             assert se_j == spectral_efficiency_irc(W_j, channel, params).se_bits
+            lone_se, lone_cache = irc_forward(W_j, channel, params)
+            assert type(lone_se) is float and se_j.tobytes() == np.float64(lone_se).tobytes()
+            assert grad_j.tobytes() == irc_backward(lone_cache).tobytes()
 
     def test_one_undefined_precoder_fails_the_pass(self):
         channel = generate_channels(SystemDims.uniform(K=2, T=8, R=2, L=1), seed=2)
@@ -215,7 +239,7 @@ class TestScores:
         Ws = complex_randn(np.random.default_rng(3), (3, 8, 2))
         Ws[1, :, 1] = 0.0
         with pytest.raises(UndefinedSinrError, match="symbol 1"):
-            irc_scores(Ws, channel, params)
+            irc_forward(Ws, channel, params)[0]
 
 
 class TestBackward:

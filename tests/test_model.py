@@ -69,6 +69,17 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(P=1.0, sigma2=-1.0, L=1)
 
+    @pytest.mark.parametrize("kwargs", [dict(P=math.inf), dict(P=math.nan),
+                                        dict(sigma2=math.inf), dict(sigma2=math.nan)])
+    def test_non_finite_power_or_noise_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            SystemParams(**{"P": 1.0, "sigma2": 0.1, "L": 2, **kwargs})
+
+    @pytest.mark.parametrize("L", [True, 2.5, 2.0, "2"])
+    def test_non_integer_stream_count_rejected(self, L):
+        with pytest.raises(DimensionError, match="integer"):
+            SystemParams(P=1.0, sigma2=0.1, L=L)
+
 
 class TestDecomposeUser:
     def test_identity_channel(self):
