@@ -166,45 +166,58 @@ def _row_power(W: np.ndarray) -> np.ndarray:
     return np.einsum("ml,ml->m", Wf, Wf)
 
 
+# Rows outside the ball are rescaled to this fraction of the cap, a relative
+# 2**-50 inside it: the rescaled power's rounding (a few ulp) then never
+# carries a row back over the cap, so one rescale suffices.
+_INSIDE = (1.0 - 2.0**-51) ** 2
+
+
 def _ratio_over(num, power: np.ndarray, over: np.ndarray, fill: float) -> np.ndarray:
     """num / power on the rows marked over and fill elsewhere, so rows inside
-    the ball (zero rows too) are never divided."""
+    the ball (zero rows too) are never divided. When every row is over, a
+    plain divide gives the same bits."""
+    if over.all():
+        return num / power
     return np.divide(num, power, out=np.full(power.shape, fill), where=over)
 
 
 def _ball(W: np.ndarray, P: float):
     """Where W stands against the per-antenna power ball, once per point:
     its row power, the mask of rows outside the ball and the factor
-    sqrt(cap/power) that puts them on it (1.0 on the other rows). Mask and
-    factor are None when every row is inside. The projection and its chain
-    rule both start from it."""
+    sqrt(cap (1 - 2**-51)**2 / power) that puts them a relative 2**-50 inside
+    it (exactly 1.0 on the other rows). Mask and factor are None when every
+    row is inside. The projection and its chain rule both start from it."""
     power = _row_power(W)
     cap = P / W.shape[0]
     over = power > cap
     if not over.any():
         return power, None, None
-    return power, over, np.sqrt(_ratio_over(cap, power, over, 1.0))
+    return power, over, np.sqrt(_ratio_over(cap * _INSIDE, power, over, 1.0))
 
 
 def project(W, P: float) -> np.ndarray:
     """Row-wise projection onto the per-antenna power ball of radius sqrt(P/T).
 
     Rows already within budget pass through untouched; rows outside are
-    rescaled onto the boundary. Rescaling repeats until every row power
-    satisfies the budget in floating point, which makes the map exactly
-    idempotent.
+    rescaled radially to a relative 2**-50 inside the boundary, so every row
+    power satisfies the budget in floating point after one rescale and the
+    map is exactly idempotent.
     """
     Wm = as_array(W)
     return _project(Wm, P, _ball(Wm, P))
 
 
 def _project(W: np.ndarray, P: float, ball) -> np.ndarray:
-    """project(W, P) given _ball(W, P), which the chain rule reuses."""
+    """project(W, P) given _ball(W, P), which the chain rule reuses.
+
+    The normal case is one rescale and one check pass that finds no row
+    outside; the loop only guards against a rescale that rounds over."""
     _, over, scale = ball
-    out = W.copy()
-    for i in range(4):
-        if i:
-            _, over, scale = _ball(out, P)
+    if over is None:
+        return W.copy()
+    out = W * scale[:, None]
+    for _ in range(3):
+        _, over, scale = _ball(out, P)
         if over is None:
             break
         out *= scale[:, None]
@@ -216,9 +229,10 @@ def _chain_projection(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
     _ball(W, P).
 
     Interior rows (including rows exactly on the boundary) use the identity
-    branch. For a row outside the ball the projection w -> w sqrt(cap)/||w||
-    contributes a tangential projection (the radial component of D carries no
-    first-order change) scaled by sqrt(cap)/||w||.
+    branch. For a row outside the ball the projection
+    w -> w sqrt(cap (1 - 2**-51)**2)/||w|| contributes a tangential projection
+    (the radial component of D carries no first-order change) scaled by the
+    same factor _ball gives, so the margin is in the derivative too.
     """
     power, over, scale = ball
     if over is None:

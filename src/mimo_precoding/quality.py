@@ -38,7 +38,8 @@ class PrecodingMatrix:
     """Transmit precoder of shape (T, L): rows map to antennas, columns to streams.
 
     Per-antenna feasibility (row power <= P/T) is checked by `feasible`, never
-    assumed.
+    assumed. Its tolerance is relative: a row passes when its power is at most
+    (P/T)(1 + tol), since a row power's rounding grows with P/T.
     """
 
     W: np.ndarray
@@ -70,7 +71,7 @@ class PrecodingMatrix:
         return np.einsum("ml,ml->m", self.W, self.W.conj()).real
 
     def feasible_rows(self, P: float, tol: float = 1e-12) -> np.ndarray:
-        return self.row_power() <= P / self.n_antennas + tol
+        return self.row_power() <= P / self.n_antennas * (1.0 + tol)
 
     def feasible(self, P: float, tol: float = 1e-12) -> bool:
         return bool(np.all(self.feasible_rows(P, tol)))

@@ -21,7 +21,11 @@ from mimo_precoding import (
     spectral_efficiency_irc,
 )
 from mimo_precoding.errors import DimensionError, NumericalFailureError
-from mimo_precoding.optimizer import SoftmaxParams, _Evaluator, _ProjectionParam, _SoftmaxDecoder
+from mimo_precoding import optimizer
+from mimo_precoding.optimizer import (
+    SoftmaxParams, _ball, _chain_projection, _Evaluator, _project, _ProjectionParam, _row_power,
+    _SoftmaxDecoder,
+)
 
 from conftest import (
     calibrated_params, complex_randn, embed, fd_gradient, mixed_rows_precoder, random_channel,
@@ -121,6 +125,81 @@ class TestProject:
         interleaved = once.view(np.float64)
         assert np.all(np.einsum("ml,ml->m", interleaved, interleaved) <= P / T)
         np.testing.assert_array_equal(once[np.array(scales) == 0.0], 0.0)
+
+
+def exterior_precoder(rng, P, T=64, L=16):
+    """Random (T, L) precoder whose every row has 1 to 33 times the ball's
+    radius, as the engine's iterates do."""
+    W = complex_randn(rng, (T, L))
+    W /= np.sqrt(_row_power(W))[:, None]
+    return W * (np.sqrt(P / T) * rng.uniform(1.0, 33.0, T))[:, None]
+
+
+def masked_ball(W, P):
+    """The masked form of _ball: the factor is divided on the rows outside
+    only, through np.divide's where=, whatever their number."""
+    power = _row_power(W)
+    cap = P / W.shape[0]
+    over = power > cap
+    if not over.any():
+        return power, None, None
+    inside = cap * (1.0 - 2.0**-51) ** 2
+    return power, over, np.sqrt(np.divide(inside, power, out=np.full(power.shape, 1.0),
+                                          where=over))
+
+
+def masked_chain_projection(D, W, ball):
+    """The masked form of _chain_projection."""
+    power, over, scale = ball
+    if over is None:
+        return D
+    radial = np.einsum("ml,ml->m", D, W.conj()).real
+    ratio = np.divide(radial, power, out=np.zeros(power.shape), where=over)
+    return scale[:, None] * (D - ratio[:, None] * W)
+
+
+class TestBall:
+    def test_one_rescale_lands_just_inside(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        calls = []
+
+        def counted(W, P):
+            calls.append(1)
+            return _ball(W, P)
+
+        monkeypatch.setattr(optimizer, "_ball", counted)
+        for _ in range(1000):
+            P = 10.0 ** rng.uniform(-3.0, 6.0)
+            W = exterior_precoder(rng, P)
+            cap = P / W.shape[0]
+            assert np.all(_row_power(W) > cap)
+            calls.clear()
+            out = _project(W, P, _ball(W, P))
+            assert len(calls) == 1  # the check pass, which finds no row outside
+            power = _row_power(out)
+            assert np.all(power <= cap) and np.all(power >= cap * (1.0 - 2.0**-45))
+
+    CASES = {
+        "all-outside": lambda rng: exterior_precoder(rng, 1.0, T=16, L=4),
+        "none-outside": lambda rng: mixed_rows_precoder(rng, 16, 4, 1.0, exterior_fraction=0.0),
+        "mixed": lambda rng: mixed_rows_precoder(rng, 16, 4, 1.0),
+        "zero-rows": lambda rng: exterior_precoder(rng, 1.0, T=16, L=4) * (
+            rng.random(16) < 0.7)[:, None],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_masked_forms_bitwise(self, case, seed):
+        rng = np.random.default_rng(seed)
+        W = self.CASES[case](rng)
+        D = complex_randn(rng, W.shape)
+        ball, expected = _ball(W, 1.0), masked_ball(W, 1.0)
+        for got, want in zip(ball, expected):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+        got = _chain_projection(D, W, ball)
+        assert got.tobytes() == masked_chain_projection(D, W, expected).tobytes()
 
 
 class TestObjective:

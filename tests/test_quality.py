@@ -4,14 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimo_precoding import (
+    BaselineConfig,
     DegenerateChannelError,
     InfiniteSusinrError,
     PrecodingMatrix,
+    SystemDims,
     SystemParams,
     UndefinedSinrError,
     build_channel_set,
+    compute_baseline,
     conjugate,
     effective_sinr,
+    generate_channels,
+    project,
     se_conjugate,
     sinr_conjugate,
     spectral_efficiency_irc,
@@ -29,6 +34,32 @@ class TestPrecodingMatrix:
         assert not W.feasible(P=1.0)
         assert W.feasible(P=8.0)
         np.testing.assert_array_equal(W.feasible_rows(P=1.0), [True, False])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_baselines_feasible_at_large_budget(self, seed):
+        # At P = 1e6 a row power's rounding is far above an absolute 1e-12.
+        channel = generate_channels(SystemDims.uniform(K=8, T=64, R=4, L=2), seed=seed)
+        params = calibrated_params(channel, P=1e6)
+        for kind in ("MRT", "ZF", "RZF", "ARZF"):
+            assert compute_baseline(channel, BaselineConfig(kind=kind, params=params)).feasible(1e6)
+
+    def test_projected_precoders_feasible_at_large_budget(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            W = project(1e3 * complex_randn(rng, (64, 16)), 1e6)
+            assert PrecodingMatrix(W).feasible(1e6)
+
+    @pytest.mark.parametrize("P", [1e-3, 1.0, 1e6])
+    def test_tolerance_is_relative_to_the_cap(self, P):
+        T, cap = 4, P / 4
+        on_cap = np.full((T, 1), np.sqrt(cap), dtype=complex)
+        assert PrecodingMatrix(on_cap).feasible(P, tol=0.0)
+        over = on_cap.copy()
+        over[2, 0] *= np.sqrt(1.0 + 1e-9)
+        W = PrecodingMatrix(over)
+        assert not W.feasible(P)
+        np.testing.assert_array_equal(W.feasible_rows(P), [True, True, False, True])
+        assert W.feasible(P, tol=1e-8)
 
     def test_immutable(self):
         W = PrecodingMatrix(np.zeros((2, 2), dtype=complex))
