@@ -77,7 +77,7 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
     or one per precoder for a group tiled over a stack of precoders. A zero
     denominator (no interference and no effective noise) raises
     UndefinedSinrError, a NaN one (from a NaN or an overflow in the precoder,
-    or a NaN noise) NumericalFailureError.
+    or a NaN noise) NumericalFailureError; both name the user and the symbol.
     """
     power = np.abs(Z) ** 2
     signal = power.take(group.own)
@@ -86,12 +86,13 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
     den = power.sum(axis=2) + g_power * lam
     if not (den > 0.0).all():  # a sum of nonnegative terms: zero or NaN
         i = np.argmin(den > 0.0)
-        bad = int(group.cols.flat[i])
+        user = int(group.users.flat[i // den.shape[1]])  # users is (b, n) when tiled
+        bad = f"user {user}, symbol {int(group.cols.flat[i])}"
         if den.flat[i] == 0.0:
             raise UndefinedSinrError(
-                f"symbol {bad}: zero denominator (no interference and no effective noise)"
+                f"{bad}: zero denominator (no interference and no effective noise)"
             )
-        raise NumericalFailureError(f"symbol {bad}: SINR denominator is {den.flat[i]}")
+        raise NumericalFailureError(f"{bad}: SINR denominator is {den.flat[i]}")
     sinr = signal / den
     eff = geometric_means(sinr).reshape(group.users.shape)
     return sinr, den, eff, group.cols.shape[1] * np.log1p(eff).sum(axis=-1) / _LN2

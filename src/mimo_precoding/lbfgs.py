@@ -7,12 +7,12 @@ sufficient-increase condition, which makes accepted objective values
 non-decreasing by construction.
 
 The vector work is level-1 BLAS (ddot, dscal, daxpy): on these short vectors
-a BLAS call costs about a third of a numpy call, and it gives the same bits as
-the numpy expression it replaces. ddot is the routine numpy's 1-D `@` calls.
-Each update r - a*y is the rounded product a*y (dscal on a copy) followed by
-daxpy with multiplier -1 (or +1 for r + c*s). A fused multiply-add by +-1
-rounds once, exactly like numpy's subtraction; daxpy with the multiplier a
-itself would fuse the product into the sum and change the last bits.
+a BLAS call costs about a third of a numpy call. ddot is the routine numpy's
+1-D `@` calls. Each two-loop update r - a*y is one daxpy with the multiplier
+-a (a - b for r + (a - b)*s), written into r. daxpy may fuse the product into
+the sum, so the direction can differ from numpy's r - a*y in the last bits;
+the recursion stays within a componentwise forward-error bound of the exact
+one (tests/test_lbfgs.py pins it against exact rational arithmetic).
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dcopy, ddot, dscal
+from scipy.linalg.blas import daxpy, ddot, dscal
+
+from .errors import MimoError
 
 # Pairs with curvature at or below this are dropped and the history reset.
 CURVATURE_MIN = 1e-12
@@ -37,6 +39,7 @@ TERM_GRADIENT = "gradient-tolerance"
 TERM_CHANGE = "change-tolerance"
 TERM_MAX_ITERS = "max-iterations"
 TERM_LINE_SEARCH = "line-search-failure"
+TERM_GRADIENT_FAILURE = "gradient-failure"
 
 
 @dataclass(frozen=True)
@@ -58,19 +61,16 @@ def _two_loop(g: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, float]]) 
     # The BLAS wrappers return the arrays they wrote; they copy a non-contiguous
     # argument silently, so the returned ones are used throughout.
     r = g.copy()
-    scratch = np.empty_like(g)  # every scaled history vector is formed here
     alphas = []
     for s, y, rho in reversed(pairs):
         a = rho * ddot(s, r)
-        scratch = dscal(a, dcopy(y, scratch))
-        r = daxpy(scratch, r, a=-1.0)
+        r = daxpy(y, r, a=-a)
         alphas.append(a)
     s_last, y_last, _ = pairs[-1]
     r = dscal(ddot(s_last, y_last) / ddot(y_last, y_last), r)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * ddot(y, r)
-        scratch = dscal(a - b, dcopy(s, scratch))
-        r = daxpy(scratch, r, a=1.0)
+        r = daxpy(s, r, a=a - b)
     return r
 
 
@@ -82,8 +82,11 @@ def maximize(value_and_grad, x0: np.ndarray, *, max_iters: int, tol_grad: float,
     given, is a cheaper path used inside the line search. Termination occurs
     when the gradient infinity norm drops to tol_grad, when both the objective
     change and the step norm drop to tol_change, when max_iters accepted steps
-    have been taken, or when no backtracking step satisfies the
-    sufficient-increase condition.
+    have been taken, when no backtracking step satisfies the
+    sufficient-increase condition, or when value_and_grad raises a library
+    error (MimoError) at an accepted step. That step is then the returned
+    iterate, and its history entry has a NaN gradient norm; an error at x0
+    propagates.
 
     Returns (x, info); info carries the termination reason, a StepInfo history
     (entry 0 is the starting point) and evaluation counters.
@@ -98,9 +101,14 @@ def maximize(value_and_grad, x0: np.ndarray, *, max_iters: int, tol_grad: float,
     g = np.asarray(g, dtype=float)
 
     g_inf = _inf_norm(g)
-    history = [StepInfo(0, float(f), g_inf, 0.0)]
-    if callback is not None:
-        callback(0, x, f, history[0].grad_norm, 0.0)
+    history: list[StepInfo] = []
+
+    def record(t: int, step: float) -> None:
+        history.append(StepInfo(t, float(f), g_inf, step))
+        if callback is not None:
+            callback(t, x, f, g_inf, step)
+
+    record(0, 0.0)
 
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     last_df = None
@@ -137,8 +145,14 @@ def maximize(value_and_grad, x0: np.ndarray, *, max_iters: int, tol_grad: float,
             termination = TERM_LINE_SEARCH
             break
 
-        f_new, g_new = value_and_grad(x_new)
         n_grad += 1
+        try:
+            f_new, g_new = value_and_grad(x_new)
+        except MimoError:
+            x, f, g_inf = x_new, float(f_cand), np.nan
+            record(t, step)
+            termination = TERM_GRADIENT_FAILURE
+            break
         g_new = np.asarray(g_new, dtype=float)
 
         s = x_new - x
@@ -155,11 +169,7 @@ def maximize(value_and_grad, x0: np.ndarray, *, max_iters: int, tol_grad: float,
         last_s = s
         x, f, g = x_new, float(f_new), g_new
         g_inf = _inf_norm(g)
-
-        info = StepInfo(t, f, g_inf, step)
-        history.append(info)
-        if callback is not None:
-            callback(t, x, f, info.grad_norm, step)
+        record(t, step)
 
     return x, {
         "termination": termination,

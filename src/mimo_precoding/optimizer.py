@@ -32,7 +32,7 @@ from .baselines import BaselineConfig, arzf, rzf
 from .errors import DimensionError, MimoError, NumericalFailureError
 from .irc import irc_backward, irc_forward
 from .model import ChannelSet, SystemParams, is_count
-from .quality import PrecodingMatrix, as_array, cd_backward, cd_forward, cd_noise
+from .quality import PrecodingMatrix, as_array, cd_backward, cd_forward, cd_noise, row_power
 
 OBJECTIVE_KINDS = ("cd", "irc")
 START_KINDS = ("rzf", "arzf", "custom")
@@ -161,15 +161,23 @@ class OptimizationTrace:
 # Projection and its chain rule
 
 
-def _row_power(W: np.ndarray) -> np.ndarray:
-    Wf = np.ascontiguousarray(W).view(np.float64)  # real, imaginary interleaved
-    return np.einsum("ml,ml->m", Wf, Wf)
+def _inside(L: int) -> float:
+    """The fraction of the cap P/T that _ball puts an exterior row's power at.
 
-
-# Rows outside the ball are rescaled to this fraction of the cap, a relative
-# 2**-50 inside it: the rescaled power's rounding (a few ulp) then never
-# carries a row back over the cap, so one rescale suffices.
-_INSIDE = (1.0 - 2.0**-51) ** 2
+    With u = 2**-53 and g_n = n u / (1 - n u), the computed power of a row of
+    n = 2L reals is within a relative g_n of the exact one, whatever the
+    summation order, with or without fused multiply-adds, over the float64
+    view or the complex einsum of W and conj(W) (at most L + 1 roundings per
+    term). A rescaled row's computed power is then at most
+    cap * inside * (1 + u)**6 (1 + g_n) / (1 - g_n): g_n for the power before
+    and after the rescale, and u each for cap * inside, the divide, the
+    square root (squared) and the scaling of an entry (squared). That exceeds
+    cap * inside by about (4L + 6) u; the margin is twice it, so one rescale
+    lands at or below the cap. It holds while nothing overflows and P/T and
+    the row powers stay within 1e+-150, where an underflowing entry costs far
+    less than the slack.
+    """
+    return 1.0 - (8 * L + 12) * 2.0**-53
 
 
 def _ratio_over(num, power: np.ndarray, over: np.ndarray, fill: float) -> np.ndarray:
@@ -184,44 +192,37 @@ def _ratio_over(num, power: np.ndarray, over: np.ndarray, fill: float) -> np.nda
 def _ball(W: np.ndarray, P: float):
     """Where W stands against the per-antenna power ball, once per point:
     its row power, the mask of rows outside the ball and the factor
-    sqrt(cap (1 - 2**-51)**2 / power) that puts them a relative 2**-50 inside
-    it (exactly 1.0 on the other rows). Mask and factor are None when every
-    row is inside. The projection and its chain rule both start from it."""
-    power = _row_power(W)
+    sqrt(cap * _inside(L) / power) that puts them just inside it (exactly 1.0
+    on the other rows). Mask and factor are None when every row is inside.
+    The projection and its chain rule both start from it."""
+    power = row_power(W)
     cap = P / W.shape[0]
     over = power > cap
     if not over.any():
         return power, None, None
-    return power, over, np.sqrt(_ratio_over(cap * _INSIDE, power, over, 1.0))
+    return power, over, np.sqrt(_ratio_over(cap * _inside(W.shape[1]), power, over, 1.0))
 
 
 def project(W, P: float) -> np.ndarray:
     """Row-wise projection onto the per-antenna power ball of radius sqrt(P/T).
 
     Rows already within budget pass through untouched; rows outside are
-    rescaled radially to a relative 2**-50 inside the boundary, so every row
-    power satisfies the budget in floating point after one rescale and the
-    map is exactly idempotent.
+    rescaled radially to the fraction _inside(L) of the cap, a relative
+    (8L + 12) 2**-53 inside it in power: twice the worst rounding of the
+    rescaled row's computed power, so every row power satisfies the budget
+    in floating point after one rescale and the map is exactly idempotent.
     """
     Wm = as_array(W)
-    return _project(Wm, P, _ball(Wm, P))
+    return _project(Wm, _ball(Wm, P))
 
 
-def _project(W: np.ndarray, P: float, ball) -> np.ndarray:
-    """project(W, P) given _ball(W, P), which the chain rule reuses.
-
-    The normal case is one rescale and one check pass that finds no row
-    outside; the loop only guards against a rescale that rounds over."""
+def _project(W: np.ndarray, ball) -> np.ndarray:
+    """project(W, P) given _ball(W, P), which the chain rule reuses: one
+    rescale, which _inside's margin keeps within the ball."""
     _, over, scale = ball
     if over is None:
         return W.copy()
-    out = W * scale[:, None]
-    for _ in range(3):
-        _, over, scale = _ball(out, P)
-        if over is None:
-            break
-        out *= scale[:, None]
-    return out
+    return W * scale[:, None]
 
 
 def _chain_projection(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
@@ -230,7 +231,7 @@ def _chain_projection(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
 
     Interior rows (including rows exactly on the boundary) use the identity
     branch. For a row outside the ball the projection
-    w -> w sqrt(cap (1 - 2**-51)**2)/||w|| contributes a tangential projection
+    w -> w sqrt(cap * _inside(L))/||w|| contributes a tangential projection
     (the radial component of D carries no first-order change) scaled by the
     same factor _ball gives, so the margin is in the derivative too.
     """
@@ -262,7 +263,7 @@ def gradient(W, spec) -> np.ndarray:
     """Complex ascent gradient of the projected objective at W."""
     Wm = as_array(W)
     ball = _ball(Wm, spec.P)
-    _, cache = spec.forward(_project(Wm, spec.P, ball))
+    _, cache = spec.forward(_project(Wm, ball))
     return _pull_back(spec.backward(cache), Wm, ball)
 
 
@@ -329,7 +330,7 @@ class _Evaluator:
         if x is not self._x:
             W, aux = self.param.decode_full(x)  # W may be a view of x
             ball = _ball(W, self.P)
-            f, cache = self.spec.forward(_project(W, self.P, ball))
+            f, cache = self.spec.forward(_project(W, ball))
             self._x, self._last = x, (f, W, ball, aux, cache)
         return self._last
 

@@ -244,7 +244,7 @@ class TestRunScenario:
                           algorithms=("MRT", "ZF", "RZF", "ARZF"))
         report = run_scenario(cfg)
         assert [r.algorithm for r in report.failures] == ["ZF"]
-        assert report.failures[0].error.startswith("UndefinedSinrError: symbol 0: ")
+        assert report.failures[0].error.startswith("UndefinedSinrError: user 0, symbol 0: ")
         assert report.failures[0].wall_ms is not None
         assert rows_without_wall_ms(report) == reference_cell(cfg, 0, 12.0)
 

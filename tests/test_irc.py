@@ -238,7 +238,7 @@ class TestScores:
         params = calibrated_params(channel)
         Ws = complex_randn(np.random.default_rng(3), (3, 8, 2))
         Ws[1, :, 1] = 0.0
-        with pytest.raises(UndefinedSinrError, match="symbol 1"):
+        with pytest.raises(UndefinedSinrError, match="user 1, symbol 1"):
             irc_forward(Ws, channel, params)[0]
 
 

@@ -20,12 +20,13 @@ from mimo_precoding import (
     softmax_maximize,
     spectral_efficiency_irc,
 )
-from mimo_precoding.errors import DimensionError, NumericalFailureError
-from mimo_precoding import optimizer
+from mimo_precoding.errors import DimensionError, NumericalFailureError, UndefinedSinrError
+from mimo_precoding import lbfgs, optimizer
 from mimo_precoding.optimizer import (
-    SoftmaxParams, _ball, _chain_projection, _Evaluator, _project, _ProjectionParam, _row_power,
+    SoftmaxParams, _ball, _chain_projection, _Evaluator, _project, _ProjectionParam,
     _SoftmaxDecoder,
 )
+from mimo_precoding.quality import PrecodingMatrix, row_power
 
 from conftest import (
     calibrated_params, complex_randn, embed, fd_gradient, mixed_rows_precoder, random_channel,
@@ -131,19 +132,25 @@ def exterior_precoder(rng, P, T=64, L=16):
     """Random (T, L) precoder whose every row has 1 to 33 times the ball's
     radius, as the engine's iterates do."""
     W = complex_randn(rng, (T, L))
-    W /= np.sqrt(_row_power(W))[:, None]
+    W /= np.sqrt(row_power(W))[:, None]
     return W * (np.sqrt(P / T) * rng.uniform(1.0, 33.0, T))[:, None]
+
+
+def margin(L):
+    """Twice the worst relative rounding of a rescaled row's computed power,
+    (4L + 6) 2**-53 for a row of 2L reals (see optimizer._inside)."""
+    return (8 * L + 12) * 2.0**-53
 
 
 def masked_ball(W, P):
     """The masked form of _ball: the factor is divided on the rows outside
     only, through np.divide's where=, whatever their number."""
-    power = _row_power(W)
+    power = row_power(W)
     cap = P / W.shape[0]
     over = power > cap
     if not over.any():
         return power, None, None
-    inside = cap * (1.0 - 2.0**-51) ** 2
+    inside = cap * (1.0 - margin(W.shape[1]))
     return power, over, np.sqrt(np.divide(inside, power, out=np.full(power.shape, 1.0),
                                           where=over))
 
@@ -172,12 +179,24 @@ class TestBall:
             P = 10.0 ** rng.uniform(-3.0, 6.0)
             W = exterior_precoder(rng, P)
             cap = P / W.shape[0]
-            assert np.all(_row_power(W) > cap)
+            ball = _ball(W, P)
+            assert ball[1].all()
             calls.clear()
-            out = _project(W, P, _ball(W, P))
-            assert len(calls) == 1  # the check pass, which finds no row outside
-            power = _row_power(out)
-            assert np.all(power <= cap) and np.all(power >= cap * (1.0 - 2.0**-45))
+            out = _project(W, ball)
+            assert calls == []  # no check pass
+            power = row_power(out)
+            assert np.all(power <= cap) and np.all(power >= cap * (1.0 - 2.0 * margin(16)))
+
+    @pytest.mark.parametrize("L", [1, 2, 16, 64, 256])
+    def test_projected_rows_meet_the_budget_exactly(self, L):
+        # The margin is proven for both ways a row power is computed: the one
+        # routine (float64 view) and the complex einsum of W and conj(W).
+        rng = np.random.default_rng(L)
+        for _ in range(1000):
+            P = 10.0 ** rng.uniform(-3.0, 8.0)
+            W = project(exterior_precoder(rng, P, L=L), P)
+            assert PrecodingMatrix(W).feasible(P, tol=0.0)
+            assert np.all(np.einsum("ml,ml->m", W, W.conj()).real <= P / W.shape[0])
 
     CASES = {
         "all-outside": lambda rng: exterior_precoder(rng, 1.0, T=16, L=4),
@@ -385,6 +404,39 @@ class TestLbfgsMaximize:
     def test_programming_error_at_a_trial_propagates(self):
         spec, cfg, raised = self._guarded_linear_spec(RuntimeError)
         with pytest.raises(RuntimeError, match="trusted region"):
+            lbfgs_maximize(spec, cfg)
+
+    def test_gradient_failure_at_an_accepted_step_returns_it(self):
+        # The second gradient call, at the first accepted step, fails: the run
+        # keeps that step and names the reason instead of raising.
+        C = complex_randn(np.random.default_rng(34), (4, 2))
+        grads = []
+
+        def wirtinger_grad(W):
+            grads.append(W.copy())
+            if len(grads) == 2:
+                raise NumericalFailureError("gradient blew up")
+            return C
+
+        spec = CustomObjective(value=lambda W: float(np.vdot(C, W).real),
+                               wirtinger_grad=wirtinger_grad, shape=(4, 2), P=1.0)
+        cfg = OptimizerConfig(max_iters=30, start="custom",
+                              start_matrix=np.zeros((4, 2), dtype=complex))
+        W, trace = lbfgs_maximize(spec, cfg)
+        assert trace.termination == lbfgs.TERM_GRADIENT_FAILURE
+        assert trace.n_grad_evals == 2 and trace.iterations == 1
+        np.testing.assert_array_equal(W.W, grads[1])
+        assert trace.records[-1].objective == float(np.vdot(C, W.W).real) > 0.0
+        assert math.isnan(trace.records[-1].grad_norm)
+
+    def test_undefined_sinr_names_the_user(self):
+        # User 2 of 3 owns streams 4 and 5; with them silent its detector is
+        # zero and its SINR undefined.
+        spec = irc_spec(35, K=3, T=8, R=2, L=2)
+        start = complex_randn(np.random.default_rng(36), (8, 6))
+        start[:, 4:] = 0.0
+        cfg = OptimizerConfig(start="custom", start_matrix=start)
+        with pytest.raises(UndefinedSinrError, match="user 2, symbol 4: zero denominator"):
             lbfgs_maximize(spec, cfg)
 
     def test_scalar_boundary_case_with_grid_oracle(self):
