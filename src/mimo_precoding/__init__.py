@@ -36,8 +36,6 @@ from .model import (
     SystemParams,
     UserChannel,
     build_channel_set,
-    decompose_user,
-    decompose_users,
     noise_from_susinr,
 )
 from .optimizer import (

@@ -21,16 +21,7 @@ from pathlib import Path
 from .channel_io import write_channels
 from .channels import generate_channels
 from .errors import ConfigError, MimoError
-from .harness import (
-    QN_ALGOS,
-    ScenarioConfig,
-    export_report,
-    parse_qn_name,
-    run_scenario,
-)
-from .model import SystemParams, noise_from_susinr
-from .optimizer import ObjectiveSpec, lbfgs_maximize
-from .quality import spectral_efficiency_irc
+from .harness import QN_ALGOS, ScenarioConfig, export_report, export_trace, run_scenario
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,49 +175,11 @@ def _mean_se_table(report) -> str:
 def _cmd_trace(args) -> int:
     cfg = load_scenario(args)
     _check_out(args.out)
-    algo = cfg.algorithms[0]
-    if algo not in QN_ALGOS:
-        qn = [a for a in cfg.algorithms if a in QN_ALGOS]
-        if not qn:
-            raise ConfigError(f"trace needs a quasi-Newton algorithm, got {cfg.algorithms}")
-        algo = qn[0]
-    seed = cfg.seeds[0]
-    susinr = cfg.susinr_grid_db[0]
-    channel = generate_channels(cfg.dims, seed, cfg.channel_model, cfg.rho)
-    sigma2 = noise_from_susinr(channel, cfg.P, susinr)
-    params = SystemParams(P=cfg.P, sigma2=sigma2, L=cfg.dims.L)
-    kind, start = parse_qn_name(algo)
-    spec = ObjectiveSpec(kind=kind, channel=channel, params=params)
-    opt_cfg = replace(cfg.optimizer, start=start)
-
-    score = None
-    if kind != "irc":
-        score = lambda W: spectral_efficiency_irc(W, channel, params).se_bits
-    _, trace = lbfgs_maximize(spec, opt_cfg, score_fn=score)
-    # The QN-IRC objective is SE-IRC of the accepted precoder, computed the same way.
-    se_irc = [r.se_irc_bits if score else r.objective for r in trace.records]
-
-    fmt = _format_for(args.out, args.format)
-    if fmt == "csv":
-        lines = ["iteration,objective,grad_norm,step,se_irc_bits"]
-        for r, se in zip(trace.records, se_irc):
-            lines.append(f"{r.iteration},{r.objective:.6g},{r.grad_norm:.6g},"
-                         f"{r.step:.6g},{se:.6g}")
-        args.out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    else:
-        doc = {
-            "algorithm": algo, "seed": seed, "susinr_db": susinr,
-            "termination": trace.termination,
-            "records": [{
-                "iteration": r.iteration,
-                "objective": float(f"{r.objective:.6g}"),
-                "grad_norm": float(f"{r.grad_norm:.6g}"),
-                "step": float(f"{r.step:.6g}"),
-                "se_irc_bits": float(f"{se:.6g}"),
-            } for r, se in zip(trace.records, se_irc)],
-        }
-        args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
-    print(f"wrote {args.out} ({algo}, seed {seed}, {susinr} dB, "
+    qn = [a for a in cfg.algorithms if a in QN_ALGOS]
+    if not qn:
+        raise ConfigError(f"trace needs a quasi-Newton algorithm, got {cfg.algorithms}")
+    trace = export_trace(cfg, qn[0], _format_for(args.out, args.format), args.out)
+    print(f"wrote {args.out} ({qn[0]}, seed {cfg.seeds[0]}, {cfg.susinr_grid_db[0]} dB, "
           f"{trace.iterations} iterations, {trace.termination})")
     return 0
 

@@ -1,14 +1,16 @@
 """Benchmark harness: scenario sweeps over seeds and channel-quality points,
-uniform SE scoring under MMSE-IRC detection and report export.
+uniform SE scoring under MMSE-IRC detection, and one writer for the sweep
+report and the per-iteration trace of a quasi-Newton run.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from .channels import MODELS, generate_channels
 from .errors import ConfigError, DimensionError, MimoError
 from .irc import irc_forward
 from .model import ChannelSet, SystemDims, SystemParams, is_count, noise_from_susinr
-from .optimizer import ObjectiveSpec, OptimizerConfig, lbfgs_maximize
+from .optimizer import ObjectiveSpec, OptimizationTrace, OptimizerConfig, lbfgs_maximize
 from .quality import PrecodingMatrix
 
 BASELINE_ALGOS = ("MRT", "ZF", "RZF", "ARZF")
@@ -26,17 +28,22 @@ QN_ALGOS = ("QN-CD-RZF", "QN-CD-ARZF", "QN-IRC-RZF", "QN-IRC-ARZF")
 ALGORITHMS = BASELINE_ALGOS + QN_ALGOS
 
 CSV_COLUMNS = ("seed", "susinr_db", "algorithm", "se_irc_bits", "wall_ms", "iterations")
+TRACE_COLUMNS = ("iteration", "objective", "grad_norm", "step", "se_irc_bits")
 
 
 def _default_dims() -> SystemDims:
     return SystemDims.uniform(K=8, T=64, R=4, L=2)
 
 
-def _number(name: str, x):
-    """x itself, unless it is a boolean, which a float field would read as 0 or 1."""
-    if isinstance(x, (bool, np.bool_)):
+def _number(name: str, x) -> float:
+    """x as a float, if it is a real number; a boolean, which a float field
+    would read as 0 or 1, is not."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {x!r}")
-    return x
+    try:
+        return float(x)
+    except OverflowError:
+        raise ConfigError(f"{name} must be finite, got an integer beyond float range") from None
 
 
 @dataclass(frozen=True)
@@ -64,9 +71,9 @@ class ScenarioConfig:
             raise ConfigError(f"seeds must be integers, got {seeds!r}")
         object.__setattr__(self, "seeds", tuple(map(int, seeds)))
         object.__setattr__(self, "susinr_grid_db",
-                           tuple(float(_number("susinr_grid_db", x)) for x in self.susinr_grid_db))
-        _number("P", self.P)
-        _number("rho", self.rho)
+                           tuple(_number("susinr_grid_db", x) for x in self.susinr_grid_db))
+        object.__setattr__(self, "P", _number("P", self.P))
+        object.__setattr__(self, "rho", _number("rho", self.rho))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
@@ -108,7 +115,7 @@ class ScenarioConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
+        kwargs = {k: raw[k] for k in ("P", "channel_model", "rho", "workers") if k in raw}
         try:
             if "dims" in raw:
                 d = raw["dims"]
@@ -124,16 +131,8 @@ class ScenarioConfig:
                 kwargs["seeds"] = tuple(range(s)) if is_count(s) else tuple(s)
             if "susinr_grid_db" in raw:
                 kwargs["susinr_grid_db"] = tuple(raw["susinr_grid_db"])
-            if "P" in raw:
-                kwargs["P"] = float(_number("P", raw["P"]))
             if "algorithms" in raw:
                 kwargs["algorithms"] = tuple(raw["algorithms"])
-            if "channel_model" in raw:
-                kwargs["channel_model"] = raw["channel_model"]
-            if "rho" in raw:
-                kwargs["rho"] = float(_number("rho", raw["rho"]))
-            if "workers" in raw:
-                kwargs["workers"] = raw["workers"]
             if "optimizer" in raw:
                 kwargs["optimizer"] = OptimizerConfig(**raw["optimizer"])
         except ConfigError:
@@ -192,15 +191,22 @@ def parse_qn_name(name: str) -> tuple[str, str]:
 
 
 def run_algorithm(name: str, channel: ChannelSet, params: SystemParams,
-                  opt_cfg: OptimizerConfig) -> tuple[PrecodingMatrix, int]:
-    """Build one precoder; returns it with the iteration count (0 for baselines)."""
+                  opt_cfg: OptimizerConfig, score_fn=None):
+    """Build one precoder; returns it with its OptimizationTrace (None for
+    baselines). score_fn, if given, scores each accepted QN iterate."""
     if name in BASELINE_ALGOS:
-        W = compute_baseline(channel, BaselineConfig(kind=name, params=params))
-        return W, 0
+        return compute_baseline(channel, BaselineConfig(kind=name, params=params)), None
     kind, start = parse_qn_name(name)
     spec = ObjectiveSpec(kind=kind, channel=channel, params=params)
-    W, trace = lbfgs_maximize(spec, replace(opt_cfg, start=start))
-    return W, trace.iterations
+    return lbfgs_maximize(spec, replace(opt_cfg, start=start), score_fn=score_fn)
+
+
+def cell(cfg: ScenarioConfig, seed: int, susinr_db: float) -> tuple[ChannelSet, SystemParams]:
+    """The channel of one (seed, susinr) cell, and the system parameters with
+    the noise calibrated so that it reaches susinr_db."""
+    channel = generate_channels(cfg.dims, seed, cfg.channel_model, cfg.rho)
+    sigma2 = noise_from_susinr(channel, cfg.P, susinr_db)
+    return channel, SystemParams(P=cfg.P, sigma2=sigma2, L=cfg.dims.L)
 
 
 def _failure(exc: Exception) -> str:
@@ -228,20 +234,19 @@ def _score(precoders: list[PrecodingMatrix], channel: ChannelSet,
 def _run_cell(cfg: ScenarioConfig, seed: int, susinr_db: float) -> list[RunRecord]:
     """Build each algorithm's precoder in turn (wall_ms times the build alone),
     then score all that built together."""
-    channel = generate_channels(cfg.dims, seed, cfg.channel_model, cfg.rho)
-    sigma2 = noise_from_susinr(channel, cfg.P, susinr_db)
-    params = SystemParams(P=cfg.P, sigma2=sigma2, L=cfg.dims.L)
+    channel, params = cell(cfg, seed, susinr_db)
     rows, built = [], {}  # rows: (wall_ms, iterations, error); built: row index -> precoder
     for algo in cfg.algorithms:
         t0 = time.perf_counter()
         try:
-            W, iterations = run_algorithm(algo, channel, params, cfg.optimizer)
+            W, trace = run_algorithm(algo, channel, params, cfg.optimizer)
         except (MimoError, np.linalg.LinAlgError) as exc:
             # Numerical trouble fails only this row; a programming error propagates.
             rows.append(((time.perf_counter() - t0) * 1e3, None, _failure(exc)))
             continue
         built[len(rows)] = W
-        rows.append(((time.perf_counter() - t0) * 1e3, iterations, None))
+        rows.append(((time.perf_counter() - t0) * 1e3,
+                     0 if trace is None else trace.iterations, None))
     scores = dict(zip(built, _score(list(built.values()), channel, params)))
     records = []
     for i, (algo, (wall_ms, iterations, error)) in enumerate(zip(cfg.algorithms, rows)):
@@ -288,38 +293,55 @@ def _round6(x):
     return None if x is None else float(f"{x:.6g}")
 
 
-def export_report(report: RunReport, format: str, path) -> None:
-    """Write the report as CSV or JSON (UTF-8, LF endings, 6 significant digits).
+def write_table(path, format: str, columns, rows, document) -> None:
+    """Write rows, dicts over at least columns, as CSV or JSON (UTF-8, LF
+    endings, 6 significant digits).
 
-    Failed cells keep their row with empty value fields in CSV; JSON mirrors
-    the rows and adds the aggregate means and the failure reasons.
+    CSV writes a header line of the columns, then each row's columns through
+    _fmt. JSON writes document(rows), with each row's floats rounded by
+    _round6: document puts the rows under the command's own header.
     """
-    path = Path(path)
     if format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for r in report.rows:
-            lines.append(",".join([
-                str(r.seed), _fmt(r.susinr_db), r.algorithm,
-                _fmt(r.se_irc_bits), _fmt(r.wall_ms),
-                "" if r.iterations is None else str(r.iterations),
-            ]))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        lines = [",".join(columns)]
+        lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+        text = "\n".join(lines) + "\n"
     elif format == "json":
-        doc = {
-            "rows": [{
-                "seed": r.seed,
-                "susinr_db": _round6(r.susinr_db),
-                "algorithm": r.algorithm,
-                "se_irc_bits": _round6(r.se_irc_bits),
-                "wall_ms": _round6(r.wall_ms),
-                "iterations": r.iterations,
-                "error": r.error,
-            } for r in report.rows],
-            "aggregates": [
-                {**a, "mean_se_irc_bits": _round6(a["mean_se_irc_bits"])}
-                for a in report.aggregates()
-            ],
-        }
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
+        rounded = [{k: _round6(v) if isinstance(v, float) else v for k, v in row.items()}
+                   for row in rows]
+        text = json.dumps(document(rounded), indent=2) + "\n"
     else:
         raise ConfigError(f"unknown report format {format!r}, expected 'csv' or 'json'")
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def export_report(report: RunReport, format: str, path) -> None:
+    """Write the report as CSV or JSON through write_table.
+
+    Failed cells keep their row with empty value fields in CSV; JSON mirrors
+    the rows, failure reasons included, and adds the aggregate means.
+    """
+    aggregates = [{**a, "mean_se_irc_bits": _round6(a["mean_se_irc_bits"])}
+                  for a in report.aggregates()]
+    write_table(path, format, CSV_COLUMNS, [asdict(r) for r in report.rows],
+                lambda rows: {"rows": rows, "aggregates": aggregates})
+
+
+def export_trace(cfg: ScenarioConfig, algorithm: str, format: str, path) -> OptimizationTrace:
+    """Run one quasi-Newton algorithm on the first seed and SUSINR point of
+    cfg, the cell a sweep would draw, and write its per-iteration trace
+    through write_table; returns the trace.
+
+    The se_irc_bits column is the SE-IRC of each accepted precoder: the
+    objective itself for QN-IRC, a separate MMSE-IRC pass for QN-CD.
+    """
+    seed, susinr_db = cfg.seeds[0], cfg.susinr_grid_db[0]
+    channel, params = cell(cfg, seed, susinr_db)
+    irc = parse_qn_name(algorithm)[0] == "irc"
+    score = None if irc else lambda W: irc_forward(W, channel, params)[0]
+    _, trace = run_algorithm(algorithm, channel, params, cfg.optimizer, score)
+    rows = [{**asdict(r), "se_irc_bits": r.objective if irc else r.se_irc_bits}
+            for r in trace.records]
+    write_table(path, format, TRACE_COLUMNS, rows, lambda rows: {
+        "algorithm": algorithm, "seed": seed, "susinr_db": susinr_db,
+        "termination": trace.termination, "records": rows})
+    return trace

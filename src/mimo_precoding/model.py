@@ -26,15 +26,6 @@ def is_count(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only contiguous copy that leaves the caller's array writable."""
-    out = np.ascontiguousarray(a)
-    if out is a:
-        out = a.copy()
-    out.setflags(write=False)
-    return out
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     """Mark an array this module made, and hands out, read-only."""
     a.setflags(write=False)
@@ -227,45 +218,19 @@ class ChannelSet:
         return _read_only(self.V_tilde @ self.V_tilde.conj().T)
 
 
-def decompose_user(H_k: np.ndarray, L_k: int, user: int | None = None) -> UserChannel:
-    """Reduced SVD of one user channel: decompose_users on a batch of one."""
-    H = np.asarray(H_k, dtype=np.complex128)
-    return decompose_users(H[None], L_k, (user,))[0]
+def _factors(H: np.ndarray, L_k: int, users) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only reduced SVD factors U, S, V of a complex (n, R_k, T) stack of
+    same-shape user channels that carry L_k streams each, in one batched call.
 
-
-def decompose_users(H: np.ndarray, L_k: int, users) -> list[UserChannel]:
-    """Reduced SVDs of a stack of same-shape user channels in one batched call.
-
-    H has shape (n, R_k, T) and every matrix carries L_k streams; users gives
-    the user index that errors name (None reads "channel"). The phase of each
-    row of V is fixed so that its largest-magnitude entry is real and positive
-    (the matching row of U absorbs the conjugate phase), which makes
+    users gives the user index of each matrix, which errors name. The phase of
+    each row of V is fixed so that its largest-magnitude entry is real and
+    positive (the matching row of U absorbs the conjugate phase), which makes
     decompositions reproducible across runs. The factors equal those of
-    per-matrix SVDs bit for bit, and each user's arrays are read-only views of
-    the batch.
+    per-matrix SVDs bit for bit.
 
     Raises DegenerateChannelError if a channel's rank is below its L_k, since a
     zero leading singular value cannot be inverted by conjugate detection.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    if H.ndim != 3:
-        raise DimensionError(f"channel must be a matrix, got ndim={H.ndim - 1}")
-    n, R_k, T = H.shape
-    if R_k > T:
-        raise DimensionError(f"need R_k <= T, got R_k={R_k}, T={T}")
-    if not is_count(L_k):
-        raise DimensionError(f"layer count must be an integer, got {L_k!r}")
-    L_k = int(L_k)
-    if not 1 <= L_k <= R_k:
-        raise DimensionError(f"need 1 <= L_k <= R_k, got L_k={L_k}, R_k={R_k}")
-    U, s, V = _factors(H, L_k, users)
-    H = _frozen(H)
-    return [UserChannel(H=H[i], U=U[i], S=s[i], V=V[i], L_k=L_k) for i in range(n)]
-
-
-def _factors(H: np.ndarray, L_k: int, users) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only U, S, V of decompose_users for a complex (n, R_k, T) stack of
-    checked shape."""
     if not np.isfinite(H).all():
         raise ValueError("channel matrix has non-finite entries")
     u, s, vh = np.linalg.svd(H, full_matrices=False)
@@ -290,9 +255,8 @@ def _factors(H: np.ndarray, L_k: int, users) -> tuple[np.ndarray, np.ndarray, np
     weak = (s_max == 0.0) | (s[:, L_k - 1] <= RANK_TOL * s_max)
     if weak.any():
         i = int(np.argmax(weak))
-        who = f"user {users[i]}" if users[i] is not None else "channel"
         raise DegenerateChannelError(
-            f"{who}: rank below requested stream count L_k={L_k} "
+            f"user {users[i]}: rank below requested stream count L_k={L_k} "
             f"(leading singular values {s[i, :L_k]})"
         )
     return _read_only(U), _read_only(s), _read_only(V)

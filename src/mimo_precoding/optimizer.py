@@ -14,8 +14,8 @@ already-projected precoder and `backward(cache) -> complex ascent gradient`
 at that same point. The drivers call nothing else, so a gradient reuses the
 products of the forward pass it follows.
 
-A softmax reparametrization of the precoder (feasible by construction) is
-provided as an alternative route to the same problem.
+A softmax reparametrization of the precoder (feasible in exact arithmetic)
+is provided as an alternative route to the same problem.
 """
 
 from __future__ import annotations
@@ -288,20 +288,17 @@ def _starting_point(spec, cfg: OptimizerConfig) -> np.ndarray:
 class _ProjectionParam:
     """The engine's vector is W itself viewed as float64 (real and imaginary
     parts interleaved), so decoding and chaining copy nothing; the objective
-    projects W, and the returned precoder is the projected iterate."""
+    projects W, and the returned precoder is the projected iterate. P is
+    taken for the common param_type(shape, P) signature; W needs none."""
 
     def __init__(self, shape: tuple[int, int], P: float):
         self.shape = shape
-        self.P = P
 
     def encode(self, W0: np.ndarray) -> np.ndarray:
         return np.array(W0, dtype=np.complex128, order="C").view(np.float64).ravel()
 
     def decode_full(self, x: np.ndarray):
         return x.view(np.complex128).reshape(self.shape), None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return project(self.decode_full(x)[0], self.P)
 
     def chain(self, D: np.ndarray, W: np.ndarray, aux) -> np.ndarray:
         return np.ascontiguousarray(D).view(np.float64).ravel()
@@ -354,18 +351,22 @@ def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
 
     param_type(shape, P) maps between the engine's real vector x and W:
     encode(W0) gives the first x, decode_full(x) gives W plus what chain(D, W,
-    aux) needs to turn the ascent gradient D at W into the gradient over x,
-    and param(x) is the precoder returned for the final x.
+    aux) needs to turn the ascent gradient D at W into the gradient over x.
+    The precoder of an x is the projection of its W, the point the objective
+    is evaluated at; it is what score_fn sees and what is returned.
     """
     cfg = cfg or OptimizerConfig()
     param = param_type(spec.shape, spec.P)
     x0 = param.encode(_starting_point(spec, cfg))
     records: list[IterationRecord] = []
 
+    def precoder(x):
+        return project(param.decode_full(x)[0], spec.P)
+
     def on_iteration(i, x, f, grad_norm, step):
         se = None
         if score_fn is not None:
-            se = float(score_fn(param(x)))
+            se = float(score_fn(precoder(x)))
         records.append(IterationRecord(i, float(f), float(grad_norm), float(step), se))
 
     evaluator = _Evaluator(spec, param)
@@ -379,7 +380,7 @@ def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
         value=evaluator.value,
         callback=on_iteration,
     )
-    return PrecodingMatrix(param(x)), OptimizationTrace(
+    return PrecodingMatrix(precoder(x)), OptimizationTrace(
         tuple(records), info["termination"], info["n_value_evals"], info["n_grad_evals"])
 
 
@@ -414,7 +415,8 @@ class SoftmaxParams:
 
     Row i distributes the fraction sigmoid(alpha_i) of its power budget P/T
     over streams via softmax(theta_i); phases are 2*pi*sigmoid(eta). Decoded
-    rows therefore always sit strictly inside the power ball.
+    rows are inside the power ball in exact arithmetic only: at a saturated
+    sigmoid a computed row power can round above the cap.
     """
 
     theta: np.ndarray  # (T, L)
@@ -475,9 +477,6 @@ class _SoftmaxDecoder:
     def decode_full(self, x: np.ndarray):
         return self.unpack(x)._decode_full(self.P)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.decode_full(x)[0]
-
     def chain(self, D: np.ndarray, W: np.ndarray, aux) -> np.ndarray:
         """Real gradient for the packed parameters from the complex ascent
         gradient D at W = decode(x).
@@ -500,10 +499,11 @@ class _SoftmaxDecoder:
 def softmax_maximize(spec, cfg: OptimizerConfig | None = None, score_fn=None):
     """Maximize the same objective over the softmax parameters.
 
-    The decoded precoder is feasible by construction (strictly inside the power
-    ball), so the projection inside the objective is the identity along the
-    whole trajectory. Uses the same quasi-Newton engine and configuration as
-    lbfgs_maximize; expect slower convergence since boundary solutions require
-    saturating sigmoids.
+    The decoded precoder is inside the power ball in exact arithmetic, so the
+    projection inside the objective moves only rows that rounding puts above
+    the cap, and the returned precoder is projected as lbfgs_maximize's is, so
+    it meets the budget exactly. Uses the same quasi-Newton engine and
+    configuration as lbfgs_maximize; expect slower convergence since boundary
+    solutions require saturating sigmoids.
     """
     return _maximize(spec, cfg, score_fn, _SoftmaxDecoder)

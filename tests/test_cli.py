@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -133,12 +135,13 @@ class TestUnwritableOutput:
     def test_missing_directory_exits_one_before_any_work(self, tmp_path, capsys,
                                                          monkeypatch, command, algo):
         import mimo_precoding.cli as cli
+        import mimo_precoding.harness as harness
 
         def no_work(*args, **kwargs):
             raise AssertionError("ran before checking the output path")
 
         monkeypatch.setattr(cli, "run_scenario", no_work)
-        monkeypatch.setattr(cli, "generate_channels", no_work)
+        monkeypatch.setattr(harness, "generate_channels", no_work)
         cfg = write_config(tmp_path, algorithms=[algo])
         out = tmp_path / "missing" / "out.csv"
         assert main([command, "--config", str(cfg), "--out", str(out), "--iters", "2"]) == 1
@@ -203,3 +206,41 @@ class TestTrace:
         assert doc["algorithm"] == "QN-CD-RZF"
         assert doc["records"][0]["iteration"] == 0
 
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def without_wall_ms(path) -> bytes:
+    """The bytes of a run or trace artifact with each wall_ms value blanked."""
+    data = path.read_bytes()
+    if path.suffix == ".json":
+        return re.sub(rb'"wall_ms": [^,\n]+', b'"wall_ms": -', data)
+    if data.startswith(b"seed,"):  # a run report: wall_ms is the fifth column
+        return b"".join(b",".join(line.split(b",")[:4] + line.split(b",")[5:]) + b"\n"
+                        for line in data.splitlines())
+    return data
+
+
+class TestGoldenArtifacts:
+    """run and trace write the same bytes as the files under tests/golden,
+    wall_ms aside. The SUSINR point has more digits than the 6 the rows keep,
+    while the trace header and the report's aggregates keep it unrounded."""
+
+    CONFIG = {"dims": {"K": 3, "T": 8, "R_k": [2, 2, 3], "L_k": [1, 2, 2]},
+              "seeds": [0, 1], "susinr_grid_db": [12.3456789, -4.0],
+              "optimizer": {"max_iters": 6}}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command, algos, name", [
+        ("run", None, "run"),
+        ("trace", "QN-IRC-ARZF", "trace-qn-irc-arzf"),
+        ("trace", "QN-CD-RZF", "trace-qn-cd-rzf"),
+    ])
+    def test_bytes_match(self, tmp_path, capsys, command, algos, name, fmt):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        out = tmp_path / f"{name}.{fmt}"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        assert main(argv + (["--algos", algos] if algos else [])) == 0
+        assert without_wall_ms(out) == without_wall_ms(GOLDEN / out.name)

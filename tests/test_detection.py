@@ -5,8 +5,8 @@ from mimo_precoding import (
     DegenerateChannelError,
     SingularMatrixError,
     SystemDims,
+    build_channel_set,
     conjugate,
-    decompose_user,
     mmse_irc,
 )
 
@@ -66,16 +66,16 @@ class TestMmseIrc:
 
 class TestConjugate:
     def test_identity_channel(self):
-        user = decompose_user(np.eye(2), L_k=2)
+        user = build_channel_set([np.eye(2)], [2]).users[0]
         np.testing.assert_allclose(conjugate(user), np.eye(2), atol=1e-12)
 
     def test_diagonal_channel(self):
-        user = decompose_user(np.diag([2.0, 1.0]), L_k=1)
+        user = build_channel_set([np.diag([2.0, 1.0])], [1]).users[0]
         np.testing.assert_allclose(conjugate(user), [[0.5, 0.0]], atol=1e-12)
 
     def test_product_oracle_and_row_norms(self):
         rng = np.random.default_rng(10)
-        user = decompose_user(complex_randn(rng, (4, 8)), L_k=2)
+        user = build_channel_set([complex_randn(rng, (4, 8))], [2]).users[0]
         G = conjugate(user)
         np.testing.assert_allclose(G @ user.H, user.V_tilde, atol=1e-10)
         norms = np.linalg.norm(G, axis=1)

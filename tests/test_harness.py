@@ -59,8 +59,9 @@ def reference_cell(cfg, seed, susinr_db):
     rows = []
     for algo in cfg.algorithms:
         try:
-            W, iterations = harness.run_algorithm(algo, channel, params, cfg.optimizer)
+            W, trace = harness.run_algorithm(algo, channel, params, cfg.optimizer)
             se = spectral_efficiency_irc(W, channel, params).se_bits
+            iterations = 0 if trace is None else trace.iterations
             rows.append((seed, susinr_db, algo, float(se), iterations, None))
         except (MimoError, np.linalg.LinAlgError) as exc:
             rows.append((seed, susinr_db, algo, None, None, f"{type(exc).__name__}: {exc}"))
@@ -152,6 +153,26 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig(**kwargs)
 
+    # from_dict used to coerce these with float(), and the constructor let
+    # them through to a bare TypeError.
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(P="1"), "P"),
+        (dict(P=None), "P"),
+        (dict(rho="0.1"), "rho"),
+        (dict(susinr_grid_db=("12",)), "susinr_grid_db"),
+        (dict(P=10**400), "P"),  # beyond float range
+    ])
+    def test_non_number_in_float_field_names_the_field(self, kwargs, field):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(**kwargs)
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig.from_dict(kwargs)
+
+    def test_float_fields_stored_as_floats(self):
+        cfg = ScenarioConfig(P=2, rho=np.float32(0.5), susinr_grid_db=(12, np.int64(-4)))
+        assert (cfg.P, cfg.rho, cfg.susinr_grid_db) == (2.0, 0.5, (12.0, -4.0))
+        assert all(type(x) is float for x in (cfg.P, cfg.rho, *cfg.susinr_grid_db))
+
     @pytest.mark.parametrize("field", ["tol_grad", "tol_change"])
     def test_boolean_tolerance_rejected_by_optimizer_config(self, field):
         with pytest.raises(ValueError, match=field):
@@ -234,10 +255,10 @@ class TestRunScenario:
         real = harness.run_algorithm
 
         def silent_zf(name, channel, params, opt_cfg):
-            W, iterations = real(name, channel, params, opt_cfg)
+            W, trace = real(name, channel, params, opt_cfg)
             if name == "ZF":
                 W = PrecodingMatrix(np.zeros_like(W.W))  # undefined SINR at scoring
-            return W, iterations
+            return W, trace
 
         monkeypatch.setattr(harness, "run_algorithm", silent_zf)
         cfg = tiny_config(seeds=(0,), susinr_grid_db=(12.0,),

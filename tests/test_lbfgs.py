@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mimo_precoding import lbfgs
@@ -16,6 +16,7 @@ def quadratic(center):
 
 
 U = 2.0**-53  # unit roundoff
+ETA = 2.0**-1074  # twice the largest absolute error of an underflowing rounding
 
 
 def exact_two_loop(g, pairs):
@@ -41,31 +42,44 @@ def exact_two_loop(g, pairs):
 def two_loop_error_bound(g, pairs):
     """Componentwise bound on |computed - exact| for the floating-point two-loop.
 
-    R is the recursion run on absolute values with every difference made a
-    sum, so each intermediate's magnitude bounds it. Counting roundings the
-    standard way (a dot product of n terms adds n, a product or a sum one, a
-    product adds its operands' counts) the computed direction is within
-    gamma_K R of the exact one, gamma_K = K u / (1 - K u), where
-    K = m (2n + 7) + 2n + 2: n + 3 per first-loop update r - a y (a = rho
-    s.r, then the update, fused or not), 2n + 2 for the scaling by
-    (s.y)/(y.y) and n + 4 per second-loop update r + (a - b) s. R is itself
-    computed in floating point (sums of nonnegative terms, a relative
-    gamma_K at most), so 2 K u R bounds both.
+    Each rounding is modeled as fl(x op y) = (x op y)(1 + d) + e with
+    |d| <= u and |e| <= 2**-1075, the absolute e covering an underflow into
+    the subnormal range. R is the recursion run on absolute values with every
+    difference made a sum, so each intermediate's magnitude bounds it.
+    Counting roundings the standard way (a dot product of n terms adds n, a
+    product or a sum one, a product adds its operands' counts) the relative
+    errors put the computed direction within gamma_K R of the exact one,
+    gamma_K = K u / (1 - K u), where K = m (2n + 7) + 2n + 2: n + 3 per
+    first-loop update r - a y (a = rho s.r, then the update, fused or not),
+    2n + 2 for the scaling by (s.y)/(y.y) and n + 4 per second-loop update
+    r + (a - b) s. E carries the absolute errors through the same recursion:
+    each dot product adds n e, each other rounding one e, and the error of
+    the scaling factor h = (s.y)/(y.y) is (1 + h) n e / (y.y) + e. R and E
+    are themselves computed in floating point, so 2 K u R + 2 E bounds all.
+    E is linear in e, and 2 E is E run at 2 e = 2**-1074 (ETA), since
+    2**-1075 itself is not representable.
     """
     n, m = len(g), len(pairs)
-    R = np.abs(g)
+    R, E = np.abs(g), np.zeros(n)
     alphas = []
     for s, y, rho in reversed(pairs):
         A = abs(rho) * (np.abs(s) @ R)
+        EA = abs(rho) * (np.abs(s) @ E + n * ETA) + ETA
         R = R + A * np.abs(y)
-        alphas.append(A)
+        E = E + EA * np.abs(y) + ETA
+        alphas.append((A, EA))
     s_last, y_last, _ = pairs[-1]
-    R = (np.abs(s_last) @ np.abs(y_last)) / (y_last @ y_last) * R
-    for (s, y, rho), A in zip(pairs, reversed(alphas)):
+    yy = y_last @ y_last
+    H = (np.abs(s_last) @ np.abs(y_last)) / yy
+    EH = (1.0 + H) * n * ETA / yy + ETA
+    R, E = H * R, H * E + EH * R + ETA
+    for (s, y, rho), (A, EA) in zip(pairs, reversed(alphas)):
         B = abs(rho) * (np.abs(y) @ R)
+        EB = abs(rho) * (np.abs(y) @ E + n * ETA) + ETA
         R = R + (A + B) * np.abs(s)
+        E = E + (EA + EB + ETA) * np.abs(s) + ETA
     K = m * (2 * n + 7) + 2 * n + 2
-    return 2.0 * K * U * R
+    return 2.0 * K * U * R + E
 
 
 def assert_within_bound(g, pairs):
@@ -90,6 +104,10 @@ class TestTwoLoop:
         np.testing.assert_array_equal(g, g_before)
 
     @settings(max_examples=300, deadline=None)
+    # An underflowing direction: the scaling takes r into the subnormal range,
+    # where the error is a subnormal ulp that no relative bound covers.
+    @example(m=1, n=2, seed=0, exponents=[-108.0, -150.0, 51.0] + [0.0] * 18,
+             orthogonal=False)
     @given(m=st.integers(1, 10), n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1),
            exponents=st.lists(st.floats(-150.0, 150.0), min_size=21, max_size=21),
            orthogonal=st.booleans())

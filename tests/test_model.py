@@ -12,8 +12,6 @@ from mimo_precoding import (
     SystemDims,
     SystemParams,
     build_channel_set,
-    decompose_user,
-    decompose_users,
     generate_channels,
     noise_from_susinr,
     read_channels,
@@ -23,6 +21,11 @@ from mimo_precoding import (
 from mimo_precoding.model import _unit_phases, susinr_gain
 
 from conftest import complex_randn, random_channel
+
+
+def decompose(H, L_k):
+    """One user's channel and factors, as build_channel_set makes them."""
+    return build_channel_set([H], [L_k]).users[0]
 
 
 class TestSystemDims:
@@ -83,26 +86,26 @@ class TestSystemParams:
 
 class TestDecomposeUser:
     def test_identity_channel(self):
-        user = decompose_user(np.eye(2), L_k=2)
+        user = decompose(np.eye(2), L_k=2)
         np.testing.assert_allclose(user.U, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(user.S, [1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(user.V, np.eye(2), atol=1e-12)
 
     def test_diagonal_channel_descending_truncation(self):
-        user = decompose_user(np.diag([3.0, 1.0]), L_k=1)
+        user = decompose(np.diag([3.0, 1.0]), L_k=1)
         np.testing.assert_allclose(user.S_tilde, [3.0], atol=1e-12)
         np.testing.assert_allclose(user.V_tilde, [[1.0, 0.0]], atol=1e-12)
 
     def test_reconstruction_oracle(self):
         rng = np.random.default_rng(0)
         H = complex_randn(rng, (4, 8))
-        user = decompose_user(H, L_k=2)
+        user = decompose(H, L_k=2)
         rebuilt = user.U.conj().T @ np.diag(user.S) @ user.V
         assert np.linalg.norm(rebuilt - H) / np.linalg.norm(H) <= 1e-10
 
     def test_factor_invariants(self):
         rng = np.random.default_rng(1)
-        user = decompose_user(complex_randn(rng, (3, 6)), L_k=2)
+        user = decompose(complex_randn(rng, (3, 6)), L_k=2)
         np.testing.assert_allclose(user.U @ user.U.conj().T, np.eye(3), atol=1e-10)
         np.testing.assert_allclose(user.V @ user.V.conj().T, np.eye(3), atol=1e-10)
         assert np.all(np.diff(user.S) <= 0)
@@ -111,7 +114,7 @@ class TestDecomposeUser:
 
     def test_phase_canonicalization(self):
         rng = np.random.default_rng(2)
-        user = decompose_user(complex_randn(rng, (3, 5)), L_k=3)
+        user = decompose(complex_randn(rng, (3, 5)), L_k=3)
         for row in user.V:
             anchor = row[np.argmax(np.abs(row))]
             assert abs(anchor.imag) <= 1e-12
@@ -120,32 +123,31 @@ class TestDecomposeUser:
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         H = complex_randn(rng, (4, 8))
-        a = decompose_user(H, L_k=2)
-        b = decompose_user(H, L_k=2)
+        a = decompose(H, L_k=2)
+        b = decompose(H, L_k=2)
         np.testing.assert_array_equal(a.V, b.V)
         np.testing.assert_array_equal(a.U, b.U)
 
     def test_rank_deficient_names_user(self):
         col = np.array([[1.0], [2.0]])
         row = np.array([[1.0, -1.0, 0.5]])
-        with pytest.raises(DegenerateChannelError, match="user 7"):
-            decompose_user(col @ row, L_k=2, user=7)
+        mats = [complex_randn(np.random.default_rng(k), (2, 3)) for k in range(7)]
+        with pytest.raises(DegenerateChannelError, match="^user 7: "):
+            build_channel_set(mats + [col @ row], [2] * 8)
 
     def test_shape_errors(self):
         with pytest.raises(DimensionError):
-            decompose_user(np.ones((5, 3)), L_k=1)  # R_k > T
+            decompose(np.ones((5, 3)), L_k=1)  # R_k > T
         with pytest.raises(DimensionError):
-            decompose_user(np.ones((2, 4)), L_k=3)  # L_k > R_k
+            decompose(np.ones((2, 4)), L_k=3)  # L_k > R_k
         with pytest.raises(ValueError):
-            decompose_user(np.array([[np.nan, 0.0]]), L_k=1)
+            decompose(np.array([[np.nan, 0.0]]), L_k=1)
 
     @pytest.mark.parametrize("L_k", [1.5, True, 2.0, "2"])
     def test_non_integer_layer_count(self, L_k):
         H = complex_randn(np.random.default_rng(4), (2, 4))
         with pytest.raises(DimensionError, match="layer count must be an integer"):
-            decompose_user(H, L_k=L_k)
-        with pytest.raises(DimensionError, match="layer count must be an integer"):
-            decompose_users(H[None], L_k, [0])
+            decompose(H, L_k=L_k)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -153,7 +155,7 @@ class TestDecomposeUser:
         rng = np.random.default_rng(seed)
         T = R_k + int(rng.integers(0, 5))
         H = complex_randn(rng, (R_k, T))
-        user = decompose_user(H, L_k=1)
+        user = decompose(H, L_k=1)
         rebuilt = user.U.conj().T @ np.diag(user.S) @ user.V
         assert np.linalg.norm(rebuilt - H) <= 1e-10 * max(np.linalg.norm(H), 1.0)
 
@@ -175,8 +177,8 @@ class TestBuildChannelSet:
 
     def test_out_of_order_singular_values_are_sorted(self, monkeypatch):
         rng = np.random.default_rng(14)
-        H = complex_randn(rng, (3, 3, 6))
-        expected = decompose_users(H, 2, [0, 1, 2])
+        H = list(complex_randn(rng, (3, 3, 6)))
+        expected = build_channel_set(H, [2] * 3).users
         svd = np.linalg.svd
 
         def ascending_svd(a, full_matrices=True):
@@ -184,7 +186,7 @@ class TestBuildChannelSet:
             return u[..., ::-1], s[..., ::-1], vh[..., ::-1, :]
 
         monkeypatch.setattr(np.linalg, "svd", ascending_svd)
-        got = decompose_users(H, 2, [0, 1, 2])
+        got = build_channel_set(H, [2] * 3).users
         for a, b in zip(got, expected):
             for x, y in ((a.U, b.U), (a.S, b.S), (a.V, b.V)):
                 assert x.tobytes() == y.tobytes()
@@ -196,7 +198,7 @@ class TestBuildChannelSet:
         ch = build_channel_set(mats, layers)
         assert ch.dims.R_k == (3, 1, 3, 2, 1) and ch.dims.L_k == tuple(layers)
         for H, L, user in zip(mats, layers, ch.users):
-            alone = decompose_user(H, L)
+            alone = decompose(H, L)
             for got, want in ((user.H, alone.H), (user.U, alone.U),
                               (user.S, alone.S), (user.V, alone.V)):
                 assert got.tobytes() == want.tobytes()
@@ -309,10 +311,10 @@ class TestStack:
     def test_single_user_matches_own_factors(self):
         rng = np.random.default_rng(4)
         H = complex_randn(rng, (3, 6))
-        user = decompose_user(H, L_k=2)
         ch = build_channel_set([H], [2])
-        np.testing.assert_array_equal(ch.users[0].H, user.H)
-        np.testing.assert_array_equal(ch.users[0].U, user.U)
+        user = ch.users[0]
+        np.testing.assert_array_equal(user.H, H)
+        np.testing.assert_array_equal(ch.S_tilde, user.S[:2])
         np.testing.assert_array_equal(ch.V_tilde, user.V_tilde)
 
     def test_user_order_preserved(self):

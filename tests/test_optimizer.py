@@ -602,7 +602,8 @@ class TestSoftmax:
             xp[i] += h
             xm = x.copy()
             xm[i] -= h
-            fd[i] = (objective(dec(xp), spec) - objective(dec(xm), spec)) / (2 * h)
+            fd[i] = (objective(dec.decode_full(xp)[0], spec)
+                     - objective(dec.decode_full(xm)[0], spec)) / (2 * h)
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) <= 1e-5
 
     def test_scalar_case_saturates_toward_full_power(self):
@@ -622,6 +623,26 @@ class TestSoftmax:
         fs = objective(Ws.W, spec)
         assert W_feasible(Ws, spec)
         assert fs >= fp * (1 - 0.01)
+
+    def test_saturated_decode_is_returned_projected(self, monkeypatch):
+        # At alpha = 40 the sigmoid is 1.0, and most rows' computed power
+        # rounds above the cap: the raw decode does not meet the budget.
+        T, L, P = 16, 4, 1.0
+        rng = np.random.default_rng(28)
+        saturated = SoftmaxParams(theta=3.0 * rng.standard_normal((T, L)),
+                                  eta=rng.standard_normal((T, L)), alpha=np.full(T, 40.0))
+        monkeypatch.setattr(SoftmaxParams, "from_precoder",
+                            classmethod(lambda cls, W0, P: saturated))
+        flat = CustomObjective(value=lambda W: 0.0, wirtinger_grad=np.zeros_like,
+                               shape=(T, L), P=P)
+        cfg = OptimizerConfig(start="custom", start_matrix=np.zeros((T, L)))
+        scored = []
+        W, trace = softmax_maximize(flat, cfg, score_fn=lambda W: scored.append(W) or 0.0)
+        raw = saturated.decode(P)
+        assert not PrecodingMatrix(raw).feasible(P, tol=0.0)
+        assert trace.iterations == 0 and trace.termination == lbfgs.TERM_GRADIENT
+        assert W.feasible(P, tol=0.0)
+        assert W.W.tobytes() == project(raw, P).tobytes() == scored[0].tobytes()
 
     def test_monotone_trace(self):
         spec = cd_spec(27)
