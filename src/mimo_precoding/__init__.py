@@ -43,7 +43,6 @@ from .optimizer import (
     ObjectiveSpec,
     OptimizationTrace,
     OptimizerConfig,
-    SoftmaxParams,
     gradient,
     lbfgs_maximize,
     objective,

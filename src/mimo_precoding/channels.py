@@ -14,7 +14,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError
-from .model import ChannelSet, SystemDims, build_channel_set
+from .model import ChannelSet, SystemDims, build_channel_set, is_count
 
 MODELS = ("iid-gaussian", "exp-correlated")
 
@@ -45,8 +45,8 @@ def generate_channels(dims: SystemDims, seed: int, model: str = "iid-gaussian",
         raise ConfigError(f"unknown channel model {model!r}, expected one of {MODELS}")
     if not 0.0 <= rho < 1.0:
         raise ConfigError(f"rho must be in [0, 1), got {rho}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    if not (is_count(seed) and seed >= 0):
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
     colored = model == "exp-correlated" and rho > 0.0
     if colored:

@@ -46,6 +46,16 @@ def _number(name: str, x) -> float:
         raise ConfigError(f"{name} must be finite, got an integer beyond float range") from None
 
 
+def _sequence(name: str, x) -> tuple:
+    """x as a tuple, if it is a sequence other than a string."""
+    try:
+        if not isinstance(x, (str, bytes)):
+            return tuple(x)
+    except TypeError:
+        pass
+    raise ConfigError(f"{name} must be a sequence, got {x!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one benchmark sweep.
@@ -66,19 +76,21 @@ class ScenarioConfig:
     workers: int = 1
 
     def __post_init__(self):
-        seeds = tuple(self.seeds)
-        if not all(map(is_count, seeds)):
-            raise ConfigError(f"seeds must be integers, got {seeds!r}")
+        if not isinstance(self.dims, SystemDims):
+            raise ConfigError(f"dims must be a SystemDims, got {self.dims!r}")
+        if not isinstance(self.optimizer, OptimizerConfig):
+            raise ConfigError(f"optimizer must be an OptimizerConfig, got {self.optimizer!r}")
+        seeds = _sequence("seeds", self.seeds)
+        if not all(is_count(s) and s >= 0 for s in seeds):
+            raise ConfigError(f"seeds must be nonnegative integers, got {seeds!r}")
         object.__setattr__(self, "seeds", tuple(map(int, seeds)))
-        object.__setattr__(self, "susinr_grid_db",
-                           tuple(_number("susinr_grid_db", x) for x in self.susinr_grid_db))
+        object.__setattr__(self, "susinr_grid_db", tuple(
+            _number("susinr_grid_db", x) for x in _sequence("susinr_grid_db", self.susinr_grid_db)))
         object.__setattr__(self, "P", _number("P", self.P))
         object.__setattr__(self, "rho", _number("rho", self.rho))
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        object.__setattr__(self, "algorithms", _sequence("algorithms", self.algorithms))
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        if any(s < 0 for s in self.seeds):
-            raise ConfigError("seeds must be nonnegative")
         if not self.susinr_grid_db:
             raise ConfigError("susinr_grid_db must be non-empty")
         if not all(map(math.isfinite, self.susinr_grid_db)):
@@ -115,7 +127,8 @@ class ScenarioConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {k: raw[k] for k in ("P", "channel_model", "rho", "workers") if k in raw}
+        passed = ("P", "channel_model", "rho", "workers", "susinr_grid_db", "algorithms")
+        kwargs = {k: raw[k] for k in passed if k in raw}
         try:
             if "dims" in raw:
                 d = raw["dims"]
@@ -128,11 +141,7 @@ class ScenarioConfig:
                 kwargs["dims"] = SystemDims(K=K, T=d["T"], R_k=R_k, L_k=L_k)
             if "seeds" in raw:
                 s = raw["seeds"]
-                kwargs["seeds"] = tuple(range(s)) if is_count(s) else tuple(s)
-            if "susinr_grid_db" in raw:
-                kwargs["susinr_grid_db"] = tuple(raw["susinr_grid_db"])
-            if "algorithms" in raw:
-                kwargs["algorithms"] = tuple(raw["algorithms"])
+                kwargs["seeds"] = range(s) if is_count(s) else s
             if "optimizer" in raw:
                 kwargs["optimizer"] = OptimizerConfig(**raw["optimizer"])
         except ConfigError:

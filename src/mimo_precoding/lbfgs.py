@@ -4,7 +4,8 @@ Two-loop recursion with curvature pairs stored in the descent convention for
 the negated objective, so the recursion applied to the ascent gradient yields
 an ascent direction directly. Step lengths come from backtracking with a
 sufficient-increase condition, which makes accepted objective values
-non-decreasing by construction.
+non-decreasing by construction. The objective is one callback,
+evaluate(x) -> (f, grad), whose grad() runs only at accepted points.
 
 The vector work is level-1 BLAS (ddot, dscal, daxpy): on these short vectors
 a BLAS call costs about a third of a numpy call. ddot is the routine numpy's
@@ -74,31 +75,30 @@ def _two_loop(g: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, float]]) 
     return r
 
 
-def maximize(value_and_grad, x0: np.ndarray, *, max_iters: int, tol_grad: float,
-             tol_change: float, memory: int = 10, value=None, callback=None):
+def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
+             tol_change: float, memory: int = 10, callback=None):
     """Maximize a smooth function of a real vector.
 
-    value_and_grad(x) returns (f, g) with g the ascent gradient; value(x), when
-    given, is a cheaper path used inside the line search. Termination occurs
-    when the gradient infinity norm drops to tol_grad, when both the objective
-    change and the step norm drop to tol_change, when max_iters accepted steps
-    have been taken, when no backtracking step satisfies the
-    sufficient-increase condition, or when value_and_grad raises a library
-    error (MimoError) at an accepted step. That step is then the returned
-    iterate, and its history entry has a NaN gradient norm; an error at x0
-    propagates.
+    evaluate(x) returns (f, grad), with grad() the ascent gradient at x from
+    that call's own work; grad may close over views of x, which the engine
+    never writes into. grad runs only at x0 and at accepted steps.
+
+    Termination occurs when the gradient infinity norm drops to tol_grad, when
+    both the objective change and the step norm drop to tol_change, when
+    max_iters accepted steps have been taken, when no backtracking step
+    satisfies the sufficient-increase condition, or when grad() raises a
+    library error (MimoError) at an accepted step, which is then the returned
+    iterate, with a NaN gradient norm in its history entry. A MimoError from
+    evaluate rejects a trial; any error at x0, and any other error, propagates.
 
     Returns (x, info); info carries the termination reason, a StepInfo history
     (entry 0 is the starting point) and evaluation counters.
     """
-    if value is None:
-        value = lambda x: value_and_grad(x)[0]
-
     x = np.asarray(x0, dtype=float).copy()
-    f, g = value_and_grad(x)
+    f, grad = evaluate(x)
+    g = np.asarray(grad(), dtype=float)
     n_grad = 1
     n_value = 0
-    g = np.asarray(g, dtype=float)
 
     g_inf = _inf_norm(g)
     history: list[StepInfo] = []
@@ -135,9 +135,12 @@ def maximize(value_and_grad, x0: np.ndarray, *, max_iters: int, tol_grad: float,
         x_new = None
         for _ in range(MAX_LINE_SEARCH):
             cand = x + step * d
-            f_cand = value(cand)
             n_value += 1
-            if np.isfinite(f_cand) and f_cand >= f + ARMIJO_C1 * step * gd:
+            try:
+                f_new, grad = evaluate(cand)
+            except MimoError:  # numerical trouble at a trial rejects it
+                f_new = -np.inf
+            if np.isfinite(f_new) and f_new >= f + ARMIJO_C1 * step * gd:
                 x_new = cand
                 break
             step *= BACKTRACK
@@ -147,13 +150,12 @@ def maximize(value_and_grad, x0: np.ndarray, *, max_iters: int, tol_grad: float,
 
         n_grad += 1
         try:
-            f_new, g_new = value_and_grad(x_new)
+            g_new = np.asarray(grad(), dtype=float)
         except MimoError:
-            x, f, g_inf = x_new, float(f_cand), np.nan
+            x, f, g_inf = x_new, float(f_new), np.nan
             record(t, step)
             termination = TERM_GRADIENT_FAILURE
             break
-        g_new = np.asarray(g_new, dtype=float)
 
         s = x_new - x
         y = g - g_new  # descent-convention difference for the negated objective

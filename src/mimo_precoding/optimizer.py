@@ -11,11 +11,13 @@ projection and, for the IRC objective, through the detector itself.
 Every objective is a forward/backward pair behind one interface: its power
 budget `P` and precoder `shape`, `forward(Wp) -> (value, cache)` at an
 already-projected precoder and `backward(cache) -> complex ascent gradient`
-at that same point. The drivers call nothing else, so a gradient reuses the
+at that same point. `_evaluate(W, spec) -> (f, grad)` is the one path to
+them, for `objective`, `gradient` and the engine, so a gradient reuses the
 products of the forward pass it follows.
 
-A softmax reparametrization of the precoder (feasible in exact arithmetic)
-is provided as an alternative route to the same problem.
+The engine's vector x maps to W through one parametrization class: W itself
+(`_ProjectionParam`) or a softmax reparametrization, feasible in exact
+arithmetic (`_Softmax`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import lbfgs
 from .baselines import BaselineConfig, arzf, rzf
-from .errors import DimensionError, MimoError, NumericalFailureError
+from .errors import DimensionError, NumericalFailureError
 from .irc import irc_backward, irc_forward
 from .model import ChannelSet, SystemParams, is_count
 from .quality import PrecodingMatrix, as_array, cd_backward, cd_forward, cd_noise, row_power
@@ -113,8 +115,11 @@ class OptimizerConfig:
     start_matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.start_matrix is not None and not np.all(np.isfinite(self.start_matrix)):
-            raise ValueError("start_matrix has non-finite entries")
+        if self.start_matrix is not None:
+            if np.asarray(self.start_matrix).dtype.kind not in "iufc":
+                raise ValueError(f"start_matrix must be numeric, got {self.start_matrix!r}")
+            if not np.all(np.isfinite(self.start_matrix)):
+                raise ValueError("start_matrix has non-finite entries")
         if not (is_count(self.max_iters) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
         for name in ("tol_grad", "tol_change"):
@@ -247,24 +252,31 @@ def _chain_projection(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
 # Objective values and complex ascent gradients
 
 
+def _evaluate(W: np.ndarray, spec):
+    """The one evaluation path: the objective value at the projection of W,
+    and grad(), the complex ascent gradient there from the same forward pass.
+    W's place against the power ball (_ball) is found once for both; W may be
+    a view of the engine's vector, which the engine never writes into."""
+    ball = _ball(W, spec.P)
+    f, cache = spec.forward(_project(W, ball))
+
+    def grad() -> np.ndarray:
+        D = _chain_projection(spec.backward(cache), W, ball)
+        if not np.isfinite(D).all():
+            raise NumericalFailureError("gradient has non-finite entries")
+        return D
+
+    return f, grad
+
+
 def objective(W, spec) -> float:
     """Objective value at the projection of W."""
-    return spec.forward(project(W, spec.P))[0]
-
-
-def _pull_back(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
-    out = _chain_projection(D, W, ball)
-    if not np.isfinite(out).all():
-        raise NumericalFailureError("gradient has non-finite entries")
-    return out
+    return _evaluate(as_array(W), spec)[0]
 
 
 def gradient(W, spec) -> np.ndarray:
     """Complex ascent gradient of the projected objective at W."""
-    Wm = as_array(W)
-    ball = _ball(Wm, spec.P)
-    _, cache = spec.forward(_project(Wm, ball))
-    return _pull_back(spec.backward(cache), Wm, ball)
+    return _evaluate(as_array(W), spec)[1]()
 
 
 # ---------------------------------------------------------------------------
@@ -304,47 +316,6 @@ class _ProjectionParam:
         return np.ascontiguousarray(D).view(np.float64).ravel()
 
 
-class _Evaluator:
-    """Objective value and gradient over the engine's vector x.
-
-    The engine asks for value_and_grad only at the line-search candidate it
-    has just accepted, passing the very array of the last value call, and
-    never writes into an array it has handed out. So the forward pass of the
-    last value call is kept, keyed on the identity of x, and reused: an
-    accepted step costs its trials' forward passes plus one backward pass.
-    The unprojected W's place against the power ball (_ball) is kept with
-    it, since the projection and its chain rule both start from it.
-    """
-
-    def __init__(self, spec, param):
-        self.spec = spec
-        self.param = param
-        self.P = spec.P
-        self._x = None
-        self._last = None
-
-    def _forward(self, x: np.ndarray):
-        if x is not self._x:
-            W, aux = self.param.decode_full(x)  # W may be a view of x
-            ball = _ball(W, self.P)
-            f, cache = self.spec.forward(_project(W, ball))
-            self._x, self._last = x, (f, W, ball, aux, cache)
-        return self._last
-
-    def value(self, x: np.ndarray) -> float:
-        """Objective at a line-search trial; numerical trouble there (a
-        MimoError) reads as -inf, which the engine rejects and backtracks."""
-        try:
-            return self._forward(x)[0]
-        except MimoError:
-            return -np.inf
-
-    def value_and_grad(self, x: np.ndarray):
-        f, W, ball, aux, cache = self._forward(x)
-        D = _pull_back(self.spec.backward(cache), W, ball)
-        return f, self.param.chain(D, W, aux)
-
-
 def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
     """Body shared by both drivers: starting point, parametrization, engine,
     precoder.
@@ -369,15 +340,18 @@ def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
             se = float(score_fn(precoder(x)))
         records.append(IterationRecord(i, float(f), float(grad_norm), float(step), se))
 
-    evaluator = _Evaluator(spec, param)
+    def evaluate(x):
+        W, aux = param.decode_full(x)  # W may be a view of x
+        f, grad = _evaluate(W, spec)
+        return f, lambda: param.chain(grad(), W, aux)
+
     x, info = lbfgs.maximize(
-        evaluator.value_and_grad,
+        evaluate,
         x0,
         max_iters=cfg.max_iters,
         tol_grad=cfg.tol_grad,
         tol_change=cfg.tol_change,
         memory=cfg.memory,
-        value=evaluator.value,
         callback=on_iteration,
     )
     return PrecodingMatrix(precoder(x)), OptimizationTrace(
@@ -409,9 +383,8 @@ def _logit(p):
     return np.log(p) - np.log1p(-p)
 
 
-@dataclass(frozen=True)
-class SoftmaxParams:
-    """Free parametrization of a feasible precoder.
+class _Softmax:
+    """Free parametrization of a feasible precoder; x packs (theta, eta, alpha).
 
     Row i distributes the fraction sigmoid(alpha_i) of its power budget P/T
     over streams via softmax(theta_i); phases are 2*pi*sigmoid(eta). Decoded
@@ -419,63 +392,34 @@ class SoftmaxParams:
     sigmoid a computed row power can round above the cap.
     """
 
-    theta: np.ndarray  # (T, L)
-    eta: np.ndarray    # (T, L)
-    alpha: np.ndarray  # (T,)
+    def __init__(self, shape: tuple[int, int], P: float):
+        self.shape = shape
+        self.P = P
 
-    def decode(self, P: float) -> np.ndarray:
-        return self._decode_full(P)[0]
-
-    def _decode_full(self, P: float):
-        """The precoder plus the stream shares p and the sigmoids of alpha and
-        eta, which the gradient chain reuses."""
-        t = self.theta - self.theta.max(axis=1, keepdims=True)
-        e = np.exp(t)
-        p = e / e.sum(axis=1, keepdims=True)
-        sa = _sigmoid(self.alpha)
-        se = _sigmoid(self.eta)
-        T = self.theta.shape[0]
-        q = p * sa[:, None] * (P / T)
-        W = np.sqrt(q) * np.exp(1j * 2.0 * np.pi * se)
-        return W, (p, sa, se)
-
-    @classmethod
-    def from_precoder(cls, W0: np.ndarray, P: float) -> "SoftmaxParams":
-        """Initialize so that decoding approximately reproduces W0."""
+    def encode(self, W0: np.ndarray) -> np.ndarray:
+        """Parameters whose decoding approximately reproduces W0."""
         W = np.asarray(W0, dtype=np.complex128)
         T = W.shape[0]
         power = np.abs(W) ** 2
         theta = np.log(power + 1e-12)
         frac = np.mod(np.angle(W), 2.0 * np.pi) / (2.0 * np.pi)
         eta = _logit(np.clip(frac, 1e-6, 1.0 - 1e-6))
-        row_power = power.sum(axis=1)
-        alpha = _logit(np.clip(T * row_power / P, 1e-6, 1.0 - 1e-6))
-        return cls(theta=theta, eta=eta, alpha=alpha)
-
-
-class _SoftmaxDecoder:
-    """Maps the packed (theta, eta, alpha) vector to W and chains gradients back."""
-
-    def __init__(self, shape: tuple[int, int], P: float):
-        self.shape = shape
-        self.P = P
-        self.n = shape[0] * shape[1]
-
-    def unpack(self, x: np.ndarray) -> SoftmaxParams:
-        T, L = self.shape
-        n = self.n
-        return SoftmaxParams(
-            theta=x[:n].reshape(T, L),
-            eta=x[n:2 * n].reshape(T, L),
-            alpha=x[2 * n:],
-        )
-
-    def encode(self, W0: np.ndarray) -> np.ndarray:
-        sp = SoftmaxParams.from_precoder(W0, self.P)
-        return np.concatenate([sp.theta.ravel(), sp.eta.ravel(), sp.alpha])
+        alpha = _logit(np.clip(T * power.sum(axis=1) / self.P, 1e-6, 1.0 - 1e-6))
+        return np.concatenate([theta.ravel(), eta.ravel(), alpha])
 
     def decode_full(self, x: np.ndarray):
-        return self.unpack(x)._decode_full(self.P)
+        """The precoder plus the stream shares p and the sigmoids of alpha and
+        eta, which chain reuses."""
+        T, L = self.shape
+        theta, eta = x[:2 * T * L].reshape(2, T, L)
+        t = theta - theta.max(axis=1, keepdims=True)
+        e = np.exp(t)
+        p = e / e.sum(axis=1, keepdims=True)
+        sa = _sigmoid(x[2 * T * L:])
+        se = _sigmoid(eta)
+        q = p * sa[:, None] * (self.P / T)
+        W = np.sqrt(q) * np.exp(1j * 2.0 * np.pi * se)
+        return W, (p, sa, se)
 
     def chain(self, D: np.ndarray, W: np.ndarray, aux) -> np.ndarray:
         """Real gradient for the packed parameters from the complex ascent
@@ -506,4 +450,4 @@ def softmax_maximize(spec, cfg: OptimizerConfig | None = None, score_fn=None):
     configuration as lbfgs_maximize; expect slower convergence since boundary
     solutions require saturating sigmoids.
     """
-    return _maximize(spec, cfg, score_fn, _SoftmaxDecoder)
+    return _maximize(spec, cfg, score_fn, _Softmax)

@@ -83,6 +83,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             generate_channels(dims, seed=-1)
 
+    # True used to draw seed 1, and 1.5 to raise numpy's bare TypeError.
+    @pytest.mark.parametrize("seed", [True, 1.5, np.float64(2.0), "3"])
+    def test_non_integer_seed(self, seed):
+        dims = SystemDims.uniform(K=1, T=2, R=1, L=1)
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            generate_channels(dims, seed)
+
 
 def _reference_decompose(H, L_k):
     """The per-user decomposition the batched one replaced: one SVD, descending

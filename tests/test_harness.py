@@ -97,6 +97,8 @@ class TestScenarioConfig:
         {"seeds": [0, False]},
         {"workers": True},
         {"algorithms": ["ZF", "bogus"]},
+        {"algorithms": "MRT"},
+        {"susinr_grid_db": 12},
         {"susinr_grid_db": []},
         {"P": -1.0},
         {"P": float("nan")},
@@ -167,6 +169,21 @@ class TestScenarioConfig:
             ScenarioConfig(**kwargs)
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig.from_dict(kwargs)
+
+    # Built directly, these raised a bare TypeError or AttributeError, read a
+    # string one character at a time, or passed and failed in run_scenario.
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(seeds=5), "seeds"),
+        (dict(susinr_grid_db=12), "susinr_grid_db"),
+        (dict(algorithms=None), "algorithms"),
+        (dict(algorithms="MRT"), "algorithms"),
+        (dict(dims=None), "dims"),
+        (dict(dims=(8, 64)), "dims"),
+        (dict(optimizer={"max_iters": 3}), "optimizer"),
+    ])
+    def test_bad_field_names_the_field(self, kwargs, field):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(**kwargs)
 
     def test_float_fields_stored_as_floats(self):
         cfg = ScenarioConfig(P=2, rho=np.float32(0.5), susinr_grid_db=(12, np.int64(-4)))

@@ -15,6 +15,21 @@ def quadratic(center):
     return vag
 
 
+def evaluating(vag):
+    """The engine's evaluate over a function that returns (f, g)."""
+    def evaluate(x):
+        f, g = vag(x)
+        return f, lambda: g
+    return evaluate
+
+
+def rosenbrock(x):
+    # The negated Rosenbrock function and its gradient; optimum at (1, 1).
+    a, b = x
+    f = -((1 - a) ** 2 + 100.0 * (b - a * a) ** 2)
+    return f, np.array([2 * (1 - a) + 400.0 * a * (b - a * a), -200.0 * (b - a * a)])
+
+
 U = 2.0**-53  # unit roundoff
 ETA = 2.0**-1074  # twice the largest absolute error of an underflowing rounding
 
@@ -154,7 +169,7 @@ def test_inf_norm_is_max_abs_bitwise(g):
 class TestEngine:
     def test_converges_on_concave_quadratic(self):
         center = np.array([1.0, -2.0, 0.5])
-        x, info = lbfgs.maximize(quadratic(center), np.zeros(3),
+        x, info = lbfgs.maximize(evaluating(quadratic(center)), np.zeros(3),
                                  max_iters=50, tol_grad=1e-10, tol_change=1e-12)
         assert np.linalg.norm(x - center) <= 1e-8
         assert info["termination"] == lbfgs.TERM_GRADIENT
@@ -168,21 +183,13 @@ class TestEngine:
         def vag(x):
             return -float(x @ Q @ x) + float(b @ x), -2.0 * Q @ x + b
 
-        _, info = lbfgs.maximize(vag, np.zeros(5), max_iters=100,
+        _, info = lbfgs.maximize(evaluating(vag), np.zeros(5), max_iters=100,
                                  tol_grad=1e-9, tol_change=1e-12)
         values = [h.value for h in info["history"]]
         assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
 
     def test_rosenbrock_valley(self):
-        # Maximize the negated Rosenbrock function; optimum at (1, 1).
-        def vag(x):
-            a, b = x
-            f = -((1 - a) ** 2 + 100.0 * (b - a * a) ** 2)
-            g = np.array([2 * (1 - a) + 400.0 * a * (b - a * a),
-                          -200.0 * (b - a * a)])
-            return f, g
-
-        x, info = lbfgs.maximize(vag, np.array([-1.2, 1.0]), max_iters=200,
+        x, info = lbfgs.maximize(evaluating(rosenbrock), np.array([-1.2, 1.0]), max_iters=200,
                                  tol_grad=1e-8, tol_change=1e-14)
         assert np.linalg.norm(x - 1.0) <= 1e-5
 
@@ -192,7 +199,7 @@ class TestEngine:
         def vag(x):
             return -float(x[0]), np.array([1.0])
 
-        x, info = lbfgs.maximize(vag, np.array([0.5]), max_iters=10,
+        x, info = lbfgs.maximize(evaluating(vag), np.array([0.5]), max_iters=10,
                                  tol_grad=1e-12, tol_change=1e-14)
         assert info["termination"] == lbfgs.TERM_LINE_SEARCH
         assert x[0] == 0.5
@@ -204,18 +211,20 @@ class TestEngine:
         def failing(error):
             calls = []
 
-            def vag(x):
-                calls.append(x.copy())
-                if len(calls) == 2:
-                    raise error("no gradient here")
-                return -float((x[0] - 3.0) ** 2), np.array([-2.0 * (x[0] - 3.0)])
-            return vag, calls
+            def evaluate(x):
+                def grad():
+                    calls.append(x.copy())
+                    if len(calls) == 2:
+                        raise error("no gradient here")
+                    return np.array([-2.0 * (x[0] - 3.0)])
+                return value(x), grad
+            return evaluate, calls
 
-        vag, calls = failing(NumericalFailureError)
-        seen = []
         value = lambda x: -float((x[0] - 3.0) ** 2)
-        x, info = lbfgs.maximize(vag, np.array([0.0]), max_iters=10, tol_grad=1e-12,
-                                 tol_change=1e-14, value=value,
+        evaluate, calls = failing(NumericalFailureError)
+        seen = []
+        x, info = lbfgs.maximize(evaluate, np.array([0.0]), max_iters=10, tol_grad=1e-12,
+                                 tol_change=1e-14,
                                  callback=lambda i, x, f, gn, step: seen.append((i, gn)))
         assert info["termination"] == lbfgs.TERM_GRADIENT_FAILURE
         np.testing.assert_array_equal(x, calls[1])
@@ -225,14 +234,20 @@ class TestEngine:
         assert info["n_grad_evals"] == 2
         with pytest.raises(RuntimeError, match="no gradient"):
             lbfgs.maximize(failing(RuntimeError)[0], np.array([0.0]), max_iters=10,
-                           tol_grad=1e-12, tol_change=1e-14, value=value)
+                           tol_grad=1e-12, tol_change=1e-14)
 
     def test_gradient_failure_at_the_start_propagates(self):
+        # Whether evaluate itself or its grad fails at x0.
         def vag(x):
             raise NumericalFailureError("no gradient at x0")
 
-        with pytest.raises(NumericalFailureError, match="x0"):
-            lbfgs.maximize(vag, np.array([0.0]), max_iters=10, tol_grad=1e-12, tol_change=1e-14)
+        def evaluate(x):
+            return 0.0, lambda: vag(x)
+
+        for fn in (evaluating(vag), evaluate):
+            with pytest.raises(NumericalFailureError, match="x0"):
+                lbfgs.maximize(fn, np.array([0.0]), max_iters=10, tol_grad=1e-12,
+                               tol_change=1e-14)
 
     def test_change_tolerance_termination(self):
         # So flat that unit steps move the iterate by ~1e-20 while the gradient
@@ -240,63 +255,83 @@ class TestEngine:
         def vag(x):
             return -1e-20 * float((x[0] - 2.0) ** 2), np.array([-2e-20 * (x[0] - 2.0)])
 
-        x, info = lbfgs.maximize(vag, np.array([0.0]),
+        x, info = lbfgs.maximize(evaluating(vag), np.array([0.0]),
                                  max_iters=100, tol_grad=1e-300, tol_change=1e-6)
         assert info["termination"] == lbfgs.TERM_CHANGE
 
     def test_max_iterations(self):
-        _, info = lbfgs.maximize(quadratic(np.array([3.0, 1.0])), np.zeros(2),
+        _, info = lbfgs.maximize(evaluating(quadratic(np.array([3.0, 1.0]))), np.zeros(2),
                                  max_iters=1, tol_grad=1e-14, tol_change=1e-16)
         assert info["termination"] == lbfgs.TERM_MAX_ITERS
         assert len(info["history"]) == 2
 
     def test_callback_sees_every_accepted_iterate(self):
         seen = []
-        lbfgs.maximize(quadratic(np.array([1.0])), np.zeros(1), max_iters=30,
+        lbfgs.maximize(evaluating(quadratic(np.array([1.0]))), np.zeros(1), max_iters=30,
                        tol_grad=1e-10, tol_change=1e-12,
                        callback=lambda i, x, f, gn, step: seen.append(i))
         assert seen[0] == 0
         assert seen == list(range(len(seen)))
 
     def test_never_writes_into_a_handed_out_array(self):
-        # The optimizer's evaluator caches on the identity of x: it relies on
-        # the engine passing value_and_grad the very array of the last value
-        # call (the accepted trial) and never writing into an array it has
+        # The optimizer's grad closes over W, a view of the x handed to
+        # evaluate: it relies on the engine calling grad only for the last
+        # evaluate (the accepted trial) and never writing into an array it has
         # handed out. Rosenbrock makes the line search backtrack.
         handed = []  # (name, array, its bytes when handed out)
 
-        def recorded(name, fn):
-            def wrapper(x):
-                handed.append((name, x, x.tobytes()))
-                return fn(x)
-            return wrapper
+        def evaluate(x):
+            handed.append(("evaluate", x, x.tobytes()))
+            f, g = rosenbrock(x)
 
-        def vag(x):
-            a, b = x
-            f = -((1 - a) ** 2 + 100.0 * (b - a * a) ** 2)
-            return f, np.array([2 * (1 - a) + 400.0 * a * (b - a * a), -200.0 * (b - a * a)])
+            def grad():
+                handed.append(("grad", x, x.tobytes()))
+                return g
+            return f, grad
 
-        _, info = lbfgs.maximize(recorded("value_and_grad", vag), np.array([-1.2, 1.0]),
-                                 max_iters=200, tol_grad=1e-8, tol_change=1e-14,
-                                 value=recorded("value", lambda x: vag(x)[0]))
+        _, info = lbfgs.maximize(evaluate, np.array([-1.2, 1.0]),
+                                 max_iters=200, tol_grad=1e-8, tol_change=1e-14)
         assert info["n_value_evals"] > len(info["history"])  # some trials were rejected
         for name, x, before in handed:
             assert x.tobytes() == before, name
         for i, (name, x, _) in enumerate(handed):
-            if name == "value_and_grad" and i:
-                assert handed[i - 1][0] == "value" and handed[i - 1][1] is x
+            if name == "grad" and i:
+                assert handed[i - 1][0] == "evaluate" and handed[i - 1][1] is x
 
-    def test_separate_value_path_used_in_line_search(self):
-        calls = {"value": 0, "vag": 0}
+    def test_grad_runs_once_per_accepted_step_never_at_a_rejected_trial(self):
+        evaluated, graded, accepted = [], [], []
 
-        def value(x):
-            calls["value"] += 1
-            return -float(np.sum(x**2))
+        def evaluate(x):
+            evaluated.append(x)
+            f, g = rosenbrock(x)
+            return f, lambda: graded.append(x) or g
 
+        _, info = lbfgs.maximize(evaluate, np.array([-1.2, 1.0]), max_iters=30,
+                                 tol_grad=1e-10, tol_change=1e-14,
+                                 callback=lambda i, x, f, gn, step: accepted.append(x))
+        assert info["n_value_evals"] > len(info["history"])  # some trials were rejected
+        assert len(evaluated) == info["n_value_evals"] + 1
+        assert len(graded) == info["n_grad_evals"] == len(info["history"])
+        assert all(g is a for g, a in zip(graded, accepted, strict=True))
+
+    @staticmethod
+    def _guarded(error):
+        """Ascent on -(x - 3)^2 from 0, whose evaluate raises `error` beyond
+        |x| = 4: the first unit step lands at 6, the halved one at 3."""
         def vag(x):
-            calls["vag"] += 1
-            return -float(np.sum(x**2)), -2.0 * x
+            if abs(x[0]) > 4.0:
+                raise error("outside the trusted region")
+            return -float((x[0] - 3.0) ** 2), np.array([-2.0 * (x[0] - 3.0)])
+        return evaluating(vag)
 
-        lbfgs.maximize(vag, np.ones(2), max_iters=20, tol_grad=1e-10,
-                       tol_change=1e-12, value=value)
-        assert calls["value"] >= 1
+    def test_library_error_at_a_trial_rejects_it(self):
+        x, info = lbfgs.maximize(self._guarded(NumericalFailureError), np.array([0.0]),
+                                 max_iters=1, tol_grad=1e-12, tol_change=1e-14)
+        assert info["n_value_evals"] == 2 and info["n_grad_evals"] == 2
+        assert info["history"][1].step == lbfgs.BACKTRACK
+        assert x[0] == 3.0
+
+    def test_other_error_at_a_trial_propagates(self):
+        with pytest.raises(RuntimeError, match="trusted region"):
+            lbfgs.maximize(self._guarded(RuntimeError), np.array([0.0]), max_iters=1,
+                           tol_grad=1e-12, tol_change=1e-14)

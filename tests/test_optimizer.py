@@ -23,8 +23,7 @@ from mimo_precoding import (
 from mimo_precoding.errors import DimensionError, NumericalFailureError, UndefinedSinrError
 from mimo_precoding import lbfgs, optimizer
 from mimo_precoding.optimizer import (
-    SoftmaxParams, _ball, _chain_projection, _Evaluator, _project, _ProjectionParam,
-    _SoftmaxDecoder,
+    _ball, _chain_projection, _project, _ProjectionParam, _Softmax,
 )
 from mimo_precoding.quality import PrecodingMatrix, row_power
 
@@ -304,49 +303,26 @@ class TestGradient:
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) <= 1e-5
 
     @pytest.mark.parametrize("kind", ["cd", "irc"])
-    def test_evaluator_gradient_is_the_public_gradient_bitwise(self, kind):
-        # The evaluator reuses the forward pass and the row power of W; the
-        # public gradient recomputes both. Mixed rows plus an all-zero row.
+    def test_evaluator_gradient_is_the_public_gradient_bitwise(self, kind, monkeypatch):
+        # The evaluate that lbfgs_maximize hands the engine reuses its forward
+        # pass and the row power of W; the public gradient recomputes both.
+        # Mixed rows plus an all-zero row.
+        handed = []
+
+        def capture(evaluate, x0, **kwargs):
+            handed.append(evaluate)
+            return x0, {"termination": lbfgs.TERM_MAX_ITERS, "history": [],
+                        "n_value_evals": 0, "n_grad_evals": 0}
+
+        monkeypatch.setattr(lbfgs, "maximize", capture)
         spec = (cd_spec if kind == "cd" else irc_spec)(31, K=4, T=16, R=4, L=2)
         W = mixed_rows_precoder(np.random.default_rng(32), 16, 8, spec.params.P)
         W[5] = 0.0
+        lbfgs_maximize(spec, OptimizerConfig(start="custom", start_matrix=W))
         param = _ProjectionParam(W.shape, spec.params.P)
-        evaluator = _Evaluator(spec, param)
-        x = param.encode(W)
-        assert evaluator.value(x) == objective(W, spec)
-        f, g = evaluator.value_and_grad(x)
+        f, grad = handed[0](param.encode(W))
         assert f == objective(W, spec)
-        np.testing.assert_array_equal(param.decode_full(g)[0], gradient(W, spec))
-
-    @pytest.mark.parametrize("kind", ["cd", "irc"])
-    def test_evaluator_caches_on_identity(self, kind, monkeypatch):
-        # The same array is served from the cache; an equal fresh array is
-        # recomputed to the same bits; a different array is recomputed.
-        import mimo_precoding.optimizer as optimizer
-
-        forwards = []
-        for name in ("cd_forward", "irc_forward"):
-            real = getattr(optimizer, name)
-            monkeypatch.setattr(optimizer, name,
-                                lambda *a, real=real: forwards.append(1) or real(*a))
-        spec = (cd_spec if kind == "cd" else irc_spec)(33, K=4, T=16, R=4, L=2)
-        W = mixed_rows_precoder(np.random.default_rng(34), 16, 8, spec.params.P)
-        param = _ProjectionParam(W.shape, spec.params.P)
-        evaluator = _Evaluator(spec, param)
-        x = param.encode(W)
-        f = evaluator.value(x)
-        f1, g1 = evaluator.value_and_grad(x)
-        assert len(forwards) == 1
-        f2, g2 = evaluator.value_and_grad(x.copy())
-        assert len(forwards) == 2
-        assert np.float64(f1).tobytes() == np.float64(f2).tobytes() == np.float64(f).tobytes()
-        assert g1.tobytes() == g2.tobytes()
-        V = W.copy()
-        V[0, 0] *= 0.5
-        f3, g3 = evaluator.value_and_grad(param.encode(V))
-        assert len(forwards) == 3
-        assert f3 == objective(V, spec)
-        np.testing.assert_array_equal(param.decode_full(g3)[0], gradient(V, spec))
+        np.testing.assert_array_equal(param.decode_full(grad())[0], gradient(W, spec))
 
     def test_exterior_rows_lose_radial_component(self):
         spec = cd_spec(13)
@@ -562,35 +538,44 @@ class TestLbfgsMaximize:
         with pytest.raises(ValueError, match="non-finite"):
             OptimizerConfig(start="custom", start_matrix=start)
 
+    # np.isfinite used to raise a bare TypeError on these.
+    @pytest.mark.parametrize("start", [[["a"]], [[None]], [[True, False]]])
+    def test_non_numeric_start_matrix_rejected(self, start):
+        with pytest.raises(ValueError, match="start_matrix must be numeric"):
+            OptimizerConfig(start="custom", start_matrix=start)
+
+
+def packed(theta, eta, alpha):
+    """The softmax parametrization's vector x of (theta, eta, alpha)."""
+    return np.concatenate([theta.ravel(), eta.ravel(), alpha])
+
 
 class TestSoftmax:
     def test_uniform_decode_row_powers(self):
         T, L, P = 4, 2, 1.0
-        sp = SoftmaxParams(theta=np.zeros((T, L)), eta=np.zeros((T, L)),
-                           alpha=np.full(T, 30.0))
-        W = sp.decode(P)
+        x = packed(np.zeros((T, L)), np.zeros((T, L)), np.full(T, 30.0))
+        W, _ = _Softmax((T, L), P).decode_full(x)
         row_power = np.einsum("ml,ml->m", W, W.conj()).real
         np.testing.assert_allclose(row_power, P / T, rtol=1e-9)
 
     def test_decode_always_feasible(self):
         rng = np.random.default_rng(21)
         T, L, P = 6, 3, 2.0
-        sp = SoftmaxParams(theta=rng.standard_normal((T, L)) * 5,
-                           eta=rng.standard_normal((T, L)) * 5,
-                           alpha=rng.standard_normal(T) * 5)
-        W = sp.decode(P)
+        x = packed(rng.standard_normal((T, L)) * 5, rng.standard_normal((T, L)) * 5,
+                   rng.standard_normal(T) * 5)
+        W, _ = _Softmax((T, L), P).decode_full(x)
         row_power = np.einsum("ml,ml->m", W, W.conj()).real
         assert np.all(row_power <= P / T)
 
     def test_round_trip_initialization(self):
         rng = np.random.default_rng(22)
         W0 = 0.2 * complex_randn(rng, (4, 2))
-        sp = SoftmaxParams.from_precoder(W0, P=1.0)
-        np.testing.assert_allclose(sp.decode(1.0), W0, atol=1e-5)
+        softmax = _Softmax((4, 2), 1.0)
+        np.testing.assert_allclose(softmax.decode_full(softmax.encode(W0))[0], W0, atol=1e-5)
 
     def test_parameter_gradient_matches_finite_differences(self):
         spec = cd_spec(23, K=2, T=4, R=2, L=1)
-        dec = _SoftmaxDecoder((4, 2), spec.params.P)
+        dec = _Softmax((4, 2), spec.params.P)
         rng = np.random.default_rng(24)
         x = rng.standard_normal(4 * 2 * 2 + 4)
         W, aux = dec.decode_full(x)
@@ -629,16 +614,15 @@ class TestSoftmax:
         # rounds above the cap: the raw decode does not meet the budget.
         T, L, P = 16, 4, 1.0
         rng = np.random.default_rng(28)
-        saturated = SoftmaxParams(theta=3.0 * rng.standard_normal((T, L)),
-                                  eta=rng.standard_normal((T, L)), alpha=np.full(T, 40.0))
-        monkeypatch.setattr(SoftmaxParams, "from_precoder",
-                            classmethod(lambda cls, W0, P: saturated))
+        saturated = packed(3.0 * rng.standard_normal((T, L)), rng.standard_normal((T, L)),
+                           np.full(T, 40.0))
+        monkeypatch.setattr(_Softmax, "encode", lambda self, W0: saturated)
         flat = CustomObjective(value=lambda W: 0.0, wirtinger_grad=np.zeros_like,
                                shape=(T, L), P=P)
         cfg = OptimizerConfig(start="custom", start_matrix=np.zeros((T, L)))
         scored = []
         W, trace = softmax_maximize(flat, cfg, score_fn=lambda W: scored.append(W) or 0.0)
-        raw = saturated.decode(P)
+        raw, _ = _Softmax((T, L), P).decode_full(saturated)
         assert not PrecodingMatrix(raw).feasible(P, tol=0.0)
         assert trace.iterations == 0 and trace.termination == lbfgs.TERM_GRADIENT
         assert W.feasible(P, tol=0.0)
