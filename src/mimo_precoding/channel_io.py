@@ -73,12 +73,11 @@ def read_channels(path) -> ChannelSet:
         raise ChannelFileError(f"dimension overflow: {total} matrix entries",
                                offset=header_offset)
 
-    need = 16 * total
-    if len(data) - offset < need:
+    need, found = 16 * total, len(data) - offset
+    if found != need:  # the offset where the data ends, or should have ended
         raise ChannelFileError(
-            f"truncated file: expected {need} bytes of matrix data, found {len(data) - offset}",
-            offset=len(data),
-        )
+            f"{'truncated file' if found < need else 'trailing bytes'}: expected {need} "
+            f"bytes of matrix data, found {found}", offset=min(len(data), offset + need))
 
     channels = []
     for k in range(K):

@@ -13,8 +13,9 @@ lam = sigma2 / P,
 
 the effective SINR is the geometric mean of the user's SINRs and the spectral
 efficiency sums L_k log2(1 + effective SINR) over users. `irc_forward` returns
-that value with a cache from which `irc_backward` pulls the gradient back
-through the detector without repeating the forward pass.
+that value with a cache (B, B^H, Q^{-1}, G, Z) from which `irc_backward` pulls
+the gradient back through the detector. Q is factored once, by LU, unless a
+rounding bound cannot prove it positive definite (`_hpd_inverse`).
 
 Both take one (T, L) precoder or a (b, T, L) stack. A stack is folded into
 each group's user axis (`UserGroup.tiled`) and every product keeps the shape a
@@ -40,6 +41,7 @@ from .errors import NumericalFailureError, SingularMatrixError, UndefinedSinrErr
 from .model import ChannelSet, SystemDims, SystemParams, UserGroup
 
 _LN2 = math.log(2.0)
+_U = 2.0 ** -53  # unit roundoff
 
 # Above this condition number an unregularized normal matrix counts as
 # singular; roundoff can otherwise let Cholesky "succeed" on a defective one.
@@ -51,17 +53,34 @@ def _h(X: np.ndarray) -> np.ndarray:
     return X.conj().swapaxes(-1, -2)
 
 
-def _hpd_inverse(Q: np.ndarray, users: np.ndarray, check_singular: bool) -> np.ndarray:
-    """Inverse of a stack of Hermitian positive-definite Q, one per user.
+def _hpd_inverse(Q: np.ndarray, lam: float, L: int, users: np.ndarray) -> np.ndarray:
+    """(Q + lam I)^-1 for a stack of Gram matrices Q = B B^H, B with L columns,
+    one per user; lam is added to Q in place.
 
-    The batched Cholesky factorization is the positive-definiteness test; the
-    inverse itself is batched LU, since numpy has no batched triangular solve.
+    The inverse is batched LU (numpy has no batched triangular solve). A
+    batched Cholesky tests positive definiteness unless lam > c u M proves it
+    passes: u = 2^-53, M is the largest diagonal entry with lam added and
+    c = 4 R (L + R + 5) (c u = 4.4e-14 at R = 4, L = 16). Rounding B B^H moves
+    an entry by at most sqrt(2) gamma_{L+2} |b_i| |b_j| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.5-3.6), the 2-norm by
+    sqrt(2) gamma_{L+2} R M, and adding lam a diagonal entry by u M. Cholesky
+    completes once the diagonally scaled matrix, with lam_min at least
+    lam_min(Q + lam I) / M, has lam_min > R g / (1 - R g), g = sqrt(2)
+    gamma_{R+3} in complex arithmetic (ibid., Thm 10.7). So lam > (1 + sqrt(2)
+    R (L + R + 5)) u M suffices to first order; c doubles it. The test runs for
+    lam = 0, lam outside (2^-969, 2^900) (underflow, overflow) or a NaN or inf
+    in Q, which fails the comparison.
     """
-    if check_singular and np.any(np.linalg.cond(Q) > COND_LIMIT):
+    n, R, _ = Q.shape
+    diag = Q.reshape(n, R * R)[:, ::R + 1]
+    diag += lam
+    if lam == 0.0 and np.any(np.linalg.cond(Q) > COND_LIMIT):
         raise SingularMatrixError(
             f"mmse-irc detection, users {users.tolist()}: system matrix is singular")
+    proven = 2.0 ** -969 < lam < 2.0 ** 900 and lam > 4 * R * (L + R + 5) * _U * diag.real.max()
     try:
-        np.linalg.cholesky(Q)
+        if not proven:
+            np.linalg.cholesky(Q)
         return np.linalg.inv(Q)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"mmse-irc detection, users {users.tolist()}: {exc}") from exc
@@ -105,24 +124,6 @@ def geometric_means(sinr: np.ndarray) -> np.ndarray:
     logs = np.log(np.where(sinr > 0.0, sinr, 1.0))
     means = np.exp(logs.sum(axis=-1) / sinr.shape[-1])
     return np.where((sinr == 0.0).any(axis=-1), 0.0, means)
-
-
-def detect(W: np.ndarray, group: UserGroup, lam: float):
-    """MMSE-IRC detectors of one group: returns B = H W, Q^{-1} and G = A^H Q^{-1}.
-
-    W is one (T, L) precoder, or a (b, T, L) stack for a group tiled over b.
-    """
-    n, R, T = group.H.shape
-    # One GEMM per precoder, of the shape a lone precoder gets, keeps each
-    # precoder's B bit-identical; one (n R, T) x (T, b L) GEMM would not be,
-    # since BLAS blocks the product differently as its width grows.
-    B = (group.H.reshape(n * R, T) @ W).reshape(-1, R, W.shape[-1])
-    Q = B @ _h(B)
-    diag = np.arange(R)
-    Q[:, diag, diag] += lam
-    Q_inv = _hpd_inverse(Q, group.users, check_singular=lam == 0.0)
-    A_t = B[np.arange(len(B))[:, None], :, group.cols]  # (n, L_k, R_k): A transposed
-    return B, Q_inv, A_t.conj() @ Q_inv
 
 
 def _hermitian_solve(Q: np.ndarray, rhs: np.ndarray, context: str,
@@ -177,6 +178,7 @@ class GroupPass:
 
     group: UserGroup
     B: np.ndarray     # (n, R_k, L)
+    Bh: np.ndarray    # (n, L, R_k) conjugate transpose of B
     Q_inv: np.ndarray  # (n, R_k, R_k) inverse of Q = B B^H + lam I
     G: np.ndarray     # (n, L_k, R_k)
     Z: np.ndarray     # (n, L_k, L)
@@ -209,11 +211,18 @@ def irc_forward(Wp, channel: ChannelSet,
     for group in channel.groups:
         if W.ndim == 3:
             group = group.tiled(len(W), W.shape[-1])
-        B, Q_inv, G = detect(W, group, lam)
+        n, R, T = group.H.shape
+        # One GEMM per precoder, of the shape a lone precoder gets, keeps each
+        # precoder's B bit-identical; one (n R, T) x (T, b L) GEMM would not be,
+        # since BLAS blocks the product differently as its width grows.
+        B = (group.H.reshape(n * R, T) @ W).reshape(-1, R, W.shape[-1])
+        Bh = _h(B)
+        Q_inv = _hpd_inverse(B @ Bh, lam, W.shape[-1], group.users)
+        G = Bh[group.rows, group.cols] @ Q_inv  # A^H from the own rows of B^H
         Z = G @ B
         sinr, den, eff, se_group = score_group(Z, G, group, lam)
         se += se_group
-        passes.append(GroupPass(group, B, Q_inv, G, Z, sinr, den, eff))
+        passes.append(GroupPass(group, B, Bh, Q_inv, G, Z, sinr, den, eff))
     return (se if W.ndim == 3 else float(se)), IrcCache(lam, W.shape, tuple(passes))
 
 
@@ -223,8 +232,8 @@ def irc_backward(cache: IrcCache) -> np.ndarray:
     (b, T, L) for a stacked pass, slice j that of precoder j alone.
 
     Adjoints flow from the SINRs to Z, then to the detector G = A^H Q^{-1}
-    with Q = B B^H + lam I, and through both into B = H_k W. The forward
-    pass already inverted Q, so nothing is factored here. The detector branch
+    with Q = B B^H + lam I, and through both into B = H_k W, from the forward
+    pass's B^H and Q^{-1}, so nothing is factored here. The detector branch
     (D_G to D_A and Y) is zero in exact arithmetic, since each MMSE-IRC row
     maximizes its stream's SINR, but it cancels the detector's roundoff to
     first order; without it the gradient loses four to five digits.
@@ -232,12 +241,11 @@ def irc_backward(cache: IrcCache) -> np.ndarray:
     lam = cache.lam
     D_W = np.zeros(cache.shape, dtype=np.complex128)
     for p in cache.passes:
-        bad = (p.den <= 0.0) | (p.sinr <= 0.0)
-        if bad.any():
+        positive = p.sinr > 0.0  # the forward pass rejected den <= 0 or NaN
+        if not positive.all():
             raise NumericalFailureError(
-                f"user {int(p.group.users.flat[np.argmax(bad.any(axis=1))])}: spectral "
-                "efficiency not differentiable (zero per-symbol SINR or denominator)"
-            )
+                f"user {int(p.group.users.flat[np.argmin(positive.all(axis=1))])}: spectral "
+                "efficiency not differentiable (zero per-symbol SINR or denominator)")
         geo = p.eff.reshape(-1, 1)
         # Twice d SE_k / d sinr_l for SE_k = L_k log2(1 + geomean(sinr)); the
         # factor 2 of the ascent gradient is exact here and carries through.
@@ -246,12 +254,11 @@ def irc_backward(cache: IrcCache) -> np.ndarray:
         own = p.group.own
         D_Z = -v_w * p.Z
         np.put(D_Z, own, c / p.den * p.Z.take(own))
-        D_G = D_Z @ _h(p.B) - lam * v_w * p.G    # detector row powers enter via lam
+        D_G = D_Z @ p.Bh - lam * v_w * p.G       # detector row powers enter via lam
         D_A = p.Q_inv @ _h(D_G)                   # (n, R_k, L_k)
         Y = D_A @ p.G                             # (n, R_k, R_k)
         D_B = _h(p.G) @ D_Z - (Y + _h(Y)) @ p.B
-        D_B[np.arange(len(D_B))[:, None], :, p.group.cols] += D_A.swapaxes(1, 2)  # A = own cols
+        D_B[p.group.rows, :, p.group.cols] += D_A.swapaxes(1, 2)  # A = own cols
         # One (T, n R) x (n R, L) GEMM per precoder, as detect's forward GEMM.
-        n, R, T = p.group.H.shape
-        D_W += p.group.H.reshape(n * R, T).conj().T @ D_B.reshape(*cache.shape[:-2], n * R, -1)
+        D_W += p.group.H_h @ D_B.reshape(*cache.shape[:-2], p.group.H_h.shape[1], -1)
     return D_W

@@ -166,6 +166,7 @@ class UserGroup:
     H: np.ndarray      # (n, R_k, T)
     cols: np.ndarray   # (n, L_k) stacked stream indices of each user
     own: np.ndarray    # (n, L_k) flat indices of cols in an (n, L_k, L) array
+    rows: np.ndarray   # (n, 1) arange(n), the row index that pairs with cols
     U: np.ndarray      # (n, R_k, R_k)
     S: np.ndarray      # (n, R_k)
     V: np.ndarray      # (n, R_k, T)
@@ -173,18 +174,23 @@ class UserGroup:
     def tiled(self, b: int, L: int) -> "UserGroup":
         """The group repeated for a stack of b precoders with L streams each.
 
-        Row j * n + i of cols and own stands for user users[i] under precoder
-        j, so a (b * n, L_k, L) array holds the b precoders' arrays one after
-        another; own is offset by j * n * L_k * L accordingly. users becomes
+        Row j * n + i of cols, own and rows stands for user users[i] under
+        precoder j, so a (b * n, L_k, L) array holds the b precoders' arrays one
+        after another; own is offset by j * n * L_k * L accordingly. users becomes
         (b, n), row j for precoder j, which is how per-user results split into
         precoders. H and the factors are shared, not repeated: H_i W_j is row
         j * n + i of the stacked product.
         """
-        users, cols, own = _tiled_indices(*((a.dtype.str, a.tobytes())
-                                            for a in (self.users, self.cols, self.own)),
-                                          self.cols.shape[1], b, L)
-        return UserGroup(users=users, H=self.H, cols=cols, own=own,
+        users, cols, own, rows = _tiled_indices(*((a.dtype.str, a.tobytes())
+                                                  for a in (self.users, self.cols, self.own)),
+                                                self.cols.shape[1], b, L)
+        return UserGroup(users=users, H=self.H, cols=cols, own=own, rows=rows,
                          U=self.U, S=self.S, V=self.V)
+
+    @cached_property
+    def H_h(self) -> np.ndarray:
+        """(T, n R_k) conjugate transpose of the stacked rows of H, read-only."""
+        return _read_only(self.H.reshape(-1, self.H.shape[2]).conj().T)
 
 
 @dataclass(frozen=True)
@@ -273,8 +279,8 @@ def _unit_phases(anchor: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _layout(T: int, R_k: tuple[int, ...], L_k: tuple[int, ...]):
     """Dimensions and user groups of a channel set, which depend on the
-    shapes alone: SystemDims, then (L_k, users, cols, own) per group, groups
-    in order of first appearance. All arrays are read-only."""
+    shapes alone: SystemDims, then (L_k, users, cols, own, rows) per group,
+    groups in order of first appearance. All arrays are read-only."""
     dims = SystemDims(K=len(R_k), T=T, R_k=R_k, L_k=L_k)
     buckets: dict[tuple[int, int], list[int]] = {}
     for k, key in enumerate(zip(R_k, L_k)):
@@ -283,20 +289,22 @@ def _layout(T: int, R_k: tuple[int, ...], L_k: tuple[int, ...]):
     groups = []
     for (_, L), idx in buckets.items():
         cols = starts[idx][:, None] + np.arange(L)
-        own = (np.arange(len(idx))[:, None] * L + np.arange(L)) * starts[-1] + cols
-        groups.append((L, _read_only(np.array(idx)), _read_only(cols), _read_only(own)))
+        rows = np.arange(len(idx))[:, None]
+        own = (rows * L + np.arange(L)) * starts[-1] + cols
+        groups.append((L, *map(_read_only, (np.array(idx), cols, own, rows))))
     return dims, tuple(groups)
 
 
 @lru_cache(maxsize=64)
 def _tiled_indices(users, cols, own, L_k: int, b: int, L: int):
-    """Read-only users, cols and own of UserGroup.tiled, which depend on the
-    group's index arrays alone; each comes in as its (dtype, bytes)."""
+    """Read-only users, cols, own and rows of UserGroup.tiled, which depend on
+    the group's index arrays alone; each comes in as its (dtype, bytes)."""
     users, cols, own = (np.frombuffer(buf, dtype=dt) for dt, buf in (users, cols, own))
     offsets = np.arange(b)[:, None, None] * own.size * L
     return (_read_only(np.tile(users, (b, 1))),
             _read_only(np.tile(cols.reshape(-1, L_k), (b, 1))),
-            _read_only((own.reshape(-1, L_k) + offsets).reshape(-1, L_k)))
+            _read_only((own.reshape(-1, L_k) + offsets).reshape(-1, L_k)),
+            _read_only(np.arange(b * len(users))[:, None]))
 
 
 def build_channel_set(channels, layer_counts) -> ChannelSet:
@@ -327,12 +335,12 @@ def build_channel_set(channels, layer_counts) -> ChannelSet:
     S_tilde = np.empty(dims.L)
     V_tilde = np.empty((dims.L, T), dtype=np.complex128)
     groups = []
-    for L, users, cols, own in layout:
+    for L, users, cols, own, rows in layout:
         H = np.stack([mats[k] for k in users.tolist()])
         U, S, V = _factors(H, L, users)
         S_tilde[cols] = S[:, :L]
         V_tilde[cols] = V[:, :L]
-        groups.append(UserGroup(users=users, H=_read_only(H), cols=cols, own=own,
+        groups.append(UserGroup(users=users, H=_read_only(H), cols=cols, own=own, rows=rows,
                                 U=U, S=S, V=V))
     return ChannelSet(dims=dims, groups=tuple(groups),
                       S_tilde=_read_only(S_tilde), V_tilde=_read_only(V_tilde))
@@ -351,7 +359,7 @@ def susinr_gain(dims: SystemDims, s_tilde: np.ndarray) -> float:
     # One row sum per user, taken a user group at a time, then summed over
     # users in user order: the bits of a per-user loop.
     log_terms = np.empty(dims.K)
-    for L_k, users, cols, _ in _layout(dims.T, dims.R_k, dims.L_k)[1]:
+    for L_k, users, cols, *_ in _layout(dims.T, dims.R_k, dims.L_k)[1]:
         log_terms[users] = (2.0 / L_k) * logs[cols].sum(axis=1) - math.log(L_k)
     return math.exp(sum(log_terms.tolist()) / dims.K)
 

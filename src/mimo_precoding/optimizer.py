@@ -116,9 +116,14 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.start_matrix is not None:
-            if np.asarray(self.start_matrix).dtype.kind not in "iufc":
-                raise ValueError(f"start_matrix must be numeric, got {self.start_matrix!r}")
-            if not np.all(np.isfinite(self.start_matrix)):
+            try:
+                start = np.asarray(self.start_matrix)
+            except ValueError:  # rows of different lengths
+                start = np.array(None)
+            if start.ndim > 2 or start.dtype.kind not in "iufc":  # 1-D fails (T, L) later
+                raise ValueError("start_matrix must be numeric: a 2-D (T, L) matrix, "
+                                 f"got {self.start_matrix!r}")
+            if not np.all(np.isfinite(start)):
                 raise ValueError("start_matrix has non-finite entries")
         if not (is_count(self.max_iters) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")

@@ -97,6 +97,16 @@ class TestErrors:
             read_channels(path)
         assert err.value.offset == len(data) - 8
 
+    def test_trailing_bytes_report_where_the_data_should_end(self, tmp_path):
+        ch = generate_channels(SystemDims.uniform(K=1, T=4, R=2, L=1), seed=0)
+        path = tmp_path / "long.bin"
+        write_channels(ch, path)
+        data = path.read_bytes()
+        path.write_bytes(data + b"\x00" * 24)
+        with pytest.raises(ChannelFileError, match="trailing bytes.*found 152") as err:
+            read_channels(path)
+        assert err.value.offset == len(data)
+
     def test_invalid_per_user_dims(self, tmp_path):
         # L_k > R_k in the header.
         path = tmp_path / "dims.bin"

@@ -7,6 +7,7 @@ loop gradient the kernel replaced, kept here verbatim as the reference.
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mimo_precoding import (
     BaselineConfig,
     NumericalFailureError,
     ObjectiveSpec,
+    ScenarioConfig,
     SingularMatrixError,
     SystemDims,
     SystemParams,
@@ -32,6 +34,8 @@ from mimo_precoding import (
     spectral_efficiency_irc,
     symbol_sinr,
 )
+from mimo_precoding import irc
+from mimo_precoding.harness import cell, run_algorithm
 from mimo_precoding.irc import geometric_means, irc_backward, irc_forward
 
 from conftest import calibrated_params, complex_randn, embed, fd_gradient, mixed_rows_precoder
@@ -212,6 +216,64 @@ class TestForward:
         W[:, 1] = 0.0
         with pytest.raises(UndefinedSinrError, match="symbol 1"):
             spectral_efficiency_irc(W, channel, params)
+
+
+def counting_cholesky():
+    """Wrap the np.linalg.cholesky that irc calls, counting its calls."""
+    return mock.patch.object(irc.np.linalg, "cholesky", wraps=irc.np.linalg.cholesky)
+
+
+class TestPositiveDefiniteness:
+    # Two proportional nonzero columns make every B = H_k W rank one, so at
+    # these noise powers each Q is singular to working precision. With the
+    # Cholesky test removed most draws end in UndefinedSinrError instead.
+    @pytest.mark.parametrize("sigma2", [1e-16, 1e-20, 1e-30])
+    def test_rank_one_products_are_singular(self, sigma2):
+        dims = SystemDims.uniform(K=2, T=8, R=4, L=2)
+        params = SystemParams(P=1.0, sigma2=sigma2, L=4)
+        for draw in range(5):
+            w = complex_randn(np.random.default_rng(draw), 8)
+            W = np.zeros((8, 4), dtype=complex)
+            W[:, 0], W[:, 2] = w, (0.3 - 0.7j) * w
+            with pytest.raises(SingularMatrixError, match=r"users \[0, 1\]"):
+                irc_forward(W, generate_channels(dims, seed=draw), params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 8), st.integers(1, 16), st.integers(1, 8),
+           st.floats(-30.0, 0.0), st.floats(-100.0, 100.0), st.integers(0, 2**16))
+    def test_skipped_only_where_cholesky_succeeds(self, n, R, L, rank, log_ratio,
+                                                  log_scale, seed):
+        # B of any rank up to min(R, L), lam from 1e-30 to 1 times max Q_ii.
+        rng = np.random.default_rng(seed)
+        rank = min(rank, R, L)
+        B = (complex_randn(rng, (n, R, rank)) @ complex_randn(rng, (n, rank, L))
+             * 10.0 ** log_scale)
+        Q = B @ B.conj().swapaxes(-1, -2)
+        lam = 10.0 ** log_ratio * Q.reshape(n, R * R)[:, ::R + 1].real.max()
+        with counting_cholesky() as chol:
+            try:
+                irc._hpd_inverse(Q, lam, L, np.arange(n))
+            except SingularMatrixError:
+                assert chol.called
+        if not chol.called:
+            np.linalg.cholesky(Q)  # Q now holds Q + lam I
+
+    def test_bound_at_default_dims(self):
+        # 4 R (L + R + 5) u = 400 * 2^-53, about 4.44e-14, at R = 4, L = 16.
+        B = complex_randn(np.random.default_rng(0), (2, 4, 16))
+        M = (B @ B.conj().swapaxes(-1, -2)).reshape(2, 16)[:, ::5].real.max()
+        for ratio, calls in ((4.5e-14, 0), (4.4e-14, 1), (0.0, 1)):
+            with counting_cholesky() as chol:
+                irc._hpd_inverse(B @ B.conj().swapaxes(-1, -2), ratio * M, 16, np.arange(2))
+            assert chol.call_count == calls, ratio
+
+    @pytest.mark.parametrize("susinr_db, tested", [(-4.0, False), (40.0, False), (200.0, True)])
+    def test_qn_run_factors_each_detector_once(self, susinr_db, tested):
+        cfg = ScenarioConfig()
+        channel, params = cell(cfg, 0, susinr_db)
+        with counting_cholesky() as chol:
+            run_algorithm("QN-IRC-ARZF", channel, params, cfg.optimizer)
+        assert chol.called == tested
 
 
 class TestScores:

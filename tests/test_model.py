@@ -236,6 +236,8 @@ class TestBuildChannelSet:
             Z = np.random.default_rng(seed).random((n, L_g, dims.L))
             i, l = np.arange(n)[:, None], np.arange(L_g)
             assert np.array_equal(Z.reshape(-1)[g.own], Z[i, l, g.cols])
+            assert g.rows.tobytes() == i.tobytes() and g.rows.shape == (n, 1)
+            assert not g.rows.flags.writeable
             t = g.tiled(3, dims.L)  # precoder j's rows follow precoder j - 1's
             assert t.H is g.H
             assert t.users.tolist() == [g.users.tolist()] * 3
@@ -289,7 +291,8 @@ class TestTiled:
                 t = g.tiled(b, dims.L)
                 offsets = np.arange(b)[:, None, None] * g.own.size * dims.L
                 fresh = {"users": np.tile(g.users, (b, 1)), "cols": np.tile(g.cols, (b, 1)),
-                         "own": (g.own + offsets).reshape(-1, g.own.shape[1])}
+                         "own": (g.own + offsets).reshape(-1, g.own.shape[1]),
+                         "rows": np.arange(b * len(g.users))[:, None]}
                 for name, want in fresh.items():
                     got = getattr(t, name)
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
@@ -299,10 +302,17 @@ class TestTiled:
                 for name in ("H", "U", "S", "V"):
                     assert getattr(t, name) is getattr(g, name)
 
+    def test_conjugate_transpose_is_cached_and_read_only(self):
+        for g in generate_channels(self.LAYOUTS["ragged"], 0).groups:
+            n, R, T = g.H.shape
+            assert g.H_h is g.H_h and not g.H_h.flags.writeable
+            assert g.H_h.shape == (T, n * R)
+            assert g.H_h.tobytes() == g.H.reshape(n * R, T).conj().T.tobytes()
+
     def test_keyed_on_index_values(self):
         g = generate_channels(self.LAYOUTS["uniform"], 0).groups[0]
         copy = type(g)(users=g.users.copy(), H=g.H, cols=g.cols.copy(), own=g.own.copy(),
-                       U=g.U, S=g.S, V=g.V)
+                       rows=g.rows.copy(), U=g.U, S=g.S, V=g.V)
         assert copy.tiled(3, 16).own is g.tiled(3, 16).own
         assert g.tiled(3, 17).own.tobytes() != g.tiled(3, 16).own.tobytes()
 

@@ -10,6 +10,7 @@ from mimo_precoding import (
     CustomObjective,
     ObjectiveSpec,
     OptimizerConfig,
+    ScenarioConfig,
     SystemDims,
     generate_channels,
     gradient,
@@ -20,7 +21,9 @@ from mimo_precoding import (
     softmax_maximize,
     spectral_efficiency_irc,
 )
-from mimo_precoding.errors import DimensionError, NumericalFailureError, UndefinedSinrError
+from mimo_precoding.errors import (
+    ConfigError, DimensionError, NumericalFailureError, UndefinedSinrError,
+)
 from mimo_precoding import lbfgs, optimizer
 from mimo_precoding.optimizer import (
     _ball, _chain_projection, _project, _ProjectionParam, _Softmax,
@@ -537,6 +540,19 @@ class TestLbfgsMaximize:
         start[3, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             OptimizerConfig(start="custom", start_matrix=start)
+
+    # numpy's own "inhomogeneous shape" ValueError, which did not name the field.
+    def test_ragged_start_matrix_rejected_by_name(self):
+        with pytest.raises(ValueError, match="start_matrix must be numeric: a 2-D"):
+            OptimizerConfig(start="custom", start_matrix=[[1, 2], [3]])
+        with pytest.raises(ConfigError, match="start_matrix must be numeric: a 2-D"):
+            ScenarioConfig.from_dict({"optimizer": {"start": "custom",
+                                                    "start_matrix": [[1, 2], [3]]}})
+
+    # Passed the config check and failed only at run time.
+    def test_three_axis_start_matrix_rejected_by_name(self):
+        with pytest.raises(ValueError, match="start_matrix must be numeric: a 2-D"):
+            OptimizerConfig(start="custom", start_matrix=np.zeros((2, 8, 2), dtype=complex))
 
     # np.isfinite used to raise a bare TypeError on these.
     @pytest.mark.parametrize("start", [[["a"]], [[None]], [[True, False]]])
