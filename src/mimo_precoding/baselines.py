@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import DegenerateChannelError, DimensionError, SingularMatrixError, ZeroPrecoderError
-from .model import ChannelSet, SystemParams
+from .model import ChannelSet, SystemParams, check_power
 from .quality import PrecodingMatrix
 
 KINDS = ("MRT", "ZF", "RZF", "ARZF")
@@ -43,6 +43,7 @@ def normalize_power(W_raw: np.ndarray, P: float) -> PrecodingMatrix:
     One global scalar preserves the precoder direction, so normalization
     absorbs any positive scaling of the input.
     """
+    check_power(P)
     W = np.asarray(W_raw, dtype=np.complex128)
     if W.ndim != 2:
         raise DimensionError(f"precoder must be a matrix, got ndim={W.ndim}")

@@ -207,7 +207,7 @@ def irc_forward(Wp, channel: ChannelSet,
     W = np.asarray(Wp, dtype=np.complex128)
     lam = params.noise_to_signal
     passes = []
-    se = np.zeros(W.shape[:-2])
+    se = None
     for group in channel.groups:
         if W.ndim == 3:
             group = group.tiled(len(W), W.shape[-1])
@@ -221,7 +221,7 @@ def irc_forward(Wp, channel: ChannelSet,
         G = Bh[group.rows, group.cols] @ Q_inv  # A^H from the own rows of B^H
         Z = G @ B
         sinr, den, eff, se_group = score_group(Z, G, group, lam)
-        se += se_group
+        se = se_group if se is None else se + se_group
         passes.append(GroupPass(group, B, Bh, Q_inv, G, Z, sinr, den, eff))
     return (se if W.ndim == 3 else float(se)), IrcCache(lam, W.shape, tuple(passes))
 
@@ -239,7 +239,7 @@ def irc_backward(cache: IrcCache) -> np.ndarray:
     first order; without it the gradient loses four to five digits.
     """
     lam = cache.lam
-    D_W = np.zeros(cache.shape, dtype=np.complex128)
+    D_W = None
     for p in cache.passes:
         positive = p.sinr > 0.0  # the forward pass rejected den <= 0 or NaN
         if not positive.all():
@@ -260,5 +260,6 @@ def irc_backward(cache: IrcCache) -> np.ndarray:
         D_B = _h(p.G) @ D_Z - (Y + _h(Y)) @ p.B
         D_B[p.group.rows, :, p.group.cols] += D_A.swapaxes(1, 2)  # A = own cols
         # One (T, n R) x (n R, L) GEMM per precoder, as detect's forward GEMM.
-        D_W += p.group.H_h @ D_B.reshape(*cache.shape[:-2], p.group.H_h.shape[1], -1)
+        part = p.group.H_h @ D_B.reshape(*cache.shape[:-2], p.group.H_h.shape[1], -1)
+        D_W = part if D_W is None else D_W + part
     return D_W

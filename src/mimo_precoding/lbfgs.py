@@ -5,25 +5,29 @@ the negated objective, so the recursion applied to the ascent gradient yields
 an ascent direction directly. Step lengths come from backtracking with a
 sufficient-increase condition, which makes accepted objective values
 non-decreasing by construction. The objective is one callback,
-evaluate(x) -> (f, grad), whose grad() runs only at accepted points.
+evaluate(x) -> (f, grad), whose grad() runs only at accepted points; a NaN
+or inf gradient ends the run as a MimoError does. Each pair's scaling s.y /
+y.y (Nocedal & Wright, eq. 7.20) is taken once, when the pair is stored.
 
-The vector work is level-1 BLAS (ddot, dscal, daxpy): on these short vectors
-a BLAS call costs about a third of a numpy call. ddot is the routine numpy's
-1-D `@` calls. Each two-loop update r - a*y is one daxpy with the multiplier
--a (a - b for r + (a - b)*s), written into r. daxpy may fuse the product into
-the sum, so the direction can differ from numpy's r - a*y in the last bits;
-the recursion stays within a componentwise forward-error bound of the exact
-one (tests/test_lbfgs.py pins it against exact rational arithmetic).
+The vector work is level-1 BLAS (ddot, dscal, daxpy, positional arguments):
+on these short vectors a BLAS call costs about a third of a numpy call. ddot
+is the routine numpy's 1-D `@` calls. Each two-loop update r - a*y is one
+daxpy with the multiplier -a (a - b for r + (a - b)*s), written into r. daxpy
+may fuse the product into the sum, so the direction can differ from numpy's
+r - a*y in the last bits; the recursion stays within a componentwise
+forward-error bound of the exact one (tests/test_lbfgs.py pins it against
+exact rational arithmetic).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot, dscal
 
-from .errors import MimoError
+from .errors import MimoError, NumericalFailureError
 
 # Pairs with curvature at or below this are dropped and the history reset.
 CURVATURE_MIN = 1e-12
@@ -56,7 +60,7 @@ def _inf_norm(g: np.ndarray) -> float:
     return abs(float(max(g.max(), -g.min()))) if g.size else 0.0
 
 
-def _two_loop(g: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
+def _two_loop(g: np.ndarray, pairs: list, gamma: float) -> np.ndarray:
     if not pairs:
         return g.copy()
     # The BLAS wrappers return the arrays they wrote; they copy a non-contiguous
@@ -65,13 +69,12 @@ def _two_loop(g: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, float]]) 
     alphas = []
     for s, y, rho in reversed(pairs):
         a = rho * ddot(s, r)
-        r = daxpy(y, r, a=-a)
+        r = daxpy(y, r, g.size, -a)
         alphas.append(a)
-    s_last, y_last, _ = pairs[-1]
-    r = dscal(ddot(s_last, y_last) / ddot(y_last, y_last), r)
+    r = dscal(gamma, r)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * ddot(y, r)
-        r = daxpy(s, r, a=a - b)
+        r = daxpy(s, r, g.size, a - b)
     return r
 
 
@@ -87,9 +90,10 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
     both the objective change and the step norm drop to tol_change, when
     max_iters accepted steps have been taken, when no backtracking step
     satisfies the sufficient-increase condition, or when grad() raises a
-    library error (MimoError) at an accepted step, which is then the returned
-    iterate, with a NaN gradient norm in its history entry. A MimoError from
-    evaluate rejects a trial; any error at x0, and any other error, propagates.
+    library error (MimoError) or gives a NaN or inf at an accepted step, which
+    is then the returned iterate, with a NaN gradient norm in its history
+    entry. A MimoError from evaluate rejects a trial; any error at x0 (a NaN or
+    inf gradient as NumericalFailureError), and any other, propagates.
 
     Returns (x, info); info carries the termination reason, a StepInfo history
     (entry 0 is the starting point) and evaluation counters.
@@ -100,7 +104,9 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
     n_grad = 1
     n_value = 0
 
-    g_inf = _inf_norm(g)
+    g_inf = _inf_norm(g)  # NaN or inf exactly when some entry of g is
+    if not math.isfinite(g_inf):
+        raise NumericalFailureError("gradient has non-finite entries")
     history: list[StepInfo] = []
 
     def record(t: int, step: float) -> None:
@@ -110,7 +116,7 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
 
     record(0, 0.0)
 
-    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    pairs, gamma = [], 1.0  # (s, y, 1 / s.y) oldest first; s.y / y.y of the newest
     last_df = None
     last_s = None
     termination = TERM_MAX_ITERS
@@ -124,7 +130,7 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
             termination = TERM_CHANGE
             break
 
-        d = _two_loop(g, pairs)
+        d = _two_loop(g, pairs, gamma)
         gd = ddot(g, d)
         if not np.isfinite(gd) or gd <= 0.0:
             pairs.clear()
@@ -151,7 +157,10 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
         n_grad += 1
         try:
             g_new = np.asarray(grad(), dtype=float)
+            g_inf_new = _inf_norm(g_new)
         except MimoError:
+            g_inf_new = np.nan
+        if not math.isfinite(g_inf_new):
             x, f, g_inf = x_new, float(f_new), np.nan
             record(t, step)
             termination = TERM_GRADIENT_FAILURE
@@ -162,6 +171,7 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
         sy = ddot(s, y)
         if sy > CURVATURE_MIN:
             pairs.append((s, y, 1.0 / sy))
+            gamma = sy / ddot(y, y)
             if len(pairs) > memory:
                 pairs.pop(0)
         else:
@@ -169,8 +179,7 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
 
         last_df = abs(float(f_new) - float(f))
         last_s = s
-        x, f, g = x_new, float(f_new), g_new
-        g_inf = _inf_norm(g)
+        x, f, g, g_inf = x_new, float(f_new), g_new, g_inf_new
         record(t, step)
 
     return x, {

@@ -26,6 +26,18 @@ def is_count(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def check_power(P) -> None:
+    """Reject a station power P that is not a positive finite number."""
+    if isinstance(P, (bool, np.bool_)) or not (P > 0 and math.isfinite(P)):
+        raise ValueError(f"P must be a positive finite number, got {P!r}")
+
+
+def check_noise(sigma2) -> None:
+    """Reject a noise power sigma2 that is not a nonnegative finite number."""
+    if isinstance(sigma2, (bool, np.bool_)) or not (sigma2 >= 0 and math.isfinite(sigma2)):
+        raise ValueError(f"sigma2 must be a nonnegative finite number, got {sigma2!r}")
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """Mark an array this module made, and hands out, read-only."""
     a.setflags(write=False)
@@ -100,10 +112,8 @@ class SystemParams:
     L: int
 
     def __post_init__(self):
-        if not (self.P > 0 and math.isfinite(self.P)):
-            raise ValueError(f"P must be positive and finite, got {self.P}")
-        if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
-            raise ValueError(f"sigma2 must be nonnegative and finite, got {self.sigma2}")
+        check_power(self.P)
+        check_noise(self.sigma2)
         if not is_count(self.L):
             raise DimensionError(f"L must be an integer, got {self.L!r}")
         if self.L < 1:
@@ -369,7 +379,8 @@ def noise_from_susinr(channel: ChannelSet, P: float, target_db: float) -> float:
 
     Inverts susinr(channel, sigma2, P) = target_db in closed form.
     """
-    if P <= 0:
-        raise ValueError(f"P must be positive, got {P}")
+    check_power(P)
+    if not math.isfinite(target_db):
+        raise ValueError(f"target_db must be finite, got {target_db!r}")
     gain = susinr_gain(channel.dims, channel.S_tilde)
     return P * gain * 10.0 ** (-target_db / 10.0)

@@ -33,8 +33,9 @@ from . import lbfgs
 from .baselines import BaselineConfig, arzf, rzf
 from .errors import DimensionError, NumericalFailureError
 from .irc import irc_backward, irc_forward
-from .model import ChannelSet, SystemParams, is_count
-from .quality import PrecodingMatrix, as_array, cd_backward, cd_forward, cd_noise, row_power
+from .model import ChannelSet, SystemParams, check_power, is_count
+from .quality import (PrecodingMatrix, as_array, as_precoder, cd_backward, cd_forward, cd_noise,
+                      row_power)
 
 OBJECTIVE_KINDS = ("cd", "irc")
 START_KINDS = ("rzf", "arzf", "custom")
@@ -120,7 +121,7 @@ class OptimizerConfig:
                 start = np.asarray(self.start_matrix)
             except ValueError:  # rows of different lengths
                 start = np.array(None)
-            if start.ndim > 2 or start.dtype.kind not in "iufc":  # 1-D fails (T, L) later
+            if start.ndim != 2 or start.dtype.kind not in "iufc":
                 raise ValueError("start_matrix must be numeric: a 2-D (T, L) matrix, "
                                  f"got {self.start_matrix!r}")
             if not np.all(np.isfinite(start)):
@@ -190,27 +191,30 @@ def _inside(L: int) -> float:
     return 1.0 - (8 * L + 12) * 2.0**-53
 
 
-def _ratio_over(num, power: np.ndarray, over: np.ndarray, fill: float) -> np.ndarray:
-    """num / power on the rows marked over and fill elsewhere, so rows inside
-    the ball (zero rows too) are never divided. When every row is over, a
-    plain divide gives the same bits."""
-    if over.all():
+def _ratio_over(num, power: np.ndarray, where, fill: float) -> np.ndarray:
+    """num / power on the rows marked in the mask where and fill elsewhere,
+    so rows inside the ball (zero rows too) are never divided. where is None
+    when every row is outside, and a plain divide gives the same bits."""
+    if where is None:
         return num / power
-    return np.divide(num, power, out=np.full(power.shape, fill), where=over)
+    return np.divide(num, power, out=np.full(power.shape, fill), where=where)
 
 
 def _ball(W: np.ndarray, P: float):
-    """Where W stands against the per-antenna power ball, once per point:
-    its row power, the mask of rows outside the ball and the factor
+    """Where W stands against the per-antenna power ball, decided once per
+    point: its row power, the mask of rows outside the ball, the factor
     sqrt(cap * _inside(L) / power) that puts them just inside it (exactly 1.0
-    on the other rows). Mask and factor are None when every row is inside.
+    on the other rows) and _ratio_over's where: the mask, or None when every
+    row is outside. All but the power are None when every row is inside.
     The projection and its chain rule both start from it."""
     power = row_power(W)
     cap = P / W.shape[0]
     over = power > cap
-    if not over.any():
-        return power, None, None
-    return power, over, np.sqrt(_ratio_over(cap * _inside(W.shape[1]), power, over, 1.0))
+    n_over = np.count_nonzero(over)
+    if not n_over:
+        return power, None, None, None
+    where = None if n_over == over.size else over
+    return power, over, np.sqrt(_ratio_over(cap * _inside(W.shape[1]), power, where, 1.0)), where
 
 
 def project(W, P: float) -> np.ndarray:
@@ -222,6 +226,7 @@ def project(W, P: float) -> np.ndarray:
     rescaled row's computed power, so every row power satisfies the budget
     in floating point after one rescale and the map is exactly idempotent.
     """
+    check_power(P)
     Wm = as_array(W)
     return _project(Wm, _ball(Wm, P))
 
@@ -229,7 +234,7 @@ def project(W, P: float) -> np.ndarray:
 def _project(W: np.ndarray, ball) -> np.ndarray:
     """project(W, P) given _ball(W, P), which the chain rule reuses: one
     rescale, which _inside's margin keeps within the ball."""
-    _, over, scale = ball
+    _, over, scale, _ = ball
     if over is None:
         return W.copy()
     return W * scale[:, None]
@@ -237,7 +242,7 @@ def _project(W: np.ndarray, ball) -> np.ndarray:
 
 def _chain_projection(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
     """Pull the gradient D at proj(W) back through the projection at W, given
-    _ball(W, P).
+    _ball(W, P) and its decision on which rows are outside.
 
     Interior rows (including rows exactly on the boundary) use the identity
     branch. For a row outside the ball the projection
@@ -245,11 +250,11 @@ def _chain_projection(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
     (the radial component of D carries no first-order change) scaled by the
     same factor _ball gives, so the margin is in the derivative too.
     """
-    power, over, scale = ball
+    power, over, scale, where = ball
     if over is None:
         return D
     radial = np.einsum("ml,ml->m", D, W.conj()).real
-    tangent = D - _ratio_over(radial, power, over, 0.0)[:, None] * W
+    tangent = D - _ratio_over(radial, power, where, 0.0)[:, None] * W
     return scale[:, None] * tangent
 
 
@@ -261,27 +266,24 @@ def _evaluate(W: np.ndarray, spec):
     """The one evaluation path: the objective value at the projection of W,
     and grad(), the complex ascent gradient there from the same forward pass.
     W's place against the power ball (_ball) is found once for both; W may be
-    a view of the engine's vector, which the engine never writes into."""
+    a view of the engine's vector, which the engine never writes into. grad()
+    does not test finiteness: the engine tests its gradient's norm."""
     ball = _ball(W, spec.P)
     f, cache = spec.forward(_project(W, ball))
-
-    def grad() -> np.ndarray:
-        D = _chain_projection(spec.backward(cache), W, ball)
-        if not np.isfinite(D).all():
-            raise NumericalFailureError("gradient has non-finite entries")
-        return D
-
-    return f, grad
+    return f, lambda: _chain_projection(spec.backward(cache), W, ball)
 
 
 def objective(W, spec) -> float:
     """Objective value at the projection of W."""
-    return _evaluate(as_array(W), spec)[0]
+    return _evaluate(as_precoder(W, spec.shape), spec)[0]
 
 
 def gradient(W, spec) -> np.ndarray:
     """Complex ascent gradient of the projected objective at W."""
-    return _evaluate(as_array(W), spec)[1]()
+    D = _evaluate(as_precoder(W, spec.shape), spec)[1]()
+    if not np.isfinite(D).all():
+        raise NumericalFailureError("gradient has non-finite entries")
+    return D
 
 
 # ---------------------------------------------------------------------------

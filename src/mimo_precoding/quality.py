@@ -21,7 +21,7 @@ from .errors import (
     UndefinedSinrError,
 )
 from .irc import geometric_means, irc_forward
-from .model import ChannelSet, SystemParams, UserChannel, susinr_gain
+from .model import ChannelSet, SystemParams, UserChannel, check_noise, check_power, susinr_gain
 
 _LN2 = math.log(2.0)
 
@@ -31,6 +31,14 @@ def as_array(W) -> np.ndarray:
     if isinstance(W, PrecodingMatrix):
         return W.W
     return np.asarray(W, dtype=np.complex128)
+
+
+def as_precoder(W, shape) -> np.ndarray:
+    """as_array(W), rejected with DimensionError unless its shape is (T, L) = shape."""
+    Wm = as_array(W)
+    if Wm.shape != tuple(shape):
+        raise DimensionError(f"precoder must have shape (T, L) = {tuple(shape)}, got {Wm.shape}")
+    return Wm
 
 
 def row_power(W: np.ndarray) -> np.ndarray:
@@ -139,7 +147,7 @@ def spectral_efficiency_irc(W, channel: ChannelSet, params: SystemParams) -> Sin
     scores a cell's precoders together as one stack through irc.irc_forward,
     which gives every precoder's se_bits bit for bit.
     """
-    se, cache = irc_forward(as_array(W), channel, params)
+    se, cache = irc_forward(as_precoder(W, (channel.dims.T, channel.dims.L)), channel, params)
     per_symbol = np.empty(channel.dims.L)
     per_user = np.empty(channel.dims.K)
     for p in cache.passes:
@@ -160,10 +168,8 @@ def susinr(channel: ChannelSet, sigma2: float, P: float) -> float:
     squared singular values with the per-user 1/L_k factor kept inside the
     outer mean, exactly as susinr_gain computes it.
     """
-    if P <= 0:
-        raise ValueError(f"P must be positive, got {P}")
-    if sigma2 < 0:
-        raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
+    check_power(P)
+    check_noise(sigma2)
     if sigma2 == 0:
         raise InfiniteSusinrError("single-user SINR is infinite at zero noise power")
     gain = susinr_gain(channel.dims, channel.S_tilde)
@@ -205,7 +211,8 @@ def se_conjugate(W, v_rows: np.ndarray, s_values: np.ndarray, sigma2: float, P: 
     geometric mean; the two coincide for conjugate detection when every L_k
     equals one.
     """
-    return cd_forward(W, v_rows, cd_noise(s_values, sigma2, P))[0]
+    return cd_forward(as_precoder(W, np.shape(v_rows)[::-1]), v_rows,
+                      cd_noise(s_values, sigma2, P))[0]
 
 
 def cd_noise(s_values: np.ndarray, sigma2: float, P: float) -> np.ndarray:

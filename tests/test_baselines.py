@@ -81,6 +81,12 @@ class TestNormalizePower:
         with pytest.raises(ValueError, match="^precoder has non-finite entries$"):
             normalize_power(W, P=1.0)
 
+    # 0 gave an all-zero precoder and -1 "precoder has non-finite entries".
+    @pytest.mark.parametrize("P", [0.0, -1.0, np.nan, np.inf, True])
+    def test_power_must_be_positive_and_finite(self, P):
+        with pytest.raises(ValueError, match="^P must be a positive finite number"):
+            normalize_power(np.eye(2, dtype=complex), P)
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_zero_matrix_either_order(self, order):
         with pytest.raises(ZeroPrecoderError):

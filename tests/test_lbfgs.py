@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import ddot
 
 from mimo_precoding import lbfgs
 from mimo_precoding.errors import NumericalFailureError
@@ -97,8 +98,15 @@ def two_loop_error_bound(g, pairs):
     return 2.0 * K * U * R + E
 
 
+def scaling(pairs):
+    """gamma = s.y / y.y of the newest pair, the BLAS calls the engine makes
+    when it stores the pair."""
+    s, y, _ = pairs[-1]
+    return ddot(s, y) / ddot(y, y)
+
+
 def assert_within_bound(g, pairs):
-    d = lbfgs._two_loop(g, pairs)
+    d = lbfgs._two_loop(g, pairs, scaling(pairs))
     bound = two_loop_error_bound(g, pairs)
     for got, want, b in zip(d.tolist(), exact_two_loop(g, pairs), bound.tolist()):
         assert abs(Fraction(got) - want) <= Fraction(b), (got, float(want), b)
@@ -145,14 +153,14 @@ class TestTwoLoop:
             pairs[-1][0][n // 2:] = 0.0
             assert float(pairs[-1][0] @ g) == 0.0
         with np.errstate(all="ignore"):
-            finite = (np.isfinite(lbfgs._two_loop(g, pairs)).all()
+            finite = (np.isfinite(lbfgs._two_loop(g, pairs, scaling(pairs))).all()
                       and np.isfinite(two_loop_error_bound(g, pairs)).all())
         assume(finite)
         assert_within_bound(g, pairs)
 
     def test_no_pairs_is_a_copy_of_the_gradient(self):
         g = np.arange(3.0)
-        d = lbfgs._two_loop(g, [])
+        d = lbfgs._two_loop(g, [], 1.0)
         np.testing.assert_array_equal(d, g)
         assert d is not g
 
@@ -204,24 +212,25 @@ class TestEngine:
         assert info["termination"] == lbfgs.TERM_LINE_SEARCH
         assert x[0] == 0.5
 
-    def test_gradient_failure_returns_the_accepted_step(self):
-        # The gradient raises a library error at the first accepted step: the
-        # run returns that step, the history ends there with a NaN gradient
-        # norm, and an error of any other type still propagates.
-        def failing(error):
-            calls = []
+    @staticmethod
+    def _failing_at_first_step(fail):
+        """Ascent on -(x - 3)^2 from 0 whose grad() returns fail(g) in place
+        of its gradient g at the first accepted step; returns evaluate and the
+        points grad ran at."""
+        calls = []
 
-            def evaluate(x):
-                def grad():
-                    calls.append(x.copy())
-                    if len(calls) == 2:
-                        raise error("no gradient here")
-                    return np.array([-2.0 * (x[0] - 3.0)])
-                return value(x), grad
-            return evaluate, calls
+        def evaluate(x):
+            def grad():
+                calls.append(x.copy())
+                g = np.array([-2.0 * (x[0] - 3.0)])
+                return fail(g) if len(calls) == 2 else g
+            return -float((x[0] - 3.0) ** 2), grad
+        return evaluate, calls
 
-        value = lambda x: -float((x[0] - 3.0) ** 2)
-        evaluate, calls = failing(NumericalFailureError)
+    def _assert_returns_first_step(self, fail):
+        # The run returns the first accepted step, and the history ends there
+        # with a NaN gradient norm.
+        evaluate, calls = self._failing_at_first_step(fail)
         seen = []
         x, info = lbfgs.maximize(evaluate, np.array([0.0]), max_iters=10, tol_grad=1e-12,
                                  tol_change=1e-14,
@@ -229,12 +238,29 @@ class TestEngine:
         assert info["termination"] == lbfgs.TERM_GRADIENT_FAILURE
         np.testing.assert_array_equal(x, calls[1])
         last = info["history"][-1]
-        assert last.iteration == 1 and last.value == value(x)
+        assert last.iteration == 1 and last.value == -float((x[0] - 3.0) ** 2)
         assert np.isnan(last.grad_norm) and np.isnan(seen[-1][1]) and len(seen) == 2
         assert info["n_grad_evals"] == 2
+
+    @staticmethod
+    def _raising(error):
+        def fail(g):
+            raise error("no gradient here")
+        return fail
+
+    def test_gradient_failure_returns_the_accepted_step(self):
+        # The gradient raises a library error at the first accepted step; an
+        # error of any other type still propagates.
+        self._assert_returns_first_step(self._raising(NumericalFailureError))
         with pytest.raises(RuntimeError, match="no gradient"):
-            lbfgs.maximize(failing(RuntimeError)[0], np.array([0.0]), max_iters=10,
-                           tol_grad=1e-12, tol_change=1e-14)
+            lbfgs.maximize(self._failing_at_first_step(self._raising(RuntimeError))[0],
+                           np.array([0.0]), max_iters=10, tol_grad=1e-12, tol_change=1e-14)
+
+    # The gradient has a NaN or infinite entry and raises nothing: the engine
+    # runs on to line-search-failure unless it tests the gradient itself.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_returns_the_accepted_step(self, bad):
+        self._assert_returns_first_step(lambda g: np.full_like(g, bad))
 
     def test_gradient_failure_at_the_start_propagates(self):
         # Whether evaluate itself or its grad fails at x0.
@@ -248,6 +274,15 @@ class TestEngine:
             with pytest.raises(NumericalFailureError, match="x0"):
                 lbfgs.maximize(fn, np.array([0.0]), max_iters=10, tol_grad=1e-12,
                                tol_change=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_at_the_start_raises(self, bad):
+        def evaluate(x):
+            return 0.0, lambda: np.array([1.0, bad, -2.0])
+
+        with pytest.raises(NumericalFailureError, match="^gradient has non-finite entries$"):
+            lbfgs.maximize(evaluate, np.zeros(3), max_iters=10, tol_grad=1e-12,
+                           tol_change=1e-14)
 
     def test_change_tolerance_termination(self):
         # So flat that unit steps move the iterate by ~1e-20 while the gradient

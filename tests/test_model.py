@@ -78,6 +78,14 @@ class TestSystemParams:
         with pytest.raises(ValueError, match="finite"):
             SystemParams(**{"P": 1.0, "sigma2": 0.1, "L": 2, **kwargs})
 
+    # Both used to construct, a boolean power reading as 0 or 1.
+    @pytest.mark.parametrize("kwargs", [dict(P=True), dict(sigma2=False), dict(P=np.True_)],
+                             ids=["P", "sigma2", "numpy-P"])
+    def test_boolean_power_or_noise_rejected_by_name(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"^{name} must be a"):
+            SystemParams(**{"P": 1.0, "sigma2": 0.1, "L": 16, **kwargs})
+
     @pytest.mark.parametrize("L", [True, 2.5, 2.0, "2"])
     def test_non_integer_stream_count_rejected(self, L):
         with pytest.raises(DimensionError, match="integer"):
@@ -396,6 +404,16 @@ class TestNoiseCalibration:
             for target in (-4.0, 12.0, 40.0):
                 got = noise_from_susinr(ch, 2.0, target)
                 assert got.hex() == per_user_loop_noise(ch, 2.0, target).hex()
+
+    # Each returned NaN (or 0 or inf for an infinite target).
+    @pytest.mark.parametrize("P, target, name", [
+        (1.0, math.nan, "target_db"), (1.0, math.inf, "target_db"), (1.0, -math.inf, "target_db"),
+        (math.nan, 10.0, "P"), (math.inf, 10.0, "P"), (0.0, 10.0, "P"), (-1.0, 10.0, "P"),
+    ])
+    def test_non_finite_target_or_power_rejected(self, P, target, name):
+        ch = random_channel(9, K=2, T=8, R=2, L=2)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            noise_from_susinr(ch, P, target)
 
     def test_zero_singular_value_rejected(self):
         dims = SystemDims(K=1, T=2, R_k=(1,), L_k=(1,))

@@ -70,6 +70,12 @@ def ragged_cd_spec(seed, susinr_db=10.0):
 
 
 class TestProject:
+    # 0 returned NaNs under a RuntimeWarning; -1 too.
+    @pytest.mark.parametrize("P", [0.0, -1.0, np.nan, np.inf])
+    def test_power_must_be_positive_and_finite(self, P):
+        with pytest.raises(ValueError, match="^P must be a positive finite number"):
+            project(np.ones((4, 2), dtype=complex), P)
+
     def test_zero_unchanged(self):
         W = np.zeros((3, 2), dtype=complex)
         np.testing.assert_array_equal(project(W, 1.0), W)
@@ -215,6 +221,10 @@ class TestBall:
         W = self.CASES[case](rng)
         D = complex_randn(rng, W.shape)
         ball, expected = _ball(W, 1.0), masked_ball(W, 1.0)
+        # The fourth entry is the mask _ratio_over divides under: None when
+        # every row is outside (or when none is, with the mask None too).
+        every = expected[1] is None or expected[1].all()
+        assert ball[3] is None if every else ball[3] is ball[1]
         for got, want in zip(ball, expected):
             assert (got is None) == (want is None)
             if got is not None:
@@ -250,6 +260,25 @@ class TestObjective:
         expected = spectral_efficiency_irc(proj, spec.channel, spec.params).se_bits
         assert objective(W, spec) == pytest.approx(expected, rel=1e-14)
 
+    # (8, 5) was scored with the fifth column as one more interfering stream,
+    # (8, 3) raised a bare IndexError from the IRC entry points and (7, 4)
+    # numpy's matmul ValueError.
+    @pytest.mark.parametrize("shape", [(8, 5), (8, 3), (7, 4)])
+    @pytest.mark.parametrize("kind", ["cd", "irc"])
+    def test_wrong_shape_precoder_rejected_by_name(self, kind, shape):
+        spec = (cd_spec if kind == "cd" else irc_spec)(47, K=2, T=8, R=2, L=2)
+        ch, pr = spec.channel, spec.params
+        score = {
+            "cd": lambda W: se_conjugate(W, ch.V_tilde, ch.S_tilde, pr.sigma2, pr.P),
+            "irc": lambda W: spectral_efficiency_irc(W, ch, pr),
+        }[kind]
+        W = 0.1 * complex_randn(np.random.default_rng(48), shape)
+        for fn in (score, lambda W: objective(W, spec), lambda W: gradient(W, spec)):
+            with pytest.raises(DimensionError,
+                               match=rf"^precoder must have shape \(T, L\) = \(8, 4\), "
+                                     rf"got \({shape[0]}, {shape[1]}\)$"):
+                fn(W)
+
 
 class TestCdForwardBackward:
     CASES = {
@@ -278,6 +307,14 @@ class TestCdForwardBackward:
 
 
 class TestGradient:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_rejected(self, bad):
+        # The engine tests its own gradients; direct callers keep this check.
+        spec = CustomObjective(value=lambda W: 0.0, shape=(4, 2), P=1.0,
+                               wirtinger_grad=lambda W: np.full((4, 2), bad, dtype=complex))
+        with pytest.raises(NumericalFailureError, match="^gradient has non-finite entries$"):
+            gradient(np.zeros((4, 2), dtype=complex), spec)
+
     def test_cd_zero_precoder_critical_point(self):
         spec = cd_spec(7)
         W = np.zeros((8, 2), dtype=complex)
@@ -408,6 +445,45 @@ class TestLbfgsMaximize:
         assert trace.records[-1].objective == float(np.vdot(C, W.W).real) > 0.0
         assert math.isnan(trace.records[-1].grad_norm)
 
+    @staticmethod
+    def _non_finite_at(call, bad):
+        """A linear CustomObjective whose gradient has a bad entry, without
+        raising, at the given gradient call (1 is the start), and its C. C is
+        small enough that the first step stays inside the power ball, where the
+        chain rule passes the gradient through: outside it, an infinite entry
+        makes the tangent projection warn."""
+        C = 1e-3 * complex_randn(np.random.default_rng(37), (4, 2))
+        grads = []
+
+        def wirtinger_grad(W):
+            grads.append(W.copy())
+            if len(grads) == call:
+                return np.where(np.arange(8).reshape(4, 2) == 5, bad, C)
+            return C
+
+        spec = CustomObjective(value=lambda W: float(np.vdot(C, W).real),
+                               wirtinger_grad=wirtinger_grad, shape=(4, 2), P=1.0)
+        return spec, grads, C
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_gradient_at_an_accepted_step_returns_it(self, bad):
+        spec, grads, C = self._non_finite_at(2, bad)
+        cfg = OptimizerConfig(max_iters=30, start="custom",
+                              start_matrix=np.zeros((4, 2), dtype=complex))
+        W, trace = lbfgs_maximize(spec, cfg)
+        assert trace.termination == lbfgs.TERM_GRADIENT_FAILURE
+        assert trace.n_grad_evals == 2 and trace.iterations == 1
+        np.testing.assert_array_equal(W.W, grads[1])
+        assert trace.records[-1].objective == float(np.vdot(C, W.W).real) > 0.0
+        assert math.isnan(trace.records[-1].grad_norm)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_at_the_start_raises(self, bad):
+        spec, _, _ = self._non_finite_at(1, bad)
+        cfg = OptimizerConfig(start="custom", start_matrix=np.zeros((4, 2), dtype=complex))
+        with pytest.raises(NumericalFailureError, match="^gradient has non-finite entries$"):
+            lbfgs_maximize(spec, cfg)
+
     def test_undefined_sinr_names_the_user(self):
         # User 2 of 3 owns streams 4 and 5; with them silent its detector is
         # zero and its SINR undefined.
@@ -527,7 +603,7 @@ class TestLbfgsMaximize:
             with pytest.raises(ValueError):
                 OptimizerConfig(**kwargs)
 
-    @pytest.mark.parametrize("shape", [(8, 3), (3, 2), (16,)])
+    @pytest.mark.parametrize("shape", [(8, 3), (3, 2)])
     def test_wrong_shape_start_matrix_rejected(self, shape):
         spec = cd_spec(22, K=2, T=8, R=2, L=1)
         cfg = OptimizerConfig(start="custom", start_matrix=np.zeros(shape, dtype=complex))
@@ -553,6 +629,13 @@ class TestLbfgsMaximize:
     def test_three_axis_start_matrix_rejected_by_name(self):
         with pytest.raises(ValueError, match="start_matrix must be numeric: a 2-D"):
             OptimizerConfig(start="custom", start_matrix=np.zeros((2, 8, 2), dtype=complex))
+
+    # Passed the config check and failed only at run time, against (T, L).
+    def test_one_axis_start_matrix_rejected_by_name(self):
+        with pytest.raises(ValueError, match="start_matrix must be numeric: a 2-D"):
+            OptimizerConfig(start="custom", start_matrix=np.zeros(16, dtype=complex))
+        with pytest.raises(ConfigError, match="start_matrix must be numeric: a 2-D"):
+            ScenarioConfig.from_dict({"optimizer": {"start": "custom", "start_matrix": [0.0] * 16}})
 
     # np.isfinite used to raise a bare TypeError on these.
     @pytest.mark.parametrize("start", [[["a"]], [[None]], [[True, False]]])

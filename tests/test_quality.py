@@ -164,6 +164,16 @@ class TestSusinr:
         with pytest.raises(InfiniteSusinrError):
             susinr(ch, 0.0, 1.0)
 
+    # A NaN noise or power returned NaN.
+    @pytest.mark.parametrize("sigma2, P, name", [
+        (np.nan, 1.0, "sigma2"), (np.inf, 1.0, "sigma2"), (-1.0, 1.0, "sigma2"),
+        (1.0, np.nan, "P"), (1.0, np.inf, "P"), (1.0, 0.0, "P"),
+    ])
+    def test_non_finite_noise_or_power_rejected(self, sigma2, P, name):
+        ch = build_channel_set([np.eye(1)], [1])
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            susinr(ch, sigma2, P)
+
 
 class TestConjugateQuality:
     def test_scalar_case(self):
