@@ -20,7 +20,16 @@ MODELS = ("iid-gaussian", "exp-correlated")
 
 
 def _user_rng(seed: int, user: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, user]))
+    """The generator of SeedSequence([seed, user]). SeedSequence reads each
+    integer as its little-endian 32-bit words (at least one), seed's first;
+    handed those words as a uint32 array it skips that per-call coercion and
+    keys the same stream."""
+    words = []
+    for n in (int(seed), user):
+        words.append(n & 0xFFFFFFFF)
+        while n := n >> 32:
+            words.append(n & 0xFFFFFFFF)
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 def _exp_correlation_sqrt(n: int, rho: float) -> np.ndarray:

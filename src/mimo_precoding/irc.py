@@ -92,18 +92,21 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
 
     Z is (n, L_k, L) and G the (n, L_k, R_k) detector rows. Returns the SINRs
     and their denominators, both (n, L_k), the effective SINRs shaped like
-    group.users and the group's spectral efficiency in bit/s/Hz: a scalar,
-    or one per precoder for a group tiled over a stack of precoders. A zero
-    denominator (no interference and no effective noise) raises
-    UndefinedSinrError, a NaN one (from a NaN or an overflow in the precoder,
-    or a NaN noise) NumericalFailureError; both name the user and the symbol.
+    group.users, the group's spectral efficiency in bit/s/Hz (a scalar, or
+    one per precoder for a group tiled over a stack of precoders) and whether
+    every SINR is positive, which irc_backward reads instead of rescanning.
+    Each validity test is one reduction; a NaN carries through min() to the
+    failing branch. A zero denominator (no interference and no effective
+    noise) raises UndefinedSinrError, a NaN one (from a NaN or an overflow in
+    the precoder, or a NaN noise) NumericalFailureError; both name the user
+    and the symbol.
     """
     power = np.abs(Z) ** 2
     signal = power.take(group.own)
-    np.put(power, group.own, 0.0)  # what is left of each row is interference
+    power.put(group.own, 0.0)  # what is left of each row is interference
     g_power = np.einsum("nlr,nlr->nl", G, G.conj()).real
     den = power.sum(axis=2) + g_power * lam
-    if not (den > 0.0).all():  # a sum of nonnegative terms: zero or NaN
+    if not den.min() > 0.0:  # a sum of nonnegative terms: zero or NaN
         i = np.argmin(den > 0.0)
         user = int(group.users.flat[i // den.shape[1]])  # users is (b, n) when tiled
         bad = f"user {user}, symbol {int(group.cols.flat[i])}"
@@ -113,14 +116,21 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
             )
         raise NumericalFailureError(f"{bad}: SINR denominator is {den.flat[i]}")
     sinr = signal / den
-    eff = geometric_means(sinr).reshape(group.users.shape)
-    return sinr, den, eff, group.cols.shape[1] * np.log1p(eff).sum(axis=-1) / _LN2
+    positive = bool(sinr.min() > 0.0)
+    eff = (_unmasked_geometric_means(sinr) if positive
+           else geometric_means(sinr)).reshape(group.users.shape)
+    return sinr, den, eff, group.cols.shape[1] * np.log1p(eff).sum(axis=-1) / _LN2, positive
+
+
+def _unmasked_geometric_means(sinr: np.ndarray) -> np.ndarray:
+    # For positive SINRs only; the same bits as the masked path.
+    return np.exp(np.log(sinr).sum(axis=-1) / sinr.shape[-1])
 
 
 def geometric_means(sinr: np.ndarray) -> np.ndarray:
     """Geometric mean over the last axis; a zero anywhere collapses it to zero."""
-    if (sinr > 0.0).all():  # no mask needed; the same bits as the masked path
-        return np.exp(np.log(sinr).sum(axis=-1) / sinr.shape[-1])
+    if (sinr > 0.0).all():
+        return _unmasked_geometric_means(sinr)
     logs = np.log(np.where(sinr > 0.0, sinr, 1.0))
     means = np.exp(logs.sum(axis=-1) / sinr.shape[-1])
     return np.where((sinr == 0.0).any(axis=-1), 0.0, means)
@@ -185,6 +195,7 @@ class GroupPass:
     sinr: np.ndarray  # (n, L_k)
     den: np.ndarray   # (n, L_k)
     eff: np.ndarray   # effective SINRs shaped like group.users
+    positive: bool    # every SINR > 0, decided by score_group
 
 
 @dataclass(frozen=True)
@@ -220,9 +231,9 @@ def irc_forward(Wp, channel: ChannelSet,
         Q_inv = _hpd_inverse(B @ Bh, lam, W.shape[-1], group.users)
         G = Bh[group.rows, group.cols] @ Q_inv  # A^H from the own rows of B^H
         Z = G @ B
-        sinr, den, eff, se_group = score_group(Z, G, group, lam)
+        sinr, den, eff, se_group, positive = score_group(Z, G, group, lam)
         se = se_group if se is None else se + se_group
-        passes.append(GroupPass(group, B, Bh, Q_inv, G, Z, sinr, den, eff))
+        passes.append(GroupPass(group, B, Bh, Q_inv, G, Z, sinr, den, eff, positive))
     return (se if W.ndim == 3 else float(se)), IrcCache(lam, W.shape, tuple(passes))
 
 
@@ -233,16 +244,18 @@ def irc_backward(cache: IrcCache) -> np.ndarray:
 
     Adjoints flow from the SINRs to Z, then to the detector G = A^H Q^{-1}
     with Q = B B^H + lam I, and through both into B = H_k W, from the forward
-    pass's B^H and Q^{-1}, so nothing is factored here. The detector branch
-    (D_G to D_A and Y) is zero in exact arithmetic, since each MMSE-IRC row
-    maximizes its stream's SINR, but it cancels the detector's roundoff to
-    first order; without it the gradient loses four to five digits.
+    pass's B^H and Q^{-1}, so nothing is factored here. Whether every SINR is
+    positive is the forward's decision (GroupPass.positive); a zero SINR
+    raises NumericalFailureError naming the first such user. The detector
+    branch (D_G to D_A and Y) is zero in exact arithmetic, since each MMSE-IRC
+    row maximizes its stream's SINR, but it cancels the detector's roundoff
+    to first order; without it the gradient loses four to five digits.
     """
     lam = cache.lam
     D_W = None
     for p in cache.passes:
-        positive = p.sinr > 0.0  # the forward pass rejected den <= 0 or NaN
-        if not positive.all():
+        if not p.positive:  # the forward pass rejected den <= 0 or NaN
+            positive = p.sinr > 0.0
             raise NumericalFailureError(
                 f"user {int(p.group.users.flat[np.argmin(positive.all(axis=1))])}: spectral "
                 "efficiency not differentiable (zero per-symbol SINR or denominator)")
@@ -253,7 +266,7 @@ def irc_backward(cache: IrcCache) -> np.ndarray:
         v_w = (c * p.sinr / p.den)[:, :, None]
         own = p.group.own
         D_Z = -v_w * p.Z
-        np.put(D_Z, own, c / p.den * p.Z.take(own))
+        D_Z.put(own, c / p.den * p.Z.take(own))
         D_G = D_Z @ p.Bh - lam * v_w * p.G       # detector row powers enter via lam
         D_A = p.Q_inv @ _h(D_G)                   # (n, R_k, L_k)
         Y = D_A @ p.G                             # (n, R_k, R_k)

@@ -66,15 +66,16 @@ def _two_loop(g: np.ndarray, pairs: list, gamma: float) -> np.ndarray:
     # The BLAS wrappers return the arrays they wrote; they copy a non-contiguous
     # argument silently, so the returned ones are used throughout.
     r = g.copy()
+    n = g.size
     alphas = []
     for s, y, rho in reversed(pairs):
         a = rho * ddot(s, r)
-        r = daxpy(y, r, g.size, -a)
+        r = daxpy(y, r, n, -a)
         alphas.append(a)
     r = dscal(gamma, r)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * ddot(y, r)
-        r = daxpy(s, r, g.size, a - b)
+        r = daxpy(s, r, n, a - b)
     return r
 
 
@@ -140,7 +141,7 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
         step = INITIAL_STEP
         x_new = None
         for _ in range(MAX_LINE_SEARCH):
-            cand = x + step * d
+            cand = x + d if step == 1.0 else x + step * d  # 1.0 * d is d exactly
             n_value += 1
             try:
                 f_new, grad = evaluate(cand)

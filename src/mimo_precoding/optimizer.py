@@ -103,7 +103,12 @@ class CustomObjective:
         return float(self.value(Wp)), Wp
 
     def backward(self, Wp: np.ndarray) -> np.ndarray:
-        return np.asarray(self.wirtinger_grad(Wp), dtype=np.complex128)
+        """wirtinger_grad at Wp; a NaN or inf entry raises NumericalFailureError
+        before the chain rule sees it."""
+        D = np.asarray(self.wirtinger_grad(Wp), dtype=np.complex128)
+        if not np.isfinite(D).all():
+            raise NumericalFailureError("gradient has non-finite entries")
+        return D
 
 
 @dataclass(frozen=True)
@@ -331,21 +336,20 @@ def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
     encode(W0) gives the first x, decode_full(x) gives W plus what chain(D, W,
     aux) needs to turn the ascent gradient D at W into the gradient over x.
     The precoder of an x is the projection of its W, the point the objective
-    is evaluated at; it is what score_fn sees and what is returned.
+    is evaluated at; it is what score_fn sees and what is returned. The engine
+    gets a callback only to score, when score_fn is given; the trace's
+    records are built once, from the engine's history, after the run.
     """
     cfg = cfg or OptimizerConfig()
     param = param_type(spec.shape, spec.P)
     x0 = param.encode(_starting_point(spec, cfg))
-    records: list[IterationRecord] = []
+    scores: list[float] = []  # score_fn at each record, if given
 
     def precoder(x):
         return project(param.decode_full(x)[0], spec.P)
 
     def on_iteration(i, x, f, grad_norm, step):
-        se = None
-        if score_fn is not None:
-            se = float(score_fn(precoder(x)))
-        records.append(IterationRecord(i, float(f), float(grad_norm), float(step), se))
+        scores.append(float(score_fn(precoder(x))))
 
     def evaluate(x):
         W, aux = param.decode_full(x)  # W may be a view of x
@@ -359,10 +363,13 @@ def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
         tol_grad=cfg.tol_grad,
         tol_change=cfg.tol_change,
         memory=cfg.memory,
-        callback=on_iteration,
+        callback=None if score_fn is None else on_iteration,
     )
+    history = info["history"]  # scores, when kept, has one entry per record
+    records = tuple(IterationRecord(h.iteration, h.value, h.grad_norm, h.step, se)
+                    for h, se in zip(history, scores or [None] * len(history)))
     return PrecodingMatrix(precoder(x)), OptimizationTrace(
-        tuple(records), info["termination"], info["n_value_evals"], info["n_grad_evals"])
+        records, info["termination"], info["n_value_evals"], info["n_grad_evals"])
 
 
 def lbfgs_maximize(spec, cfg: OptimizerConfig | None = None, score_fn=None):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mimo_precoding import ConfigError, SystemDims, generate_channels
-from mimo_precoding.channels import _exp_correlation_sqrt
+from mimo_precoding.channels import _exp_correlation_sqrt, _user_rng
 
 from conftest import stacked
 
@@ -25,6 +25,16 @@ class TestDeterminism:
         large = generate_channels(SystemDims.uniform(K=5, T=8, R=2, L=1), seed=3)
         for k in range(2):
             np.testing.assert_array_equal(small.users[k].H, large.users[k].H)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_user_streams_are_seed_sequence_of_seed_and_user(self, seed):
+        # One-, two- and three-word seeds: each user's draws are those of
+        # SeedSequence([seed, user]) byte for byte.
+        for user in range(10):
+            want = np.random.default_rng(np.random.SeedSequence([seed, user]))
+            got = _user_rng(seed, user)
+            assert got.standard_normal(64).tobytes() == want.standard_normal(64).tobytes()
+            assert got.integers(0, 2**63, 8).tobytes() == want.integers(0, 2**63, 8).tobytes()
 
     def test_rho_zero_equals_iid_bitwise(self):
         dims = SystemDims.uniform(K=2, T=8, R=2, L=1)

@@ -25,6 +25,7 @@ from mimo_precoding import (
     SystemDims,
     SystemParams,
     UndefinedSinrError,
+    arzf,
     build_channel_set,
     generate_channels,
     gradient,
@@ -328,3 +329,18 @@ class TestBackward:
         # The absolute term covers the ~1e-10 roundoff of central differences
         # where the gradient vanishes (e.g. a single row outside the ball).
         assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(fd) + 1e-8
+
+    def test_zero_sinr_passes_the_forward_but_not_the_backward(self):
+        # Stream 0 scaled by 1e-150 has a denominator of about 3e-302 and a
+        # signal power that underflows: SINR 0, a finite value, no gradient.
+        channel = generate_channels(SystemDims.uniform(K=8, T=64, R=4, L=2), seed=0)
+        params = calibrated_params(channel, susinr_db=-4.0)
+        W = arzf(channel, BaselineConfig(kind="ARZF", params=params)).W.copy()
+        W[:, 0] *= 1e-150
+        se, cache = irc_forward(W, channel, params)
+        assert se == pytest.approx(0.5505, abs=1e-4)
+        assert cache.passes[0].sinr[0, 0] == 0.0 < cache.passes[0].den[0, 0] < 1e-300
+        assert spectral_efficiency_irc(W, channel, params).zero_sinr_users == (0,)
+        with pytest.raises(NumericalFailureError,
+                           match="^user 0: spectral efficiency not differentiable "):
+            irc_backward(cache)

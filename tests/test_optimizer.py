@@ -446,13 +446,14 @@ class TestLbfgsMaximize:
         assert math.isnan(trace.records[-1].grad_norm)
 
     @staticmethod
-    def _non_finite_at(call, bad):
+    def _non_finite_at(call, bad, scale=1e-3):
         """A linear CustomObjective whose gradient has a bad entry, without
-        raising, at the given gradient call (1 is the start), and its C. C is
-        small enough that the first step stays inside the power ball, where the
-        chain rule passes the gradient through: outside it, an infinite entry
-        makes the tangent projection warn."""
-        C = 1e-3 * complex_randn(np.random.default_rng(37), (4, 2))
+        raising, at the given gradient call (1 is the start), and its C. At the
+        default scale C is small enough that the first step stays inside the
+        power ball, where the chain rule passes the gradient through; at scale
+        1 it leaves the ball, where the tangent projection would turn an
+        infinite entry into NaN with a warning."""
+        C = scale * complex_randn(np.random.default_rng(37), (4, 2))
         grads = []
 
         def wirtinger_grad(W):
@@ -474,6 +475,21 @@ class TestLbfgsMaximize:
         assert trace.termination == lbfgs.TERM_GRADIENT_FAILURE
         assert trace.n_grad_evals == 2 and trace.iterations == 1
         np.testing.assert_array_equal(W.W, grads[1])
+        assert trace.records[-1].objective == float(np.vdot(C, W.W).real) > 0.0
+        assert math.isnan(trace.records[-1].grad_norm)
+
+    @pytest.mark.parametrize("bad", [np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_gradient_outside_the_power_ball_returns_it(self, bad):
+        # The first step from zero leaves the ball: the bad entry is caught
+        # before the chain rule, so no warning escapes and the step is kept.
+        spec, grads, C = self._non_finite_at(2, bad, scale=1.0)
+        cfg = OptimizerConfig(max_iters=30, start="custom",
+                              start_matrix=np.zeros((4, 2), dtype=complex))
+        W, trace = lbfgs_maximize(spec, cfg)
+        assert trace.termination == lbfgs.TERM_GRADIENT_FAILURE
+        assert trace.n_grad_evals == 2 and trace.iterations == 1
+        np.testing.assert_array_equal(W.W, grads[1])
+        assert W.row_power().max() > 0.99 * spec.P / 4  # a row was projected to P/T
         assert trace.records[-1].objective == float(np.vdot(C, W.W).real) > 0.0
         assert math.isnan(trace.records[-1].grad_norm)
 
