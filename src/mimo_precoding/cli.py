@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .channel_io import write_channels
@@ -86,7 +85,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _overlay(base, updates: dict):
+    """updates laid over base, if base is a JSON object; any other base is
+    returned as it is, for ScenarioConfig.from_dict to reject."""
+    return {**base, **updates} if isinstance(base, dict) else base
+
+
 def load_scenario(args) -> ScenarioConfig:
+    """The config file's mapping with the flags laid over it (the optimizer
+    flags over its "optimizer" mapping), validated once by from_dict."""
     raw: dict = {}
     if args.config is not None:
         try:
@@ -95,30 +102,18 @@ def load_scenario(args) -> ScenarioConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
-    cfg = ScenarioConfig.from_dict(raw)
-
-    updates: dict = {}
+    flags: dict = {}
     if args.seeds is not None:
-        updates["seeds"] = _parse_int_list(args.seeds)
+        flags["seeds"] = _parse_int_list(args.seeds)
     if args.susinr is not None:
-        updates["susinr_grid_db"] = _parse_float_list(args.susinr)
+        flags["susinr_grid_db"] = _parse_float_list(args.susinr)
     if args.algos is not None:
-        updates["algorithms"] = tuple(a.strip() for a in args.algos.split(","))
-    opt_updates: dict = {}
-    if args.iters is not None:
-        opt_updates["max_iters"] = args.iters
-    if args.tol_grad is not None:
-        opt_updates["tol_grad"] = args.tol_grad
-    if args.tol_change is not None:
-        opt_updates["tol_change"] = args.tol_change
-    try:
-        if opt_updates:
-            updates["optimizer"] = replace(cfg.optimizer, **opt_updates)
-        if updates:
-            cfg = replace(cfg, **updates)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+        flags["algorithms"] = tuple(a.strip() for a in args.algos.split(","))
+    optimizer = {k: v for k, v in (("max_iters", args.iters), ("tol_grad", args.tol_grad),
+                                   ("tol_change", args.tol_change)) if v is not None}
+    if optimizer and isinstance(raw, dict):
+        flags["optimizer"] = _overlay(raw.get("optimizer", {}), optimizer)
+    return ScenarioConfig.from_dict(_overlay(raw, flags))
 
 
 def _check_out(path: Path) -> None:
@@ -136,6 +131,7 @@ def _format_for(path: Path, explicit: str | None) -> str:
 def _cmd_generate(args) -> int:
     cfg = load_scenario(args)
     out: Path = args.out
+    _check_out(out)
     for seed in cfg.seeds:
         channel = generate_channels(cfg.dims, seed, cfg.channel_model, cfg.rho)
         if len(cfg.seeds) == 1:

@@ -9,8 +9,7 @@ import json
 import math
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ ALGORITHMS = BASELINE_ALGOS + QN_ALGOS
 
 CSV_COLUMNS = ("seed", "susinr_db", "algorithm", "se_irc_bits", "wall_ms", "iterations")
 TRACE_COLUMNS = ("iteration", "objective", "grad_norm", "step", "se_irc_bits")
+_START_PICKED = "the algorithm name (e.g. QN-IRC-ARZF) picks the start"
 
 
 def _default_dims() -> SystemDims:
@@ -62,7 +62,8 @@ class ScenarioConfig:
 
     Defaults: 64 transmit antennas serving 8 users with 4 receive antennas and
     2 streams each, 40 channel seeds, channel-quality grid from -4 to 40 dB in
-    4 dB steps, unit station power, all algorithms.
+    4 dB steps, unit station power, all algorithms. workers is accepted only
+    as 1: cells run serially.
     """
 
     dims: SystemDims = field(default_factory=_default_dims)
@@ -108,27 +109,26 @@ class ScenarioConfig:
             )
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError(f"rho must be in [0, 1), got {self.rho}")
-        if not (is_count(self.workers) and self.workers >= 1):
-            raise ConfigError(f"workers must be an integer of at least 1, got {self.workers!r}")
+        if not (is_count(self.workers) and self.workers == 1):
+            raise ConfigError(f"workers must be 1, cells run serially; got {self.workers!r}")
         opt = self.optimizer
         if opt.start != OptimizerConfig.start or opt.start_matrix is not None:
             raise ConfigError("optimizer.start and optimizer.start_matrix cannot be set in a "
-                              "scenario: the algorithm name (e.g. QN-IRC-ARZF) picks the start")
+                              f"scenario: {_START_PICKED}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        """Build from a plain JSON-style dictionary, validating as it goes."""
+        """Build from a plain JSON-style dictionary, validating as it goes.
+
+        An optimizer start or start_matrix is rejected whenever its key is
+        present, even at its default value.
+        """
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "dims", "seeds", "susinr_grid_db", "P", "algorithms",
-            "channel_model", "rho", "optimizer", "workers",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        passed = ("P", "channel_model", "rho", "workers", "susinr_grid_db", "algorithms")
-        kwargs = {k: raw[k] for k in passed if k in raw}
+        kwargs = dict(raw)
         try:
             if "dims" in raw:
                 d = raw["dims"]
@@ -144,6 +144,10 @@ class ScenarioConfig:
                 kwargs["seeds"] = range(s) if is_count(s) else s
             if "optimizer" in raw:
                 kwargs["optimizer"] = OptimizerConfig(**raw["optimizer"])
+                for key in ("start", "start_matrix"):
+                    if key in raw["optimizer"]:
+                        raise ConfigError(f"optimizer.{key} cannot be set in a scenario: "
+                                          f"{_START_PICKED}")
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError, DimensionError) as exc:
@@ -172,25 +176,15 @@ class RunReport:
 
     def aggregates(self) -> list[dict]:
         """Mean SE per (susinr, algorithm) over successful cells, in row order."""
-        sums: dict[tuple[float, str], list[float]] = {}
-        order: list[tuple[float, str]] = []
+        groups: dict[tuple[float, str], list[float]] = {}
         for r in self.rows:
-            key = (r.susinr_db, r.algorithm)
-            if key not in sums:
-                sums[key] = []
-                order.append(key)
+            values = groups.setdefault((r.susinr_db, r.algorithm), [])
             if r.error is None:
-                sums[key].append(r.se_irc_bits)
-        out = []
-        for key in order:
-            values = sums[key]
-            out.append({
-                "susinr_db": key[0],
-                "algorithm": key[1],
-                "mean_se_irc_bits": float(np.mean(values)) if values else None,
-                "cells": len(values),
-            })
-        return out
+                values.append(r.se_irc_bits)
+        return [{"susinr_db": susinr_db, "algorithm": algorithm,
+                 "mean_se_irc_bits": float(np.mean(values)) if values else None,
+                 "cells": len(values)}
+                for (susinr_db, algorithm), values in groups.items()]
 
 
 def parse_qn_name(name: str) -> tuple[str, str]:
@@ -271,19 +265,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 
     Noise power is calibrated per (seed, susinr) so the channel hits the
     requested quality level, a cell's precoders are scored together by the
-    one MMSE-IRC spectral-efficiency pass, and rows always come out in
-    configuration order regardless of worker scheduling.
+    one MMSE-IRC spectral-efficiency pass, and rows come out in
+    configuration order.
     """
-    cells = [(seed, susinr) for seed in cfg.seeds for susinr in cfg.susinr_grid_db]
-    if cfg.workers == 1:
-        results = [_run_cell(cfg, seed, susinr) for seed, susinr in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(lambda c: _run_cell(cfg, *c), cells))
-    rows: list[RunRecord] = []
-    for cell_rows in results:
-        rows.extend(cell_rows)
-    return RunReport(rows=tuple(rows))
+    return RunReport(rows=tuple(row for seed in cfg.seeds for susinr in cfg.susinr_grid_db
+                                for row in _run_cell(cfg, seed, susinr)))
 
 
 # ---------------------------------------------------------------------------

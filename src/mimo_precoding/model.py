@@ -249,14 +249,7 @@ def _factors(H: np.ndarray, L_k: int, users) -> tuple[np.ndarray, np.ndarray, np
     """
     if not np.isfinite(H).all():
         raise ValueError("channel matrix has non-finite entries")
-    u, s, vh = np.linalg.svd(H, full_matrices=False)
-    # LAPACK returns s descending, so the stable reorder is the identity and
-    # is skipped unless some row is out of order.
-    if (s[:, 1:] > s[:, :-1]).any():
-        order = np.argsort(-s, kind="stable", axis=1)
-        u = np.take_along_axis(u, order[:, None, :], axis=2)
-        s = np.take_along_axis(s, order, axis=1)
-        vh = np.take_along_axis(vh, order[:, :, None], axis=1)
+    u, s, vh = np.linalg.svd(H, full_matrices=False)  # s sorted descending per matrix
 
     # Phase fix: one unitary diagonal applied to the rows of both U and V
     # leaves U^H S V unchanged.

@@ -83,7 +83,6 @@ def test_criterion_2_monotonic_improvement():
         susinr_grid_db=(0.0, 12.0, 24.0),
         algorithms=("ARZF", "QN-IRC-ARZF"),
         optimizer=OptimizerConfig(max_iters=200),
-        workers=1,
     )
     report = run_scenario(cfg)
     assert not report.failures

@@ -80,6 +80,40 @@ class TestRun:
         assert "max_iters" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    def test_iters_flag_keeps_the_files_other_optimizer_keys(self, tmp_path):
+        import mimo_precoding.cli as cli
+
+        cfg = write_config(tmp_path, optimizer={"max_iters": 10, "tol_grad": 1e-3,
+                                                "memory": 4})
+        args = cli.build_parser().parse_args(["run", "--config", str(cfg), "--iters", "5"])
+        opt = cli.load_scenario(args).optimizer
+        assert (opt.max_iters, opt.tol_grad, opt.memory) == (5, 1e-3, 4)
+
+    def test_flag_replaces_a_file_value_before_validation(self, tmp_path):
+        # Flags are laid over the file and validated once, so a flag takes the
+        # place of a file value that alone would be rejected.
+        cfg = write_config(tmp_path, algorithms=["QN-IRC-RZF"], optimizer={"max_iters": 2.5})
+        out = tmp_path / "r.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--iters", "5"]) == 0
+        assert out.read_text().splitlines()[1].endswith(",5")
+
+    @pytest.mark.parametrize("raw, message", [
+        ([1, 2], "JSON object"),
+        ({"optimizer": [5]}, "invalid config"),
+    ])
+    def test_flags_over_a_malformed_file_exit_one(self, tmp_path, capsys, raw, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                     "--seeds", "0", "--iters", "5"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_bad_flag_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                     "--tol-grad", "0"]) == 1
+        assert "tol_grad" in capsys.readouterr().err
+
     def test_unknown_algorithm_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, algorithms=["WAT"])
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
@@ -130,7 +164,8 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
 
 
-@pytest.mark.parametrize("command,algo", [("run", "RZF"), ("trace", "QN-IRC-ARZF")])
+@pytest.mark.parametrize("command,algo", [("run", "RZF"), ("trace", "QN-IRC-ARZF"),
+                                          ("generate", "RZF")])
 class TestUnwritableOutput:
     def test_missing_directory_exits_one_before_any_work(self, tmp_path, capsys,
                                                          monkeypatch, command, algo):
@@ -141,6 +176,7 @@ class TestUnwritableOutput:
             raise AssertionError("ran before checking the output path")
 
         monkeypatch.setattr(cli, "run_scenario", no_work)
+        monkeypatch.setattr(cli, "generate_channels", no_work)
         monkeypatch.setattr(harness, "generate_channels", no_work)
         cfg = write_config(tmp_path, algorithms=[algo])
         out = tmp_path / "missing" / "out.csv"
