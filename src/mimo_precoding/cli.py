@@ -117,9 +117,12 @@ def load_scenario(args) -> ScenarioConfig:
 
 
 def _check_out(path: Path) -> None:
-    """Reject an output in a missing directory before any work is done."""
+    """Reject an output in a missing directory, or one that is a directory,
+    before any work is done."""
     if not path.parent.is_dir():
         raise ConfigError(f"cannot write {path}: directory {path.parent} does not exist")
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
 
 
 def _format_for(path: Path, explicit: str | None) -> str:
@@ -131,14 +134,12 @@ def _format_for(path: Path, explicit: str | None) -> str:
 def _cmd_generate(args) -> int:
     cfg = load_scenario(args)
     out: Path = args.out
-    _check_out(out)
-    for seed in cfg.seeds:
-        channel = generate_channels(cfg.dims, seed, cfg.channel_model, cfg.rho)
-        if len(cfg.seeds) == 1:
-            path = out
-        else:
-            path = out.with_name(f"{out.stem}_seed{seed}{out.suffix}")
-        write_channels(channel, path)
+    paths = {seed: out if len(cfg.seeds) == 1 else
+             out.with_name(f"{out.stem}_seed{seed}{out.suffix}") for seed in cfg.seeds}
+    for path in (out, *paths.values()):
+        _check_out(path)
+    for seed, path in paths.items():
+        write_channels(generate_channels(cfg.dims, seed, cfg.channel_model, cfg.rho), path)
         print(f"wrote {path}")
     return 0
 

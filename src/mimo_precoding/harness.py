@@ -112,7 +112,7 @@ class ScenarioConfig:
         if not (is_count(self.workers) and self.workers == 1):
             raise ConfigError(f"workers must be 1, cells run serially; got {self.workers!r}")
         opt = self.optimizer
-        if opt.start != OptimizerConfig.start or opt.start_matrix is not None:
+        if opt.start is not None or opt.start_matrix is not None:
             raise ConfigError("optimizer.start and optimizer.start_matrix cannot be set in a "
                               f"scenario: {_START_PICKED}")
 
@@ -204,12 +204,18 @@ def run_algorithm(name: str, channel: ChannelSet, params: SystemParams,
     return lbfgs_maximize(spec, replace(opt_cfg, start=start), score_fn=score_fn)
 
 
+def _calibrated(cfg: ScenarioConfig, channel: ChannelSet, susinr_db: float) -> SystemParams:
+    """The system parameters with the noise calibrated so that channel
+    reaches susinr_db."""
+    sigma2 = noise_from_susinr(channel, cfg.P, susinr_db)
+    return SystemParams(P=cfg.P, sigma2=sigma2, L=cfg.dims.L)
+
+
 def cell(cfg: ScenarioConfig, seed: int, susinr_db: float) -> tuple[ChannelSet, SystemParams]:
     """The channel of one (seed, susinr) cell, and the system parameters with
     the noise calibrated so that it reaches susinr_db."""
     channel = generate_channels(cfg.dims, seed, cfg.channel_model, cfg.rho)
-    sigma2 = noise_from_susinr(channel, cfg.P, susinr_db)
-    return channel, SystemParams(P=cfg.P, sigma2=sigma2, L=cfg.dims.L)
+    return channel, _calibrated(cfg, channel, susinr_db)
 
 
 def _failure(exc: Exception) -> str:
@@ -234,10 +240,11 @@ def _score(precoders: list[PrecodingMatrix], channel: ChannelSet,
     return [out for W in precoders for out in _score([W], channel, params)]
 
 
-def _run_cell(cfg: ScenarioConfig, seed: int, susinr_db: float) -> list[RunRecord]:
-    """Build each algorithm's precoder in turn (wall_ms times the build alone),
-    then score all that built together."""
-    channel, params = cell(cfg, seed, susinr_db)
+def _run_cell(cfg: ScenarioConfig, seed: int, susinr_db: float,
+              channel: ChannelSet) -> list[RunRecord]:
+    """Build each algorithm's precoder for seed's channel at susinr_db in turn
+    (wall_ms times the build alone), then score all that built together."""
+    params = _calibrated(cfg, channel, susinr_db)
     rows, built = [], {}  # rows: (wall_ms, iterations, error); built: row index -> precoder
     for algo in cfg.algorithms:
         t0 = time.perf_counter()
@@ -263,13 +270,17 @@ def _run_cell(cfg: ScenarioConfig, seed: int, susinr_db: float) -> list[RunRecor
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute the full (seed, susinr, algorithm) grid.
 
-    Noise power is calibrated per (seed, susinr) so the channel hits the
-    requested quality level, a cell's precoders are scored together by the
-    one MMSE-IRC spectral-efficiency pass, and rows come out in
-    configuration order.
+    Each seed's channel is drawn once; noise power is calibrated per (seed,
+    susinr) so the channel hits the requested quality level, a cell's
+    precoders are scored together by the one MMSE-IRC spectral-efficiency
+    pass, and rows come out in configuration order.
     """
-    return RunReport(rows=tuple(row for seed in cfg.seeds for susinr in cfg.susinr_grid_db
-                                for row in _run_cell(cfg, seed, susinr)))
+    rows: list[RunRecord] = []
+    for seed in cfg.seeds:
+        channel = generate_channels(cfg.dims, seed, cfg.channel_model, cfg.rho)
+        for susinr in cfg.susinr_grid_db:
+            rows += _run_cell(cfg, seed, susinr, channel)
+    return RunReport(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

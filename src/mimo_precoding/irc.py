@@ -3,10 +3,10 @@
 `build_channel_set` stacks users with the same (R_k, L_k) into one
 `UserGroup` of `ChannelSet.groups`, so each step is one batched array
 operation per group rather than a loop over users. A group's `cols` index
-each user's own streams among all L, and `own` holds the flat positions of
-those streams in an (n, L_k, L) array such as Z, so the signal terms are
-gathered, and their adjoints scattered, without a mask. For each user, with
-lam = sigma2 / P,
+each user's own streams among all L, and `own` and `own_cols` hold their
+flat positions in an (n, L_k, L) array such as Z and in an (n, R_k, L) array
+such as B, so the signal terms and A^H are gathered, and their adjoints
+scattered, by flat take and put. For each user, with lam = sigma2 / P,
 
     B = H_k W,  Q = B B^H + lam I,  G = A^H Q^{-1}  (A = user k's columns of B),
     Z = G B,    SINR_l = |Z_ll|^2 / (sum_{i != l} |Z_li|^2 + lam ||g_l||^2),
@@ -18,11 +18,13 @@ the gradient back through the detector. Q is factored once, by LU, unless a
 rounding bound cannot prove it positive definite (`_hpd_inverse`).
 
 Both take one (T, L) precoder or a (b, T, L) stack. A stack is folded into
-each group's user axis (`UserGroup.tiled`) and every product keeps the shape a
-lone precoder gets, so each entry of a stack's value and each slice of its
-gradient equals that precoder's lone pass bit for bit. The gradient keeps the
-adjoint through the detector G: it is zero in exact arithmetic, but it cancels
-the detector's roundoff to first order.
+each group's user axis by reshape, precoder j's rows after precoder j - 1's,
+so its flat positions are the group's shifted by j times the size of one
+precoder's array. Every product keeps the shape a lone precoder gets, so each
+entry of a stack's value and each slice of its gradient equals that
+precoder's lone pass bit for bit. The gradient keeps the adjoint through the
+detector G: it is zero in exact arithmetic, but it cancels the detector's
+roundoff to first order.
 
 `mmse_irc` is the per-user reference detector the batched kernel is checked
 against: one user, one Cholesky solve, with an optional cross-check against
@@ -86,30 +88,31 @@ def _hpd_inverse(Q: np.ndarray, lam: float, L: int, users: np.ndarray) -> np.nda
         raise SingularMatrixError(f"mmse-irc detection, users {users.tolist()}: {exc}") from exc
 
 
-def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
+def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, own: np.ndarray, lam: float):
     """Per-symbol SINRs of one group's detector outputs Z = G H W, and what
     they add up to.
 
-    Z is (n, L_k, L) and G the (n, L_k, R_k) detector rows. Returns the SINRs
-    and their denominators, both (n, L_k), the effective SINRs shaped like
-    group.users, the group's spectral efficiency in bit/s/Hz (a scalar, or
-    one per precoder for a group tiled over a stack of precoders) and whether
-    every SINR is positive, which irc_backward reads instead of rescanning.
-    Each validity test is one reduction; a NaN carries through min() to the
-    failing branch. A zero denominator (no interference and no effective
-    noise) raises UndefinedSinrError, a NaN one (from a NaN or an overflow in
-    the precoder, or a NaN noise) NumericalFailureError; both name the user
-    and the symbol.
+    Z is (m, L_k, L) and G the (m, L_k, R_k) detector rows, m = n, or b n for
+    a stack of b precoders (row j n + i: user i under precoder j); own holds
+    the flat positions of the own streams in Z, (n, L_k) or (b, n, L_k).
+    Returns the SINRs and their denominators, shaped like own, the effective
+    SINRs, (n,) or (b, n), the group's spectral efficiency in bit/s/Hz, a
+    scalar or one per precoder, and whether every SINR is positive, which
+    irc_backward reads instead of rescanning. Each validity test is one
+    reduction; a NaN carries through min() to the failing branch. A zero
+    denominator (no interference and no effective noise) raises
+    UndefinedSinrError, a NaN one (from a NaN or an overflow in the precoder,
+    or a NaN noise) NumericalFailureError; both name the user and the symbol.
     """
     power = np.abs(Z) ** 2
-    signal = power.take(group.own)
-    power.put(group.own, 0.0)  # what is left of each row is interference
+    signal = power.take(own)
+    power.put(own, 0.0)  # what is left of each row is interference
     g_power = np.einsum("nlr,nlr->nl", G, G.conj()).real
-    den = power.sum(axis=2) + g_power * lam
+    den = (power.sum(axis=2) + g_power * lam).reshape(own.shape)
     if not den.min() > 0.0:  # a sum of nonnegative terms: zero or NaN
         i = np.argmin(den > 0.0)
-        user = int(group.users.flat[i // den.shape[1]])  # users is (b, n) when tiled
-        bad = f"user {user}, symbol {int(group.cols.flat[i])}"
+        j = i % group.cols.size  # the same entry in the precoder's lone pass
+        bad = f"user {group.users[j // own.shape[-1]]}, symbol {group.cols.flat[j]}"
         if den.flat[i] == 0.0:
             raise UndefinedSinrError(
                 f"{bad}: zero denominator (no interference and no effective noise)"
@@ -117,9 +120,8 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, lam: float):
         raise NumericalFailureError(f"{bad}: SINR denominator is {den.flat[i]}")
     sinr = signal / den
     positive = bool(sinr.min() > 0.0)
-    eff = (_unmasked_geometric_means(sinr) if positive
-           else geometric_means(sinr)).reshape(group.users.shape)
-    return sinr, den, eff, group.cols.shape[1] * np.log1p(eff).sum(axis=-1) / _LN2, positive
+    eff = _unmasked_geometric_means(sinr) if positive else geometric_means(sinr)
+    return sinr, den, eff, own.shape[-1] * np.log1p(eff).sum(axis=-1) / _LN2, positive
 
 
 def _unmasked_geometric_means(sinr: np.ndarray) -> np.ndarray:
@@ -183,18 +185,20 @@ def mmse_irc(H_k: np.ndarray, W: np.ndarray, k: int, dims: SystemDims,
 
 @dataclass(frozen=True)
 class GroupPass:
-    """Forward-pass arrays of one user group, tiled over a stack of precoders
-    for a stacked pass (n then counts users times precoders)."""
+    """Forward-pass arrays of one user group; m is n, or b n for a stack of b
+    precoders, whose per-symbol arrays gain a leading precoder axis."""
 
     group: UserGroup
-    B: np.ndarray     # (n, R_k, L)
-    Bh: np.ndarray    # (n, L, R_k) conjugate transpose of B
-    Q_inv: np.ndarray  # (n, R_k, R_k) inverse of Q = B B^H + lam I
-    G: np.ndarray     # (n, L_k, R_k)
-    Z: np.ndarray     # (n, L_k, L)
-    sinr: np.ndarray  # (n, L_k)
-    den: np.ndarray   # (n, L_k)
-    eff: np.ndarray   # effective SINRs shaped like group.users
+    own: np.ndarray   # flat positions of the own streams in Z, see score_group
+    own_cols: np.ndarray  # (m, L_k, R_k) flat positions of A^H's entries in B
+    B: np.ndarray     # (m, R_k, L)
+    Bh: np.ndarray    # (m, L, R_k) conjugate transpose of B
+    Q_inv: np.ndarray  # (m, R_k, R_k) inverse of Q = B B^H + lam I
+    G: np.ndarray     # (m, L_k, R_k)
+    Z: np.ndarray     # (m, L_k, L)
+    sinr: np.ndarray  # shaped like own: (n, L_k), or (b, n, L_k) for a stack
+    den: np.ndarray   # shaped like own
+    eff: np.ndarray   # (n,) effective SINRs, or (b, n) for a stack
     positive: bool    # every SINR > 0, decided by score_group
 
 
@@ -217,23 +221,28 @@ def irc_forward(Wp, channel: ChannelSet,
     """
     W = np.asarray(Wp, dtype=np.complex128)
     lam = params.noise_to_signal
+    L = W.shape[-1]
     passes = []
     se = None
     for group in channel.groups:
-        if W.ndim == 3:
-            group = group.tiled(len(W), W.shape[-1])
         n, R, T = group.H.shape
         # One GEMM per precoder, of the shape a lone precoder gets, keeps each
         # precoder's B bit-identical; one (n R, T) x (T, b L) GEMM would not be,
         # since BLAS blocks the product differently as its width grows.
-        B = (group.H.reshape(n * R, T) @ W).reshape(-1, R, W.shape[-1])
-        Bh = _h(B)
-        Q_inv = _hpd_inverse(B @ Bh, lam, W.shape[-1], group.users)
-        G = Bh[group.rows, group.cols] @ Q_inv  # A^H from the own rows of B^H
+        B = (group.H.reshape(n * R, T) @ W).reshape(-1, R, L)
+        B_conj = B.conj()
+        Bh = B_conj.swapaxes(1, 2)
+        Q_inv = _hpd_inverse(B @ Bh, lam, L, group.users)
+        own, own_cols = group.own, group.own_cols
+        if W.ndim == 3:  # precoder j's arrays follow precoder j - 1's
+            j = np.arange(len(W))[:, None, None]
+            own = own + j * (own.size * L)
+            own_cols = (own_cols + j[..., None] * (n * R * L)).reshape(-1, own_cols.shape[1], R)
+        G = B_conj.take(own_cols) @ Q_inv  # A^H from B's own columns
         Z = G @ B
-        sinr, den, eff, se_group, positive = score_group(Z, G, group, lam)
+        sinr, den, eff, se_group, positive = score_group(Z, G, group, own, lam)
         se = se_group if se is None else se + se_group
-        passes.append(GroupPass(group, B, Bh, Q_inv, G, Z, sinr, den, eff, positive))
+        passes.append(GroupPass(group, own, own_cols, B, Bh, Q_inv, G, Z, sinr, den, eff, positive))
     return (se if W.ndim == 3 else float(se)), IrcCache(lam, W.shape, tuple(passes))
 
 
@@ -255,23 +264,23 @@ def irc_backward(cache: IrcCache) -> np.ndarray:
     D_W = None
     for p in cache.passes:
         if not p.positive:  # the forward pass rejected den <= 0 or NaN
-            positive = p.sinr > 0.0
+            users = p.group.users  # row i of a stack is user users[i % n]
+            i = np.argmin((p.sinr > 0.0).all(axis=-1)) % len(users)
             raise NumericalFailureError(
-                f"user {int(p.group.users.flat[np.argmin(positive.all(axis=1))])}: spectral "
-                "efficiency not differentiable (zero per-symbol SINR or denominator)")
-        geo = p.eff.reshape(-1, 1)
+                f"user {users[i]}: spectral efficiency not differentiable "
+                "(zero per-symbol SINR or denominator)")
+        geo = p.eff[..., None]
         # Twice d SE_k / d sinr_l for SE_k = L_k log2(1 + geomean(sinr)); the
         # factor 2 of the ascent gradient is exact here and carries through.
         c = 2.0 * geo / ((1.0 + geo) * _LN2 * p.sinr)
-        v_w = (c * p.sinr / p.den)[:, :, None]
-        own = p.group.own
+        v_w = (c * p.sinr / p.den).reshape(*p.Z.shape[:2], 1)
         D_Z = -v_w * p.Z
-        D_Z.put(own, c / p.den * p.Z.take(own))
+        D_Z.put(p.own, c / p.den * p.Z.take(p.own))
         D_G = D_Z @ p.Bh - lam * v_w * p.G       # detector row powers enter via lam
-        D_A = p.Q_inv @ _h(D_G)                   # (n, R_k, L_k)
-        Y = D_A @ p.G                             # (n, R_k, R_k)
+        D_A = p.Q_inv @ _h(D_G)                   # (m, R_k, L_k)
+        Y = D_A @ p.G                             # (m, R_k, R_k)
         D_B = _h(p.G) @ D_Z - (Y + _h(Y)) @ p.B
-        D_B[p.group.rows, :, p.group.cols] += D_A.swapaxes(1, 2)  # A = own cols
+        D_B.put(p.own_cols, D_B.take(p.own_cols) + D_A.swapaxes(1, 2))  # A = own cols
         # One (T, n R) x (n R, L) GEMM per precoder, as detect's forward GEMM.
         part = p.group.H_h @ D_B.reshape(*cache.shape[:-2], p.group.H_h.shape[1], -1)
         D_W = part if D_W is None else D_W + part

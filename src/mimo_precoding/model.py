@@ -169,33 +169,18 @@ class UserGroup:
     H, U, S and V stack the group's channels and their reduced SVD factors in
     the order of users. own[i, l] is the flat index of entry (i, l, cols[i, l])
     in an (n, L_k, L) array: the position of user users[i]'s own stream l
-    among all L.
+    among all L. own_cols[i, l, r] is that of entry (i, r, cols[i, l]) in an
+    (n, R_k, L) array such as H W: row r of the user's own column l.
     """
 
     users: np.ndarray  # (n,) user indices, ascending
     H: np.ndarray      # (n, R_k, T)
     cols: np.ndarray   # (n, L_k) stacked stream indices of each user
     own: np.ndarray    # (n, L_k) flat indices of cols in an (n, L_k, L) array
-    rows: np.ndarray   # (n, 1) arange(n), the row index that pairs with cols
+    own_cols: np.ndarray  # (n, L_k, R_k) flat indices of own columns in (n, R_k, L)
     U: np.ndarray      # (n, R_k, R_k)
     S: np.ndarray      # (n, R_k)
     V: np.ndarray      # (n, R_k, T)
-
-    def tiled(self, b: int, L: int) -> "UserGroup":
-        """The group repeated for a stack of b precoders with L streams each.
-
-        Row j * n + i of cols, own and rows stands for user users[i] under
-        precoder j, so a (b * n, L_k, L) array holds the b precoders' arrays one
-        after another; own is offset by j * n * L_k * L accordingly. users becomes
-        (b, n), row j for precoder j, which is how per-user results split into
-        precoders. H and the factors are shared, not repeated: H_i W_j is row
-        j * n + i of the stacked product.
-        """
-        users, cols, own, rows = _tiled_indices(*((a.dtype.str, a.tobytes())
-                                                  for a in (self.users, self.cols, self.own)),
-                                                self.cols.shape[1], b, L)
-        return UserGroup(users=users, H=self.H, cols=cols, own=own, rows=rows,
-                         U=self.U, S=self.S, V=self.V)
 
     @cached_property
     def H_h(self) -> np.ndarray:
@@ -282,7 +267,7 @@ def _unit_phases(anchor: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _layout(T: int, R_k: tuple[int, ...], L_k: tuple[int, ...]):
     """Dimensions and user groups of a channel set, which depend on the
-    shapes alone: SystemDims, then (L_k, users, cols, own, rows) per group,
+    shapes alone: SystemDims, then (L_k, users, cols, own, own_cols) per group,
     groups in order of first appearance. All arrays are read-only."""
     dims = SystemDims(K=len(R_k), T=T, R_k=R_k, L_k=L_k)
     buckets: dict[tuple[int, int], list[int]] = {}
@@ -290,24 +275,13 @@ def _layout(T: int, R_k: tuple[int, ...], L_k: tuple[int, ...]):
         buckets.setdefault(key, []).append(k)
     starts = np.cumsum((0,) + L_k)
     groups = []
-    for (_, L), idx in buckets.items():
+    for (R, L), idx in buckets.items():
         cols = starts[idx][:, None] + np.arange(L)
         rows = np.arange(len(idx))[:, None]
         own = (rows * L + np.arange(L)) * starts[-1] + cols
-        groups.append((L, *map(_read_only, (np.array(idx), cols, own, rows))))
+        own_cols = (rows[:, :, None] * R + np.arange(R)) * starts[-1] + cols[:, :, None]
+        groups.append((L, *map(_read_only, (np.array(idx), cols, own, own_cols))))
     return dims, tuple(groups)
-
-
-@lru_cache(maxsize=64)
-def _tiled_indices(users, cols, own, L_k: int, b: int, L: int):
-    """Read-only users, cols, own and rows of UserGroup.tiled, which depend on
-    the group's index arrays alone; each comes in as its (dtype, bytes)."""
-    users, cols, own = (np.frombuffer(buf, dtype=dt) for dt, buf in (users, cols, own))
-    offsets = np.arange(b)[:, None, None] * own.size * L
-    return (_read_only(np.tile(users, (b, 1))),
-            _read_only(np.tile(cols.reshape(-1, L_k), (b, 1))),
-            _read_only((own.reshape(-1, L_k) + offsets).reshape(-1, L_k)),
-            _read_only(np.arange(b * len(users))[:, None]))
 
 
 def build_channel_set(channels, layer_counts) -> ChannelSet:
@@ -338,13 +312,13 @@ def build_channel_set(channels, layer_counts) -> ChannelSet:
     S_tilde = np.empty(dims.L)
     V_tilde = np.empty((dims.L, T), dtype=np.complex128)
     groups = []
-    for L, users, cols, own, rows in layout:
+    for L, users, cols, own, own_cols in layout:
         H = np.stack([mats[k] for k in users.tolist()])
         U, S, V = _factors(H, L, users)
         S_tilde[cols] = S[:, :L]
         V_tilde[cols] = V[:, :L]
-        groups.append(UserGroup(users=users, H=_read_only(H), cols=cols, own=own, rows=rows,
-                                U=U, S=S, V=V))
+        groups.append(UserGroup(users=users, H=_read_only(H), cols=cols, own=own,
+                                own_cols=own_cols, U=U, S=S, V=V))
     return ChannelSet(dims=dims, groups=tuple(groups),
                       S_tilde=_read_only(S_tilde), V_tilde=_read_only(V_tilde))
 

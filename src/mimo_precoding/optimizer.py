@@ -117,7 +117,7 @@ class OptimizerConfig:
     tol_grad: float = 1e-5      # infinity norm of the real-embedded gradient
     tol_change: float = 1e-9    # on both objective change and step norm
     memory: int = 10
-    start: str = "arzf"
+    start: str | None = None    # None: the caller picks; lbfgs_maximize takes ARZF
     start_matrix: np.ndarray | None = None
 
     def __post_init__(self):
@@ -139,7 +139,7 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be a positive finite number, got {tol!r}")
         if not (is_count(self.memory) and self.memory >= 1):
             raise ValueError(f"memory must be an integer of at least 1, got {self.memory!r}")
-        if self.start not in START_KINDS:
+        if self.start is not None and self.start not in START_KINDS:
             raise ValueError(f"unknown start {self.start!r}, expected one of {START_KINDS}")
         if self.start == "custom" and self.start_matrix is None:
             raise ValueError("start='custom' requires start_matrix")
@@ -304,8 +304,9 @@ def _starting_point(spec, cfg: OptimizerConfig) -> np.ndarray:
         return project(W0, spec.P)
     if spec.kind == "custom":
         raise ValueError("custom objectives need start='custom' with start_matrix")
-    base_cfg = BaselineConfig(kind=cfg.start.upper(), params=spec.params)
-    builder = rzf if cfg.start == "rzf" else arzf
+    start = cfg.start or "arzf"
+    base_cfg = BaselineConfig(kind=start.upper(), params=spec.params)
+    builder = rzf if start == "rzf" else arzf
     return builder(spec.channel, base_cfg).W.copy()
 
 
@@ -375,9 +376,9 @@ def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
 def lbfgs_maximize(spec, cfg: OptimizerConfig | None = None, score_fn=None):
     """Quasi-Newton ascent in precoder space through the differentiable projection.
 
-    Starts from the configured closed-form precoder (or a custom matrix),
-    iterates on the real embedding of W and returns the projected result with
-    its per-iteration trace. When score_fn is given it is evaluated on the
+    Starts from the configured closed-form precoder (ARZF when start is
+    None) or a custom matrix, iterates on the real embedding of W and returns
+    the projected result with its per-iteration trace. When score_fn is given it is evaluated on the
     projected precoder at every accepted iterate and stored in the trace.
     A failed line search returns the best iterate found so far rather than
     raising.

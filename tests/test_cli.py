@@ -185,6 +185,22 @@ class TestUnwritableOutput:
         assert err.startswith("error:") and "Traceback" not in err
         assert str(out.parent) in err
 
+    def test_directory_as_output_exits_one_before_any_work(self, tmp_path, capsys,
+                                                           monkeypatch, command, algo):
+        import mimo_precoding.cli as cli
+        import mimo_precoding.harness as harness
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before checking the output path")
+
+        for module, name in ((harness, "_run_cell"), (harness, "generate_channels"),
+                             (cli, "generate_channels")):
+            monkeypatch.setattr(module, name, no_work)
+        cfg = write_config(tmp_path, algorithms=[algo])
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path), "--iters", "2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(tmp_path) in err[0]
+
     def test_directory_as_output_exits_one(self, tmp_path, capsys, command, algo):
         cfg = write_config(tmp_path, algorithms=[algo])
         assert main([command, "--config", str(cfg), "--out", str(tmp_path), "--iters", "2"]) == 1
@@ -208,6 +224,16 @@ class TestGenerate:
                      "--seeds", "0,1"]) == 0
         assert (tmp_path / "ch_seed0.bin").exists()
         assert (tmp_path / "ch_seed1.bin").exists()
+
+    @pytest.mark.parametrize("out, bad", [("ch.bin", "ch_seed1.bin"), ("d", "d")])
+    def test_directory_at_any_output_path_exits_one_before_writing(self, tmp_path, capsys,
+                                                                   out, bad):
+        cfg = write_config(tmp_path)
+        (tmp_path / bad).mkdir()
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / out),
+                     "--seeds", "0,1"]) == 1
+        assert f"cannot write {tmp_path / bad}: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_seed0*"))
 
 
 class TestTrace:

@@ -147,6 +147,15 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=rf"optimizer\.{key} .*algorithm name"):
             ScenarioConfig.from_dict({"optimizer": {"max_iters": 3, key: value}})
 
+    # A start built in Python used to pass when it equalled the default.
+    @pytest.mark.parametrize("kwargs", [
+        dict(start="arzf"), dict(start="rzf"), dict(start_matrix=np.zeros((64, 16))),
+        dict(start="custom", start_matrix=np.zeros((64, 16))),
+    ])
+    def test_optimizer_start_rejected_by_constructor(self, kwargs):
+        with pytest.raises(ConfigError, match="algorithm name"):
+            ScenarioConfig(algorithms=("QN-IRC-RZF",), optimizer=OptimizerConfig(**kwargs))
+
     # float(True) is 1.0 and 0 < True holds, so booleans used to pass as numbers.
     @pytest.mark.parametrize("raw, field", [
         ({"P": True}, "P"),
@@ -292,6 +301,21 @@ class TestRunScenario:
         assert report.failures[0].error.startswith("UndefinedSinrError: user 0, symbol 0: ")
         assert report.failures[0].wall_ms is not None
         assert rows_without_wall_ms(report) == reference_cell(cfg, 0, 12.0)
+
+    def test_each_seed_draws_its_channel_once(self, monkeypatch):
+        seeds = []
+
+        def counted(dims, seed, *args):
+            seeds.append(seed)
+            return generate_channels(dims, seed, *args)
+
+        monkeypatch.setattr(harness, "generate_channels", counted)
+        cfg = tiny_config(susinr_grid_db=(0.0, 12.0, 24.0))
+        report = run_scenario(cfg)
+        assert seeds == [0, 1] and len(report.rows) == 2 * 3 * 2
+        expected = [row for seed in cfg.seeds for db in cfg.susinr_grid_db
+                    for row in reference_cell(cfg, seed, db)]
+        assert rows_without_wall_ms(report) == expected
 
     def test_programming_error_propagates(self, monkeypatch):
         def buggy(name, channel, params, opt_cfg):

@@ -20,6 +20,7 @@ from mimo_precoding import (
     BaselineConfig,
     NumericalFailureError,
     ObjectiveSpec,
+    PrecodingMatrix,
     ScenarioConfig,
     SingularMatrixError,
     SystemDims,
@@ -344,3 +345,56 @@ class TestBackward:
         with pytest.raises(NumericalFailureError,
                            match="^user 0: spectral efficiency not differentiable "):
             irc_backward(cache)
+
+
+class TestStackErrors:
+    """A stack's failures name the user and symbol at fault, as a lone pass
+    of that precoder would, and scoring fails only that precoder's row."""
+
+    SETTINGS = {
+        "iid": (SystemDims.uniform(K=8, T=64, R=4, L=2), "iid-gaussian", 0.0),
+        "ragged-corr": (RAGGED_CORR, "exp-correlated", 0.9),
+    }
+    # A stream of a group with several users in the iid layout, one of a
+    # user with four streams in the ragged one: (stream, its user).
+    STREAM = {"iid": (9, 4), "ragged-corr": (9, 5)}
+
+    def stack(self, setting):
+        dims, model, rho = self.SETTINGS[setting]
+        channel = generate_channels(dims, seed=0, model=model, rho=rho)
+        params = calibrated_params(channel, susinr_db=-4.0)
+        Ws = np.stack([run_algorithm(a, channel, params, None)[0].W
+                       for a in ("ARZF", "RZF", "MRT")])
+        return channel, params, Ws
+
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    def test_zeroed_stream_of_one_precoder_names_its_user_and_symbol(self, setting):
+        channel, params, Ws = self.stack(setting)
+        stream, user = self.STREAM[setting]
+        Ws[2, :, stream] = 0.0
+        with pytest.raises(UndefinedSinrError, match=f"^user {user}, symbol {stream}: "):
+            irc_forward(Ws, channel, params)
+
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    def test_zero_sinr_of_one_precoder_fails_only_the_backward(self, setting):
+        channel, params, Ws = self.stack(setting)
+        stream, user = self.STREAM[setting]
+        Ws[1, :, stream] *= 1e-150
+        se, cache = irc_forward(Ws, channel, params)
+        assert se.shape == (3,) and np.isfinite(se).all()
+        with pytest.raises(NumericalFailureError,
+                           match=f"^user {user}: spectral efficiency not differentiable "):
+            irc_backward(cache)
+
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    def test_scoring_fails_only_the_precoder_at_fault(self, setting):
+        from mimo_precoding.harness import _score
+
+        channel, params, Ws = self.stack(setting)
+        stream, user = self.STREAM[setting]
+        Ws[2, :, stream] = 0.0
+        scores = _score([PrecodingMatrix(W) for W in Ws], channel, params)
+        assert scores[2].startswith(f"UndefinedSinrError: user {user}, symbol {stream}: ")
+        for W, got in zip(Ws[:2], scores[:2]):
+            lone = irc_forward(W, channel, params)[0]
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(lone).tobytes()

@@ -205,6 +205,14 @@ class TestBuildChannelSet:
         with pytest.raises(DimensionError, match=f"^user {user}: "):
             build_channel_set([np.eye(2)] * 3, layers)
 
+    def test_conjugate_transpose_is_cached_and_read_only(self):
+        dims = SystemDims(K=8, T=16, R_k=(1, 2, 2, 4, 4, 4, 8, 8), L_k=(1, 1, 2, 1, 2, 4, 2, 4))
+        for g in generate_channels(dims, 0).groups:
+            n, R, T = g.H.shape
+            assert g.H_h is g.H_h and not g.H_h.flags.writeable
+            assert g.H_h.shape == (T, n * R)
+            assert g.H_h.tobytes() == g.H.reshape(n * R, T).conj().T.tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=1, max_size=7),
            st.integers(0, 2**32 - 1))
@@ -228,22 +236,18 @@ class TestBuildChannelSet:
             Z = np.random.default_rng(seed).random((n, L_g, dims.L))
             i, l = np.arange(n)[:, None], np.arange(L_g)
             assert np.array_equal(Z.reshape(-1)[g.own], Z[i, l, g.cols])
-            assert g.rows.tobytes() == i.tobytes() and g.rows.shape == (n, 1)
-            assert not g.rows.flags.writeable
-            t = g.tiled(3, dims.L)  # precoder j's rows follow precoder j - 1's
-            assert t.H is g.H
-            assert t.users.tolist() == [g.users.tolist()] * 3
-            assert t.cols.tobytes() == np.concatenate([g.cols] * 3).tobytes()
-            Z3 = np.random.default_rng(seed).random((3 * n, L_g, dims.L))
-            i3 = np.arange(3 * n)[:, None]
-            assert np.array_equal(Z3.reshape(-1)[t.own], Z3[i3, l, t.cols])
+            B = np.random.default_rng(seed).random(g.H.shape[:2] + (dims.L,))
+            assert g.own_cols.shape == (n, L_g, g.H.shape[1])
+            # Entry (i, l, r) of own_cols is the position of B[i, r, cols[i, l]].
+            assert np.array_equal(B.reshape(-1)[g.own_cols], B[i, :, g.cols])
+            assert not g.own_cols.flags.writeable
 
         path = tmp_path_factory.mktemp("groups") / "ch.bin"
         write_channels(ch, path)
         back = read_channels(path)
         assert len(back.groups) == len(ch.groups)
         for a, b in zip(back.groups, ch.groups):
-            for name in ("users", "H", "cols", "own"):
+            for name in ("users", "H", "cols", "own", "own_cols"):
                 x, y = getattr(a, name), getattr(b, name)
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
@@ -265,48 +269,6 @@ class TestUnitPhases:
         with np.errstate(all="ignore"):
             got, expected = _unit_phases(anchor), masked_unit_phases(anchor)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-
-
-class TestTiled:
-    LAYOUTS = {
-        "uniform": SystemDims.uniform(K=8, T=16, R=4, L=2),
-        "ragged": SystemDims(K=8, T=16, R_k=(1, 2, 2, 4, 4, 4, 8, 8),
-                             L_k=(1, 1, 2, 1, 2, 4, 2, 4)),
-    }
-
-    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_equals_fresh_tile_read_only_and_reused(self, layout):
-        dims = self.LAYOUTS[layout]
-        ch, again = generate_channels(dims, 0), generate_channels(dims, 1)
-        for b in range(1, 6):
-            for g, h in zip(ch.groups, again.groups):
-                t = g.tiled(b, dims.L)
-                offsets = np.arange(b)[:, None, None] * g.own.size * dims.L
-                fresh = {"users": np.tile(g.users, (b, 1)), "cols": np.tile(g.cols, (b, 1)),
-                         "own": (g.own + offsets).reshape(-1, g.own.shape[1]),
-                         "rows": np.arange(b * len(g.users))[:, None]}
-                for name, want in fresh.items():
-                    got = getattr(t, name)
-                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
-                    assert not got.flags.writeable, name
-                    # Another channel of the same layout gets the same arrays.
-                    assert getattr(h.tiled(b, dims.L), name) is got, name
-                for name in ("H", "U", "S", "V"):
-                    assert getattr(t, name) is getattr(g, name)
-
-    def test_conjugate_transpose_is_cached_and_read_only(self):
-        for g in generate_channels(self.LAYOUTS["ragged"], 0).groups:
-            n, R, T = g.H.shape
-            assert g.H_h is g.H_h and not g.H_h.flags.writeable
-            assert g.H_h.shape == (T, n * R)
-            assert g.H_h.tobytes() == g.H.reshape(n * R, T).conj().T.tobytes()
-
-    def test_keyed_on_index_values(self):
-        g = generate_channels(self.LAYOUTS["uniform"], 0).groups[0]
-        copy = type(g)(users=g.users.copy(), H=g.H, cols=g.cols.copy(), own=g.own.copy(),
-                       rows=g.rows.copy(), U=g.U, S=g.S, V=g.V)
-        assert copy.tiled(3, 16).own is g.tiled(3, 16).own
-        assert g.tiled(3, 17).own.tobytes() != g.tiled(3, 16).own.tobytes()
 
 
 class TestStack:

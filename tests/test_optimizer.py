@@ -374,6 +374,14 @@ class TestGradient:
 
 
 class TestLbfgsMaximize:
+    @pytest.mark.parametrize("driver", [lbfgs_maximize, softmax_maximize])
+    def test_unset_start_is_arzf(self, driver):
+        assert OptimizerConfig().start is None
+        spec = irc_spec()
+        W, trace = driver(spec, OptimizerConfig(max_iters=3))
+        W_arzf, trace_arzf = driver(spec, OptimizerConfig(max_iters=3, start="arzf"))
+        assert W.W.tobytes() == W_arzf.W.tobytes() and trace == trace_arzf
+
     def test_toy_concave_objective(self):
         rng = np.random.default_rng(15)
         target = 0.05 * complex_randn(rng, (4, 2))  # interior optimum
