@@ -48,9 +48,11 @@ TERM_GRADIENT_FAILURE = "gradient-failure"
 
 
 @dataclass(frozen=True)
-class StepInfo:
+class IterationRecord:
+    """One accepted iterate: an entry of the engine's history, a trace's record."""
+
     iteration: int
-    value: float
+    objective: float
     grad_norm: float   # infinity norm of the ascent gradient
     step: float        # accepted step length (0 for the starting record)
 
@@ -96,8 +98,9 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
     entry. A MimoError from evaluate rejects a trial; any error at x0 (a NaN or
     inf gradient as NumericalFailureError), and any other, propagates.
 
-    Returns (x, info); info carries the termination reason, a StepInfo history
-    (entry 0 is the starting point) and evaluation counters.
+    Returns (x, info); info carries the termination reason, the history (a
+    list of one IterationRecord per accepted iterate; entry 0 is the starting
+    point) and the evaluation counters n_value_evals and n_grad_evals.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, grad = evaluate(x)
@@ -108,10 +111,10 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
     g_inf = _inf_norm(g)  # NaN or inf exactly when some entry of g is
     if not math.isfinite(g_inf):
         raise NumericalFailureError("gradient has non-finite entries")
-    history: list[StepInfo] = []
+    history: list[IterationRecord] = []
 
     def record(t: int, step: float) -> None:
-        history.append(StepInfo(t, float(f), g_inf, step))
+        history.append(IterationRecord(t, float(f), g_inf, step))
         if callback is not None:
             callback(t, x, f, g_inf, step)
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import lbfgs
 from .baselines import BaselineConfig, arzf, rzf
-from .errors import DimensionError, NumericalFailureError
+from .errors import DimensionError, InfiniteSusinrError, NumericalFailureError
 from .irc import irc_backward, irc_forward
 from .model import ChannelSet, SystemParams, check_power, is_count
 from .quality import (PrecodingMatrix, as_array, as_precoder, cd_backward, cd_forward, cd_noise,
@@ -48,7 +48,8 @@ class ObjectiveSpec:
 
     "cd" evaluates the per-symbol surrogate on the projected precoder; "irc"
     rebuilds the MMSE-IRC detector from the projected precoder on every
-    evaluation and differentiates through it.
+    evaluation and differentiates through it. Both need positive noise power:
+    sigma2 = 0 raises InfiniteSusinrError.
     """
 
     kind: str
@@ -58,6 +59,9 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}, expected {OBJECTIVE_KINDS}")
+        if self.params.sigma2 == 0:
+            raise InfiniteSusinrError(
+                f"the {self.kind} objective needs positive noise power, got sigma2 = 0")
 
     @property
     def P(self) -> float:
@@ -146,23 +150,16 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    iteration: int
-    objective: float
-    grad_norm: float
-    step: float
-    se_irc_bits: float | None = None
-
-
-@dataclass(frozen=True)
 class OptimizationTrace:
     """Accepted iterates, why the run stopped and how many evaluations it
-    used: n_value_evals line-search trials and n_grad_evals gradients."""
+    used: n_value_evals line-search trials and n_grad_evals gradients. records
+    is the engine's history; scores is score_fn at each record, or None."""
 
-    records: tuple[IterationRecord, ...]
+    records: tuple[lbfgs.IterationRecord, ...]
     termination: str
     n_value_evals: int
     n_grad_evals: int
+    scores: tuple[float, ...] | None = None
 
     @property
     def iterations(self) -> int:
@@ -337,9 +334,9 @@ def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
     encode(W0) gives the first x, decode_full(x) gives W plus what chain(D, W,
     aux) needs to turn the ascent gradient D at W into the gradient over x.
     The precoder of an x is the projection of its W, the point the objective
-    is evaluated at; it is what score_fn sees and what is returned. The engine
-    gets a callback only to score, when score_fn is given; the trace's
-    records are built once, from the engine's history, after the run.
+    is evaluated at; it is what score_fn sees and what is returned. The
+    trace's records are the engine's history; the engine gets a callback only
+    when score_fn is given, to fill the trace's scores, one per record.
     """
     cfg = cfg or OptimizerConfig()
     param = param_type(spec.shape, spec.P)
@@ -366,11 +363,9 @@ def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
         memory=cfg.memory,
         callback=None if score_fn is None else on_iteration,
     )
-    history = info["history"]  # scores, when kept, has one entry per record
-    records = tuple(IterationRecord(h.iteration, h.value, h.grad_norm, h.step, se)
-                    for h, se in zip(history, scores or [None] * len(history)))
     return PrecodingMatrix(precoder(x)), OptimizationTrace(
-        records, info["termination"], info["n_value_evals"], info["n_grad_evals"])
+        tuple(info["history"]), info["termination"], info["n_value_evals"],
+        info["n_grad_evals"], None if score_fn is None else tuple(scores))
 
 
 def lbfgs_maximize(spec, cfg: OptimizerConfig | None = None, score_fn=None):
@@ -378,10 +373,10 @@ def lbfgs_maximize(spec, cfg: OptimizerConfig | None = None, score_fn=None):
 
     Starts from the configured closed-form precoder (ARZF when start is
     None) or a custom matrix, iterates on the real embedding of W and returns
-    the projected result with its per-iteration trace. When score_fn is given it is evaluated on the
-    projected precoder at every accepted iterate and stored in the trace.
-    A failed line search returns the best iterate found so far rather than
-    raising.
+    the projected result with its OptimizationTrace, the engine's history as
+    records. When score_fn is given its values at the projected precoder of
+    every accepted iterate are the trace's scores. A failed line search
+    returns the best iterate found so far rather than raising.
     """
     return _maximize(spec, cfg, score_fn, _ProjectionParam)
 

@@ -317,6 +317,33 @@ class TestRunScenario:
                     for row in reference_cell(cfg, seed, db)]
         assert rows_without_wall_ms(report) == expected
 
+    @pytest.mark.parametrize("setting", [{}, RAGGED_CORR], ids=["iid", "ragged-corr"])
+    def test_irc_rows_score_the_final_objective(self, setting):
+        # Scoring and the QN-IRC objective are one MMSE-IRC forward pass, so a
+        # QN-IRC row's SE is its run's last accepted objective, bit for bit.
+        cfg = ScenarioConfig(seeds=(0, 1), susinr_grid_db=(-4.0, 12.0, 40.0, 200.0),
+                             algorithms=("QN-IRC-ARZF", "QN-IRC-RZF"),
+                             optimizer=OptimizerConfig(max_iters=60), **setting)
+        report = run_scenario(cfg)
+        assert len(report.rows) == 16 and not report.failures
+        for r in report.rows:
+            channel, params = harness.cell(cfg, r.seed, r.susinr_db)
+            _, trace = harness.run_algorithm(r.algorithm, channel, params, cfg.optimizer)
+            assert r.se_irc_bits.hex() == trace.records[-1].objective.hex()
+
+    def test_zero_noise_fails_only_the_quasi_newton_rows(self):
+        # At 4000 dB the calibrated noise power underflows to 0.0: ARZF is
+        # still scored, and both quasi-Newton objectives reject the cell.
+        cfg = ScenarioConfig(seeds=(0,), susinr_grid_db=(4000.0,),
+                             algorithms=("ARZF", "QN-IRC-ARZF", "QN-CD-ARZF"))
+        channel = generate_channels(cfg.dims, 0, cfg.channel_model, cfg.rho)
+        assert noise_from_susinr(channel, cfg.P, 4000.0) == 0.0
+        arzf, *qn = run_scenario(cfg).rows
+        assert arzf.error is None and arzf.se_irc_bits > 0
+        for row in qn:
+            assert row.se_irc_bits is None and row.iterations is None
+            assert row.error.startswith("InfiniteSusinrError: ")
+
     def test_programming_error_propagates(self, monkeypatch):
         def buggy(name, channel, params, opt_cfg):
             raise RuntimeError("synthetic bug")

@@ -193,7 +193,7 @@ class TestEngine:
 
         _, info = lbfgs.maximize(evaluating(vag), np.zeros(5), max_iters=100,
                                  tol_grad=1e-9, tol_change=1e-12)
-        values = [h.value for h in info["history"]]
+        values = [h.objective for h in info["history"]]
         assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
 
     def test_rosenbrock_valley(self):
@@ -238,7 +238,7 @@ class TestEngine:
         assert info["termination"] == lbfgs.TERM_GRADIENT_FAILURE
         np.testing.assert_array_equal(x, calls[1])
         last = info["history"][-1]
-        assert last.iteration == 1 and last.value == -float((x[0] - 3.0) ** 2)
+        assert last.iteration == 1 and last.objective == -float((x[0] - 3.0) ** 2)
         assert np.isnan(last.grad_norm) and np.isnan(seen[-1][1]) and len(seen) == 2
         assert info["n_grad_evals"] == 2
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -22,7 +23,7 @@ from mimo_precoding import (
     spectral_efficiency_irc,
 )
 from mimo_precoding.errors import (
-    ConfigError, DimensionError, NumericalFailureError, UndefinedSinrError,
+    ConfigError, DimensionError, InfiniteSusinrError, NumericalFailureError, UndefinedSinrError,
 )
 from mimo_precoding import lbfgs, optimizer
 from mimo_precoding.optimizer import (
@@ -259,6 +260,13 @@ class TestObjective:
         proj = project(W, spec.params.P)
         expected = spectral_efficiency_irc(proj, spec.channel, spec.params).se_bits
         assert objective(W, spec) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["cd", "irc"])
+    def test_zero_noise_rejected(self, kind):
+        spec = cd_spec(7)
+        with pytest.raises(InfiniteSusinrError, match="needs positive noise power"):
+            ObjectiveSpec(kind=kind, channel=spec.channel,
+                          params=dataclasses.replace(spec.params, sigma2=0.0))
 
     # (8, 5) was scored with the fifth column as one more interfering stream,
     # (8, 3) raised a bare IndexError from the IRC entry points and (7, 4)
@@ -569,14 +577,14 @@ class TestLbfgsMaximize:
         spec = cd_spec(19)
         score = lambda W: spectral_efficiency_irc(W, spec.channel, spec.params).se_bits
         _, trace = lbfgs_maximize(spec, OptimizerConfig(max_iters=10), score_fn=score)
-        assert all(r.se_irc_bits is not None for r in trace.records)
+        assert len(trace.scores) == len(trace.records) and None not in trace.scores
 
     def test_irc_objective_is_the_scoring_se(self):
         # The trace command reports SE-IRC of QN-IRC runs from this equality.
         spec = irc_spec(19, K=3, T=8, R=2, L=2)
         score = lambda W: spectral_efficiency_irc(W, spec.channel, spec.params).se_bits
         _, trace = lbfgs_maximize(spec, OptimizerConfig(max_iters=20), score_fn=score)
-        assert [r.objective for r in trace.records] == [r.se_irc_bits for r in trace.records]
+        assert [r.objective for r in trace.records] == list(trace.scores)
 
     @staticmethod
     def _assert_one_forward_per_trial_one_backward_per_step(kind, monkeypatch):
