@@ -52,10 +52,7 @@ from .optimizer import (
 from .quality import (
     PrecodingMatrix,
     SinrReport,
-    conjugate,
-    effective_sinr,
     se_conjugate,
-    sinr_conjugate,
     spectral_efficiency_irc,
     susinr,
     symbol_sinr,

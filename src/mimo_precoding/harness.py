@@ -337,16 +337,15 @@ def export_trace(cfg: ScenarioConfig, algorithm: str, format: str, path) -> Opti
     cfg, the cell a sweep would draw, and write its per-iteration trace
     through write_table; returns the trace.
 
-    The se_irc_bits column is the SE-IRC of each record's precoder: its
-    objective for QN-IRC, the trace's scores (an MMSE-IRC pass) for QN-CD.
+    The se_irc_bits column is the SE-IRC of each record's precoder, the
+    trace's scores from one MMSE-IRC pass per record; for QN-IRC it equals
+    the record's objective bit for bit.
     """
     seed, susinr_db = cfg.seeds[0], cfg.susinr_grid_db[0]
     channel, params = cell(cfg, seed, susinr_db)
-    irc = parse_qn_name(algorithm)[0] == "irc"
-    score = None if irc else lambda W: irc_forward(W, channel, params)[0]
-    _, trace = run_algorithm(algorithm, channel, params, cfg.optimizer, score)
-    se = [r.objective for r in trace.records] if irc else trace.scores
-    rows = [{**asdict(r), "se_irc_bits": s} for r, s in zip(trace.records, se)]
+    _, trace = run_algorithm(algorithm, channel, params, cfg.optimizer,
+                             lambda W: irc_forward(W, channel, params)[0])
+    rows = [{**asdict(r), "se_irc_bits": s} for r, s in zip(trace.records, trace.scores)]
     write_table(path, format, TRACE_COLUMNS, rows, lambda rows: {
         "algorithm": algorithm, "seed": seed, "susinr_db": susinr_db,
         "termination": trace.termination, "records": rows})

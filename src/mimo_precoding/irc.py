@@ -28,7 +28,9 @@ roundoff to first order.
 
 `mmse_irc` is the per-user reference detector the batched kernel is checked
 against: one user, one Cholesky solve, with an optional cross-check against
-the explicit interference-covariance form of the same detector.
+the explicit interference-covariance form of the same detector. The library
+does not call it; it stays exported because perfbench/check.py imports it,
+with quality.symbol_sinr, as the benchmark's independent oracle.
 """
 
 from __future__ import annotations
@@ -125,14 +127,13 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, own: np.ndarray,
 
 
 def _unmasked_geometric_means(sinr: np.ndarray) -> np.ndarray:
-    # For positive SINRs only; the same bits as the masked path.
+    # For positive SINRs only; the same bits as geometric_means there.
     return np.exp(np.log(sinr).sum(axis=-1) / sinr.shape[-1])
 
 
 def geometric_means(sinr: np.ndarray) -> np.ndarray:
-    """Geometric mean over the last axis; a zero anywhere collapses it to zero."""
-    if (sinr > 0.0).all():
-        return _unmasked_geometric_means(sinr)
+    """Geometric mean over the last axis; a zero anywhere collapses it to zero.
+    score_group calls it only when some SINR is not positive."""
     logs = np.log(np.where(sinr > 0.0, sinr, 1.0))
     means = np.exp(logs.sum(axis=-1) / sinr.shape[-1])
     return np.where((sinr == 0.0).any(axis=-1), 0.0, means)

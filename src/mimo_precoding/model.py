@@ -147,11 +147,6 @@ class UserChannel:
         return self.H.shape[1]
 
     @property
-    def U_tilde(self) -> np.ndarray:
-        """(L_k, R_k) leading rows of U."""
-        return self.U[: self.L_k]
-
-    @property
     def S_tilde(self) -> np.ndarray:
         """(L_k,) leading singular values."""
         return self.S[: self.L_k]

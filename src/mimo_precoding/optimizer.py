@@ -30,7 +30,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from . import lbfgs
-from .baselines import BaselineConfig, arzf, rzf
+from .baselines import BaselineConfig, compute_baseline
 from .errors import DimensionError, InfiniteSusinrError, NumericalFailureError
 from .irc import irc_backward, irc_forward
 from .model import ChannelSet, SystemParams, check_power, is_count
@@ -293,6 +293,8 @@ def gradient(W, spec) -> np.ndarray:
 
 
 def _starting_point(spec, cfg: OptimizerConfig) -> np.ndarray:
+    if cfg.start_matrix is not None and cfg.start != "custom":
+        raise ValueError(f"start_matrix is used only with start='custom', got start={cfg.start!r}")
     if cfg.start == "custom":
         W0 = np.asarray(cfg.start_matrix, dtype=np.complex128)
         if W0.shape != spec.shape:
@@ -301,10 +303,8 @@ def _starting_point(spec, cfg: OptimizerConfig) -> np.ndarray:
         return project(W0, spec.P)
     if spec.kind == "custom":
         raise ValueError("custom objectives need start='custom' with start_matrix")
-    start = cfg.start or "arzf"
-    base_cfg = BaselineConfig(kind=start.upper(), params=spec.params)
-    builder = rzf if start == "rzf" else arzf
-    return builder(spec.channel, base_cfg).W.copy()
+    base_cfg = BaselineConfig(kind=(cfg.start or "arzf").upper(), params=spec.params)
+    return compute_baseline(spec.channel, base_cfg).W.copy()
 
 
 class _ProjectionParam:
@@ -372,7 +372,8 @@ def lbfgs_maximize(spec, cfg: OptimizerConfig | None = None, score_fn=None):
     """Quasi-Newton ascent in precoder space through the differentiable projection.
 
     Starts from the configured closed-form precoder (ARZF when start is
-    None) or a custom matrix, iterates on the real embedding of W and returns
+    None) or a custom matrix; a start_matrix without start='custom' raises
+    ValueError. It iterates on the real embedding of W and returns
     the projected result with its OptimizationTrace, the engine's history as
     records. When score_fn is given its values at the projected precoder of
     every accepted iterate are the trace's scores. A failed line search

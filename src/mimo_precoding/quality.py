@@ -1,10 +1,13 @@
-"""Scalar quality measures: per-symbol SINR, effective per-user SINR, the
-MMSE-IRC spectral efficiency, single-user SINR, and conjugate detection with
-its approximations, whose surrogate se_conjugate is also a forward/backward
-pair (cd_forward, cd_backward) for the optimizer.
+"""Quality measures: the precoder type, the MMSE-IRC spectral efficiency
+report, single-user SINR, and the conjugate-detection surrogate se_conjugate,
+which is also a forward/backward pair (cd_forward, cd_backward) for the
+optimizer.
 
-symbol_sinr, sinr_conjugate and conjugate are the per-user references that
-the batched paths (irc.py and cd_forward) are checked against.
+symbol_sinr is the per-symbol SINR at a given detector row, one symbol at a
+time. The library does not call it: it stays exported as the independent
+oracle that perfbench/check.py scores the batched irc.py path against. The
+tests' other scalar references (the conjugate detector, its per-symbol SINR
+and the effective SINR) live in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from .errors import (
     InfiniteSusinrError,
     UndefinedSinrError,
 )
-from .irc import geometric_means, irc_forward
-from .model import ChannelSet, SystemParams, UserChannel, check_noise, check_power, susinr_gain
+from .irc import irc_forward
+from .model import ChannelSet, SystemParams, check_noise, check_power, susinr_gain
 
 _LN2 = math.log(2.0)
 
@@ -127,19 +130,6 @@ def symbol_sinr(W, H_k: np.ndarray, g_l: np.ndarray, sigma2: float, P: float, l:
     return float(signal / den)
 
 
-def effective_sinr(per_symbol) -> float:
-    """Geometric mean of a user's per-symbol SINRs; any zero collapses it to zero.
-
-    A negative or NaN SINR raises ValueError.
-    """
-    x = np.asarray(per_symbol, dtype=float)
-    if x.size == 0:
-        raise DimensionError("need at least one per-symbol SINR")
-    if not (x >= 0).all():
-        raise ValueError("SINR values must be nonnegative, not NaN")
-    return float(geometric_means(x))
-
-
 def spectral_efficiency_irc(W, channel: ChannelSet, params: SystemParams) -> SinrReport:
     """Spectral efficiency with the MMSE-IRC detector recomputed for this precoder.
 
@@ -174,31 +164,6 @@ def susinr(channel: ChannelSet, sigma2: float, P: float) -> float:
         raise InfiniteSusinrError("single-user SINR is infinite at zero noise power")
     gain = susinr_gain(channel.dims, channel.S_tilde)
     return 10.0 * math.log10(P * gain / sigma2)
-
-
-def conjugate(user: UserChannel) -> np.ndarray:
-    """Conjugate detector S_tilde^{-1} U_tilde built from the channel's own SVD."""
-    s = user.S_tilde
-    if np.any(s <= 0):
-        raise DegenerateChannelError("conjugate detection needs positive leading singular values")
-    return user.U_tilde / s[:, None]
-
-
-def sinr_conjugate(W, v_l: np.ndarray, s_l: float, sigma2: float, P: float, l: int) -> float:
-    """Per-symbol SINR under conjugate detection.
-
-    |v w_l|^2 / (sum_{i != l} |v w_i|^2 + sigma2 / (P s_l^2)). Identical to
-    symbol_sinr evaluated at the conjugate-detection row g_l = u_l / s_l, for
-    which g_l H_k = v_l and ||g_l||^2 = 1 / s_l^2.
-    """
-    if s_l <= 0:
-        raise DegenerateChannelError(f"symbol {l}: singular value must be positive")
-    Wm = as_array(W)
-    a = np.asarray(v_l, dtype=np.complex128).ravel() @ Wm
-    power = np.abs(a) ** 2
-    signal = power[l]
-    interference = float(np.sum(np.delete(power, l)))
-    return float(signal / (interference + sigma2 / (P * s_l**2)))
 
 
 def se_conjugate(W, v_rows: np.ndarray, s_values: np.ndarray, sigma2: float, P: float) -> float:

@@ -16,7 +16,6 @@ from mimo_precoding import (
     arzf,
     build_channel_set,
     compute_baseline,
-    conjugate,
     generate_channels,
     gradient,
     lbfgs_maximize,
@@ -28,7 +27,6 @@ from mimo_precoding import (
     run_scenario,
     rzf,
     se_conjugate,
-    sinr_conjugate,
     softmax_maximize,
     spectral_efficiency_irc,
     symbol_sinr,
@@ -38,6 +36,7 @@ from mimo_precoding import (
 from mimo_precoding.harness import export_report
 
 from conftest import calibrated_params, complex_randn, embed, fd_gradient, mixed_rows_precoder
+from reference import conjugate, sinr_conjugate
 
 
 def _report(num, description, ok, detail=""):

@@ -642,6 +642,15 @@ class TestLbfgsMaximize:
         with pytest.raises(DimensionError, match=r"\(T, L\) = \(8, 2\)"):
             lbfgs_maximize(spec, cfg)
 
+    # Rejected rather than ignored, which started the run from the baseline.
+    @pytest.mark.parametrize("maximize", [lbfgs_maximize, softmax_maximize])
+    @pytest.mark.parametrize("start", ["arzf", "rzf", None])
+    def test_start_matrix_without_custom_start_rejected(self, maximize, start):
+        spec = irc_spec(0, K=2, T=8, R=2, L=1, susinr_db=12.0)
+        cfg = OptimizerConfig(max_iters=1, start=start, start_matrix=0.1 * np.ones((8, 2)))
+        with pytest.raises(ValueError, match=f"start_matrix .* start={start!r}"):
+            maximize(spec, cfg)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_start_matrix_rejected(self, bad):
         start = np.zeros((8, 2), dtype=complex)

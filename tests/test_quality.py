@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,24 +10,23 @@ from mimo_precoding import (
     BaselineConfig,
     DegenerateChannelError,
     InfiniteSusinrError,
+    OptimizerConfig,
     PrecodingMatrix,
     SystemDims,
     SystemParams,
     UndefinedSinrError,
     build_channel_set,
     compute_baseline,
-    conjugate,
-    effective_sinr,
     generate_channels,
     project,
     se_conjugate,
-    sinr_conjugate,
     spectral_efficiency_irc,
     susinr,
     symbol_sinr,
 )
 
 from conftest import calibrated_params, complex_randn, random_channel
+from reference import conjugate, effective_sinr, sinr_conjugate
 
 
 class TestPrecodingMatrix:
@@ -148,6 +150,32 @@ class TestSpectralEfficiency:
         report = spectral_efficiency_irc(W, ch, params)
         assert report.se_bits == pytest.approx(4.0)
         assert report.per_user_effective[0] == pytest.approx(3.0)
+
+
+def load_benchmark_check():
+    """perfbench/check.py, loaded by path as the benchmark loads it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+    spec = importlib.util.spec_from_file_location("benchmark_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkOracle:
+    """The benchmark's independent SE-IRC oracle still imports and agrees with
+    the library on a small ragged cell, so an export change that breaks it
+    fails here too."""
+
+    @pytest.mark.parametrize("algorithm", ["ARZF", "QN-IRC-ARZF"])
+    def test_reference_se_matches_spectral_efficiency_irc(self, algorithm):
+        check = load_benchmark_check()
+        dims = SystemDims(K=3, T=8, R_k=(2, 2, 3), L_k=(1, 2, 2))
+        channel = generate_channels(dims, seed=1)
+        params = calibrated_params(channel, susinr_db=12.0)
+        W = check.rebuild(algorithm, channel, params, OptimizerConfig(max_iters=5))
+        se = spectral_efficiency_irc(W, channel, params).se_bits
+        assert abs(check.reference_se(W, channel, params) - se) <= check.SE_REL_TOL * se
+        assert check.check_row(W, channel, params, se) == []
 
 
 class TestSusinr:
