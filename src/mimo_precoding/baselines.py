@@ -1,5 +1,7 @@
 """Closed-form precoders: MRT, ZF, RZF and ARZF, all normalized to the
-per-antenna power budget by scaling with the maximal row norm."""
+per-antenna power budget by one scalar that puts the largest row's power a
+rounding margin inside it, so every row meets the budget exactly and the
+optimizer's projection leaves the precoder unchanged."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import DegenerateChannelError, DimensionError, SingularMatrixError, ZeroPrecoderError
 from .model import ChannelSet, SystemParams, check_power
-from .quality import PrecodingMatrix
+from .quality import PrecodingMatrix, _inside, row_power
 
 KINDS = ("MRT", "ZF", "RZF", "ARZF")
 
@@ -38,21 +40,31 @@ class BaselineConfig:
 
 
 def normalize_power(W_raw: np.ndarray, P: float) -> PrecodingMatrix:
-    """Scale so the largest antenna row sits exactly on the P/T power boundary.
+    """Scale so the largest antenna row's power sits at the fraction
+    quality._inside(L) of the P/T budget.
 
-    One global scalar preserves the precoder direction, so normalization
-    absorbs any positive scaling of the input.
+    The factor is the one optimizer.project gives a row outside the ball, and
+    _inside's margin keeps every scaled row's computed power (quality.row_power)
+    at or below P/T: the result passes feasible(P, tol=0.0) and project returns
+    it unchanged, whatever the last bits of the input. One global scalar
+    preserves the precoder direction, so normalization absorbs any positive
+    scaling of the input.
     """
     check_power(P)
     W = np.asarray(W_raw, dtype=np.complex128)
     if W.ndim != 2:
         raise DimensionError(f"precoder must be a matrix, got ndim={W.ndim}")
-    T = W.shape[0]
-    norms = np.sqrt(np.einsum("ml,ml->m", W, W.conj()).real)
-    top = norms.max() if norms.size else 0.0
+    T, L = W.shape
+    top = row_power(W).max(initial=0.0)
+    if 0.0 < top < 2.0**-500:
+        # Below the range _inside's proof covers, where P/T over the power can
+        # overflow and a subnormal power has lost digits: an exact
+        # power-of-two prescale brings the rows back into it.
+        W = W * 2.0**500
+        top = row_power(W).max()
     if top == 0.0:
         raise ZeroPrecoderError("cannot normalize an all-zero precoding matrix")
-    scale = np.sqrt(P / T) / top
+    scale = np.sqrt(P / T * _inside(L) / top)
     # A NaN or infinite entry makes top non-finite; a finite top and scale
     # bound every scaled entry by sqrt(P / T), so the result needs no rescan.
     if not (math.isfinite(top) and math.isfinite(scale)):

@@ -218,18 +218,22 @@ def _factors(H: np.ndarray, L_k: int, users) -> tuple[np.ndarray, np.ndarray, np
     """Read-only reduced SVD factors U, S, V of a complex (n, R_k, T) stack of
     same-shape user channels that carry L_k streams each, in one batched call.
 
-    users gives the user index of each matrix, which errors name. The phase of
-    each row of V is fixed so that its largest-magnitude entry is real and
-    positive (the matching row of U absorbs the conjugate phase), which makes
-    decompositions reproducible across runs. The factors equal those of
-    per-matrix SVDs bit for bit.
+    users gives the user index of each matrix, which errors name. The factors
+    come from the SVD of the tall H^H = A diag(S) B, the cheaper orientation
+    for LAPACK when R_k < T: U is B and V is A^H. The phase of each row of V is
+    fixed so that its largest-magnitude entry is real and positive (the
+    matching row of U absorbs the conjugate phase), which makes decompositions
+    reproducible across runs. The factors equal those of per-matrix SVDs of
+    H^H bit for bit.
 
     Raises DegenerateChannelError if a channel's rank is below its L_k, since a
     zero leading singular value cannot be inverted by conjugate detection.
     """
     if not np.isfinite(H).all():
         raise ValueError("channel matrix has non-finite entries")
-    u, s, vh = np.linalg.svd(H, full_matrices=False)  # s sorted descending per matrix
+    # s sorted descending per matrix
+    a, s, b = np.linalg.svd(H.conj().transpose(0, 2, 1), full_matrices=False)
+    vh = np.conj(a.transpose(0, 2, 1), order="C")
 
     # Phase fix: one unitary diagonal applied to the rows of both U and V
     # leaves U^H S V unchanged.
@@ -238,7 +242,7 @@ def _factors(H: np.ndarray, L_k: int, users) -> tuple[np.ndarray, np.ndarray, np
     anchor = rows[np.arange(n * R_k), np.abs(rows).argmax(axis=1)].reshape(n, R_k)
     conj_phase = np.conj(_unit_phases(anchor))[:, :, None]
     V = vh * conj_phase
-    U = np.ascontiguousarray(u.conj().transpose(0, 2, 1) * conj_phase)
+    U = b * conj_phase
 
     s_max = s[:, 0]
     weak = (s_max == 0.0) | (s[:, L_k - 1] <= RANK_TOL * s_max)

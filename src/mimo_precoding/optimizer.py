@@ -34,8 +34,8 @@ from .baselines import BaselineConfig, compute_baseline
 from .errors import DimensionError, InfiniteSusinrError, NumericalFailureError
 from .irc import irc_backward, irc_forward
 from .model import ChannelSet, SystemParams, check_power, is_count
-from .quality import (PrecodingMatrix, as_array, as_precoder, cd_backward, cd_forward, cd_noise,
-                      row_power)
+from .quality import (PrecodingMatrix, _inside, as_array, as_precoder, cd_backward, cd_forward,
+                      cd_noise, row_power)
 
 OBJECTIVE_KINDS = ("cd", "irc")
 START_KINDS = ("rzf", "arzf", "custom")
@@ -172,25 +172,6 @@ class OptimizationTrace:
 
 # ---------------------------------------------------------------------------
 # Projection and its chain rule
-
-
-def _inside(L: int) -> float:
-    """The fraction of the cap P/T that _ball puts an exterior row's power at.
-
-    With u = 2**-53 and g_n = n u / (1 - n u), the computed power of a row of
-    n = 2L reals is within a relative g_n of the exact one, whatever the
-    summation order, with or without fused multiply-adds, over the float64
-    view or the complex einsum of W and conj(W) (at most L + 1 roundings per
-    term). A rescaled row's computed power is then at most
-    cap * inside * (1 + u)**6 (1 + g_n) / (1 - g_n): g_n for the power before
-    and after the rescale, and u each for cap * inside, the divide, the
-    square root (squared) and the scaling of an entry (squared). That exceeds
-    cap * inside by about (4L + 6) u; the margin is twice it, so one rescale
-    lands at or below the cap. It holds while nothing overflows and P/T and
-    the row powers stay within 1e+-150, where an underflowing entry costs far
-    less than the slack.
-    """
-    return 1.0 - (8 * L + 12) * 2.0**-53
 
 
 def _ratio_over(num, power: np.ndarray, where, fill: float) -> np.ndarray:

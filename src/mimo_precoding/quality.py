@@ -52,6 +52,31 @@ def row_power(W: np.ndarray) -> np.ndarray:
     return np.einsum("ml,ml->m", Wf, Wf)
 
 
+def _inside(L: int) -> float:
+    """The fraction of the cap P/T that a rescaled row's power is put at: by
+    optimizer._ball for a row outside the ball, by baselines.normalize_power
+    for the largest row of a closed-form precoder.
+
+    With u = 2**-53 and g_n = n u / (1 - n u), the computed power of a row of
+    n = 2L reals is within a relative g_n of the exact one, whatever the
+    summation order, with or without fused multiply-adds, over the float64
+    view or the complex einsum of W and conj(W) (at most L + 1 roundings per
+    term). A rescaled row's computed power is then at most
+    cap * inside * (1 + u)**6 (1 + g_n) / (1 - g_n): g_n for the power before
+    and after the rescale, and u each for cap * inside, the divide, the
+    square root (squared) and the scaling of an entry (squared). That exceeds
+    cap * inside by about (4L + 6) u; the margin is twice it, so one rescale
+    lands at or below the cap. The bound needs only the row's exact power
+    before the rescale to be at most the computed power the factor was taken
+    from over (1 - g_n). That holds for every row when normalize_power scales
+    them all by the largest row's factor, so they all land at or below the
+    cap. It holds while nothing overflows and P/T and the row powers stay
+    within 1e+-150, where an underflowing entry costs far less than the
+    slack; normalize_power first brings a smaller largest power into range.
+    """
+    return 1.0 - (8 * L + 12) * 2.0**-53
+
+
 @dataclass(frozen=True)
 class PrecodingMatrix:
     """Transmit precoder of shape (T, L): rows map to antennas, columns to streams.

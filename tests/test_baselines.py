@@ -22,11 +22,13 @@ from mimo_precoding import (
     generate_channels,
     mrt,
     normalize_power,
+    project,
     run_scenario,
     rzf,
     zf,
 )
-from mimo_precoding.baselines import _regularized_inverse_precoder
+from mimo_precoding.baselines import KINDS, _regularized_inverse_precoder
+from mimo_precoding.quality import _inside, row_power
 
 from conftest import calibrated_params, complex_randn, random_channel
 
@@ -66,8 +68,8 @@ class TestNormalizePower:
            P=st.floats(1e-3, 1e3))
     def test_equals_public_constructor_on_scaled_input(self, order, seed, T, L, P):
         W = np.asarray(complex_randn(np.random.default_rng(seed), (T, L)), order=order)
-        top = np.sqrt(np.einsum("ml,ml->m", W, W.conj()).real).max()
-        expected = PrecodingMatrix(W * (np.sqrt(P / T) / top)).W
+        top = row_power(W).max()
+        expected = PrecodingMatrix(W * np.sqrt(P / T * _inside(L) / top)).W
         got = normalize_power(W, P).W
         assert got.tobytes() == expected.tobytes()
         assert got.flags.c_contiguous and not got.flags.writeable
@@ -91,6 +93,17 @@ class TestNormalizePower:
     def test_zero_matrix_either_order(self, order):
         with pytest.raises(ZeroPrecoderError):
             normalize_power(np.zeros((4, 3), dtype=complex, order=order), P=1.0)
+
+    # At 1e-155 the largest row's power is below the range the margin is
+    # proven for; at 1e-160 it is subnormal, and P/T over it overflows. RZF
+    # reaches such inputs near -1600 dB.
+    @pytest.mark.parametrize("c", [1e-155, 1e-160])
+    def test_tiny_input_meets_the_budget_exactly(self, c):
+        W = complex_randn(np.random.default_rng(0), (8, 4))
+        out = normalize_power(c * W, P=1.0)
+        assert out.feasible(1.0, tol=0.0)
+        assert project(out, 1.0).tobytes() == out.W.tobytes()
+        np.testing.assert_allclose(out.W, normalize_power(W, P=1.0).W, rtol=0, atol=1e-15)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
@@ -196,7 +209,7 @@ class TestZfConditioning:
             "zero-forcing: stream correlation matrix condition number above 1e+12")
         assert record[0].filename == __file__  # reported at the caller of zf
 
-    @pytest.mark.parametrize("delta,cholesky_info", [(1e-7, 0), (1e-8, 5)])
+    @pytest.mark.parametrize("delta,cholesky_info", [(1e-7, 0), (1e-8, 6)])
     def test_singular_above_1e14_names_the_cond(self, delta, cholesky_info):
         # The first Gram matrix still factors; the error must not depend on it.
         ch = near_dependent_channel(delta)
@@ -302,9 +315,28 @@ class TestSharedContracts:
         ch = random_channel(12, K=2, T=8, R=2, L=2)
         params = calibrated_params(ch)
         W = builder(ch, BaselineConfig(kind=kind, params=params))
-        assert W.feasible(params.P, tol=1e-12)
+        assert W.feasible(params.P, tol=0.0)
         cap = params.P / ch.dims.T
         assert W.row_power().max() == pytest.approx(cap, abs=1e-12)
+
+    @pytest.mark.parametrize("dims,model,rho", [
+        (SystemDims.uniform(K=8, T=64, R=4, L=2), "iid-gaussian", 0.0),
+        (SystemDims(K=8, T=64, R_k=(1, 2, 2, 4, 4, 4, 8, 8), L_k=(1, 1, 2, 1, 2, 4, 2, 4)),
+         "exp-correlated", 0.9),
+    ], ids=["uniform", "ragged"])
+    def test_exactly_feasible_and_fixed_by_the_projection(self, dims, model, rho):
+        # A largest row put on P/T to rounding reads over it in about a fifth
+        # of these 720 precoders; only the projection's margin meets the
+        # budget with no tolerance.
+        for seed in range(10):
+            ch = generate_channels(dims, seed, model, rho)
+            for P in (1e-3, 1.0, 1e6):
+                for susinr_db in (-4.0, 12.0, 40.0):
+                    params = calibrated_params(ch, susinr_db, P)
+                    for kind in KINDS:
+                        W = compute_baseline(ch, BaselineConfig(kind=kind, params=params))
+                        assert W.feasible(P, tol=0.0), (seed, P, susinr_db, kind)
+                        assert project(W, P).tobytes() == W.W.tobytes(), (seed, P, susinr_db, kind)
 
 
 def scipy_reference(channel, cfg):

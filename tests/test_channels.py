@@ -102,9 +102,10 @@ class TestValidation:
 
 
 def _reference_decompose(H, L_k):
-    """The per-user decomposition the batched one replaced: one SVD, descending
-    sort and phase fix per matrix."""
-    u, s, vh = np.linalg.svd(H, full_matrices=False)
+    """The per-user decomposition the batched one replaced: one SVD of H^H,
+    descending sort and phase fix per matrix."""
+    a, s, b = np.linalg.svd(H.conj().T, full_matrices=False)
+    u, vh = b.conj().T, a.conj().T  # H = u diag(s) vh
     order = np.argsort(-s, kind="stable")
     u, s, vh = u[:, order], s[order], vh[order]
     peak = np.argmax(np.abs(vh), axis=1)

@@ -147,7 +147,7 @@ def exterior_precoder(rng, P, T=64, L=16):
 
 def margin(L):
     """Twice the worst relative rounding of a rescaled row's computed power,
-    (4L + 6) 2**-53 for a row of 2L reals (see optimizer._inside)."""
+    (4L + 6) 2**-53 for a row of 2L reals (see quality._inside)."""
     return (8 * L + 12) * 2.0**-53
 
 
