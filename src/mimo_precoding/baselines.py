@@ -56,12 +56,14 @@ def normalize_power(W_raw: np.ndarray, P: float) -> PrecodingMatrix:
         raise DimensionError(f"precoder must be a matrix, got ndim={W.ndim}")
     T, L = W.shape
     top = row_power(W).max(initial=0.0)
-    if 0.0 < top < 2.0**-500:
-        # Below the range _inside's proof covers, where P/T over the power can
-        # overflow and a subnormal power has lost digits: an exact
-        # power-of-two prescale brings the rows back into it.
-        W = W * 2.0**500
-        top = row_power(W).max()
+    if not 2.0**-500 <= top <= 2.0**500 and np.isfinite(W).all():
+        # Outside the range _inside's proof covers: a row power can overflow,
+        # underflow to zero or lose digits, and P/T over it can overflow. The
+        # exact power of two that puts the largest real or imaginary part in
+        # [1/2, 1) brings the rows back into it, and leaves a zero matrix zero.
+        Wf = np.ascontiguousarray(W).view(np.float64)
+        W = np.ldexp(Wf, -math.frexp(np.abs(Wf).max(initial=0.0))[1]).view(np.complex128)
+        top = row_power(W).max(initial=0.0)
     if top == 0.0:
         raise ZeroPrecoderError("cannot normalize an all-zero precoding matrix")
     scale = np.sqrt(P / T * _inside(L) / top)

@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy._core.multiarray import c_einsum  # np.einsum's C routine, without its dispatch
+from numpy.linalg import _umath_linalg  # np.linalg.inv's LAPACK call, without its checks
 
 from .errors import NumericalFailureError, SingularMatrixError, UndefinedSinrError
 from .model import ChannelSet, SystemDims, SystemParams, UserGroup
@@ -74,6 +76,11 @@ def _hpd_inverse(Q: np.ndarray, lam: float, L: int, users: np.ndarray) -> np.nda
     R (L + R + 5)) u M suffices to first order; c doubles it. The test runs for
     lam = 0, lam outside (2^-969, 2^900) (underflow, overflow) or a NaN or inf
     in Q, which fails the comparison.
+
+    The inverse is the LAPACK zgesv call np.linalg.inv makes, without its
+    wrapper's checks or the errstate that turns a singular pivot into
+    LinAlgError: LU only ever sees a Q that the bound proves positive definite
+    or that Cholesky has just accepted, so no singular pivot is reachable.
     """
     n, R, _ = Q.shape
     diag = Q.reshape(n, R * R)[:, ::R + 1]
@@ -81,13 +88,14 @@ def _hpd_inverse(Q: np.ndarray, lam: float, L: int, users: np.ndarray) -> np.nda
     if lam == 0.0 and np.any(np.linalg.cond(Q) > COND_LIMIT):
         raise SingularMatrixError(
             f"mmse-irc detection, users {users.tolist()}: system matrix is singular")
-    proven = 2.0 ** -969 < lam < 2.0 ** 900 and lam > 4 * R * (L + R + 5) * _U * diag.real.max()
+    proven = (2.0 ** -969 < lam < 2.0 ** 900
+              and lam > 4 * R * (L + R + 5) * _U * np.maximum.reduce(diag.real, axis=None))
     try:
         if not proven:
             np.linalg.cholesky(Q)
-        return np.linalg.inv(Q)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"mmse-irc detection, users {users.tolist()}: {exc}") from exc
+    return _umath_linalg.inv(Q, signature="D->D")
 
 
 def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, own: np.ndarray, lam: float):
@@ -101,7 +109,10 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, own: np.ndarray,
     SINRs, (n,) or (b, n), the group's spectral efficiency in bit/s/Hz, a
     scalar or one per precoder, and whether every SINR is positive, which
     irc_backward reads instead of rescanning. Each validity test is one
-    reduction; a NaN carries through min() to the failing branch. A zero
+    reduction; a NaN carries through the minimum to the failing branch. The
+    sums and minima are ufunc reductions (np.add.reduce, np.minimum.reduce)
+    and the detector row powers c_einsum: what ndarray.sum and min and
+    np.einsum call, without their Python layer, on every evaluation. A zero
     denominator (no interference and no effective noise) raises
     UndefinedSinrError, a NaN one (from a NaN or an overflow in the precoder,
     or a NaN noise) NumericalFailureError; both name the user and the symbol.
@@ -109,9 +120,9 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, own: np.ndarray,
     power = np.abs(Z) ** 2
     signal = power.take(own)
     power.put(own, 0.0)  # what is left of each row is interference
-    g_power = np.einsum("nlr,nlr->nl", G, G.conj()).real
-    den = (power.sum(axis=2) + g_power * lam).reshape(own.shape)
-    if not den.min() > 0.0:  # a sum of nonnegative terms: zero or NaN
+    g_power = c_einsum("nlr,nlr->nl", G, G.conj()).real
+    den = (np.add.reduce(power, axis=2) + g_power * lam).reshape(own.shape)
+    if not np.minimum.reduce(den, axis=None) > 0.0:  # sums of nonnegative terms: 0 or NaN
         i = np.argmin(den > 0.0)
         j = i % group.cols.size  # the same entry in the precoder's lone pass
         bad = f"user {group.users[j // own.shape[-1]]}, symbol {group.cols.flat[j]}"
@@ -121,14 +132,14 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, own: np.ndarray,
             )
         raise NumericalFailureError(f"{bad}: SINR denominator is {den.flat[i]}")
     sinr = signal / den
-    positive = bool(sinr.min() > 0.0)
+    positive = bool(np.minimum.reduce(sinr, axis=None) > 0.0)
     eff = _unmasked_geometric_means(sinr) if positive else geometric_means(sinr)
-    return sinr, den, eff, own.shape[-1] * np.log1p(eff).sum(axis=-1) / _LN2, positive
+    return sinr, den, eff, own.shape[-1] * np.add.reduce(np.log1p(eff), axis=-1) / _LN2, positive
 
 
 def _unmasked_geometric_means(sinr: np.ndarray) -> np.ndarray:
     # For positive SINRs only; the same bits as geometric_means there.
-    return np.exp(np.log(sinr).sum(axis=-1) / sinr.shape[-1])
+    return np.exp(np.add.reduce(np.log(sinr), axis=-1) / sinr.shape[-1])
 
 
 def geometric_means(sinr: np.ndarray) -> np.ndarray:

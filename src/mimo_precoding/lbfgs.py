@@ -59,7 +59,7 @@ class IterationRecord:
 
 def _inf_norm(g: np.ndarray) -> float:
     # max |g_i| without an abs temporary; abs() turns a -0.0 maximum into 0.0.
-    return abs(float(max(g.max(), -g.min()))) if g.size else 0.0
+    return abs(float(max(np.maximum.reduce(g), -np.minimum.reduce(g)))) if g.size else 0.0
 
 
 def _two_loop(g: np.ndarray, pairs: list, gamma: float) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 from . import lbfgs
 from .baselines import BaselineConfig, compute_baseline
 from .errors import DimensionError, InfiniteSusinrError, NumericalFailureError
-from .irc import irc_backward, irc_forward
+from .irc import c_einsum, irc_backward, irc_forward
 from .model import ChannelSet, SystemParams, check_power, is_count
 from .quality import (PrecodingMatrix, _inside, as_array, as_precoder, cd_backward, cd_forward,
                       cd_noise, row_power)
@@ -180,7 +180,9 @@ def _ratio_over(num, power: np.ndarray, where, fill: float) -> np.ndarray:
     when every row is outside, and a plain divide gives the same bits."""
     if where is None:
         return num / power
-    return np.divide(num, power, out=np.full(power.shape, fill), where=where)
+    out = np.empty(power.shape)
+    out.fill(fill)
+    return np.divide(num, power, out=out, where=where)
 
 
 def _ball(W: np.ndarray, P: float):
@@ -189,11 +191,14 @@ def _ball(W: np.ndarray, P: float):
     sqrt(cap * _inside(L) / power) that puts them just inside it (exactly 1.0
     on the other rows) and _ratio_over's where: the mask, or None when every
     row is outside. All but the power are None when every row is inside.
-    The projection and its chain rule both start from it."""
+    The projection and its chain rule both start from it. It runs at every
+    evaluation, so it counts the mask by np.add.reduce, without
+    np.count_nonzero's Python wrapper, and _ratio_over fills its output by
+    ndarray.fill, without np.full's."""
     power = row_power(W)
     cap = P / W.shape[0]
     over = power > cap
-    n_over = np.count_nonzero(over)
+    n_over = np.add.reduce(over)
     if not n_over:
         return power, None, None, None
     where = None if n_over == over.size else over
@@ -236,7 +241,7 @@ def _chain_projection(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
     power, over, scale, where = ball
     if over is None:
         return D
-    radial = np.einsum("ml,ml->m", D, W.conj()).real
+    radial = c_einsum("ml,ml->m", D, W.conj()).real
     tangent = D - _ratio_over(radial, power, where, 0.0)[:, None] * W
     return scale[:, None] * tangent
 

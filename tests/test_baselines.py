@@ -105,6 +105,26 @@ class TestNormalizePower:
         assert project(out, 1.0).tobytes() == out.W.tobytes()
         np.testing.assert_allclose(out.W, normalize_power(W, P=1.0).W, rtol=0, atol=1e-15)
 
+    # Finite and nonzero, but at 1e160 a row's power overflows, at 1e-165 it
+    # underflows to zero, and 1e-310 is subnormal.
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("c", [1e160, 1e300, 1e-165, 1e-300, 1e-310])
+    def test_extreme_input_normalizes_like_the_unscaled_one(self, c, order):
+        for seed in range(5):
+            W = complex_randn(np.random.default_rng(seed), (8, 4))
+            out = normalize_power(np.asarray(c * W, order=order), P=1.0)
+            assert out.feasible(1.0, tol=0.0)
+            assert project(out, 1.0).tobytes() == out.W.tobytes()
+            np.testing.assert_allclose(out.W, normalize_power(W, P=1.0).W, rtol=0, atol=1e-14)
+
+    def test_far_below_the_noise_every_baseline_fails_at_scoring(self):
+        # At -1620 dB the RZF and ARZF precoders are normalized like MRT's and
+        # ZF's, and every row fails where MRT's does: its SINR is 0 / 0.
+        cfg = ScenarioConfig(seeds=(0,), susinr_grid_db=(-1620.0,), algorithms=KINDS)
+        errors = [r.error for r in run_scenario(cfg).rows]
+        assert all(e.startswith("UndefinedSinrError: user 0, symbol 0: zero denominator")
+                   for e in errors), errors
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
     def test_scale_absorbed(self, seed, c):

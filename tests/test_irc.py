@@ -286,6 +286,40 @@ class TestPositiveDefiniteness:
         assert chol.called == tested
 
 
+class TestCompiledEntryPoints:
+    """The library calls the compiled routines behind np.linalg.inv and
+    np.einsum directly; each must give the public function's bytes on the
+    operands the library hands it."""
+
+    @pytest.mark.parametrize("R", [1, 4, 8])
+    @pytest.mark.parametrize("n", [1, 8, 32])
+    def test_inv_is_np_linalg_inv(self, n, R):
+        rng = np.random.default_rng(10 * n + R)
+        B = complex_randn(rng, (n, R, max(1, R // 2)))  # rank-deficient for R > 1
+        Q0 = B @ B.conj().swapaxes(1, 2)
+        top = Q0.reshape(n, R * R)[:, ::R + 1].real.max()
+        for ratio in (1e-12, 1e-9, 1e-6, 1e-3, 1.0):
+            Q = Q0 + ratio * top * np.eye(R)
+            got = irc._umath_linalg.inv(Q, signature="D->D")
+            assert got.tobytes() == np.linalg.inv(Q).tobytes(), ratio
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (8, 2, 4), (32, 4, 8), (96, 16, 4)], ids=str)
+    def test_einsum_of_detector_rows(self, shape):
+        G = complex_randn(np.random.default_rng(shape[0]), shape)
+        got = irc.c_einsum("nlr,nlr->nl", G, G.conj())
+        assert got.tobytes() == np.einsum("nlr,nlr->nl", G, G.conj()).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (64, 2), (64, 16), (256, 64)], ids=str)
+    def test_einsum_of_rows(self, shape):
+        rng = np.random.default_rng(shape[1])
+        W, D = complex_randn(rng, shape), complex_randn(rng, shape)
+        Wf = W.view(np.float64)
+        assert (irc.c_einsum("ml,ml->m", Wf, Wf).tobytes()
+                == np.einsum("ml,ml->m", Wf, Wf).tobytes())
+        assert (irc.c_einsum("ml,ml->m", D, W.conj()).tobytes()
+                == np.einsum("ml,ml->m", D, W.conj()).tobytes())
+
+
 class TestScores:
     @settings(max_examples=60, deadline=None)
     @given(ragged_case(max_users=7), st.integers(1, 8), st.data())

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -232,6 +234,63 @@ class TestBall:
                 assert got.tobytes() == want.tobytes()
         got = _chain_projection(D, W, ball)
         assert got.tobytes() == masked_chain_projection(D, W, expected).tobytes()
+
+
+def numpy_python_calls(fn):
+    """Python functions under numpy's package directory that fn() calls,
+    after one warm-up call."""
+    fn()
+    root = os.path.dirname(np.__file__) + os.sep
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            called.append(f"{frame.f_code.co_filename[len(root):]}:{frame.f_code.co_name}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return called
+
+
+class TestNoNumpyWrapperOnTheHotPath:
+    """Every quasi-Newton evaluation calls numpy's compiled routines, not
+    the Python wrappers around them (np.linalg.inv, np.einsum, ndarray.sum,
+    min and max, np.count_nonzero, np.full, np.fill_diagonal), whose checks
+    and dispatch cost more than the call at these sizes."""
+
+    @pytest.mark.parametrize("rows", ["all-outside", "some-inside"])
+    @pytest.mark.parametrize("kind", ["irc", "cd"])
+    def test_evaluate_and_grad(self, kind, rows):
+        dims = ScenarioConfig().dims
+        channel = generate_channels(dims, 0)
+        spec = ObjectiveSpec(kind, channel, calibrated_params(channel))
+        rng = np.random.default_rng(1)
+        if rows == "all-outside":
+            W = exterior_precoder(rng, spec.P, dims.T, dims.L)
+        else:
+            W = mixed_rows_precoder(rng, dims.T, dims.L, spec.P)
+        over = _ball(W, spec.P)[1]
+        assert over.all() if rows == "all-outside" else 0 < over.sum() < over.size
+
+        def evaluate():
+            f, grad = optimizer._evaluate(W, spec)
+            grad()
+
+        assert numpy_python_calls(evaluate) == []
+
+    def test_two_loop_and_inf_norm(self):
+        rng = np.random.default_rng(2)
+        n = 2 * 64 * 2
+        pairs = []
+        for _ in range(10):
+            s, y = rng.standard_normal(n), rng.standard_normal(n)
+            pairs.append((s, y, 1.0 / float(s @ y)))
+        g = rng.standard_normal(n)
+        assert numpy_python_calls(lambda: lbfgs._inf_norm(lbfgs._two_loop(g, pairs, 0.5))) == []
 
 
 class TestObjective:
