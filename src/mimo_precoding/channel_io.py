@@ -83,6 +83,11 @@ def read_channels(path) -> ChannelSet:
     for k in range(K):
         count = R_k[k] * T
         H = np.frombuffer(data, dtype="<c16", count=count, offset=offset)
+        bad = np.flatnonzero(~np.isfinite(H))
+        if bad.size:
+            row, col = divmod(int(bad[0]), T)
+            raise ChannelFileError(f"user {k}: entry ({row}, {col}) is {H[bad[0]]}, not finite",
+                                   offset=offset + 16 * int(bad[0]))
         channels.append(H.reshape(R_k[k], T).copy())
         offset += 16 * count
     return build_channel_set(channels, L_k)

@@ -19,6 +19,18 @@ from .model import ChannelSet, SystemDims, build_channel_set, is_count
 MODELS = ("iid-gaussian", "exp-correlated")
 
 
+def check_model(model: str, rho: float) -> None:
+    """Reject an unknown channel model, a rho outside [0, 1), and a rho > 0
+    with a model that does not read it: only exp-correlated does."""
+    if model not in MODELS:
+        raise ConfigError(f"unknown channel model {model!r}, expected one of {MODELS}")
+    if not 0.0 <= rho < 1.0:
+        raise ConfigError(f"rho must be in [0, 1), got {rho}")
+    if rho > 0.0 and model != "exp-correlated":
+        raise ConfigError(f"rho applies only to the exp-correlated channel model, "
+                          f"got rho={rho} with {model!r}")
+
+
 def _user_rng(seed: int, user: int) -> np.random.Generator:
     """The generator of SeedSequence([seed, user]). SeedSequence reads each
     integer as its little-endian 32-bit words (at least one), seed's first;
@@ -48,16 +60,13 @@ def generate_channels(dims: SystemDims, seed: int, model: str = "iid-gaussian",
     Gaussian with unit variance. exp-correlated: the iid draw is colored on
     both sides, H_k = C_r^{1/2} H_iid C_t^{1/2}, with exponential correlation
     rho^|i-j| across receive and transmit antennas; rho = 0 reproduces the iid
-    draw bit for bit.
+    draw bit for bit. check_model states which (model, rho) pairs are accepted.
     """
-    if model not in MODELS:
-        raise ConfigError(f"unknown channel model {model!r}, expected one of {MODELS}")
-    if not 0.0 <= rho < 1.0:
-        raise ConfigError(f"rho must be in [0, 1), got {rho}")
+    check_model(model, rho)
     if not (is_count(seed) and seed >= 0):
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
-    colored = model == "exp-correlated" and rho > 0.0
+    colored = rho > 0.0
     if colored:
         sqrt_ct = _exp_correlation_sqrt(dims.T, rho)
         sqrt_cr = {R_k: _exp_correlation_sqrt(R_k, rho) for R_k in set(dims.R_k)}

@@ -54,34 +54,31 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"cannot parse number list {text!r}: {exc}") from exc
 
 
-def _add_common(p: _Parser):
-    p.add_argument("--config", type=Path, help="JSON scenario configuration file")
-    p.add_argument("--seeds", type=str, help="comma-separated seeds, ranges like 0-39 allowed")
-    p.add_argument("--susinr", type=str, help="comma-separated channel-quality points in dB")
-    p.add_argument("--algos", type=str, help="comma-separated algorithm names")
-    p.add_argument("--iters", type=int, help="maximum quasi-Newton iterations")
-    p.add_argument("--tol-grad", type=float, help="gradient-norm termination tolerance")
-    p.add_argument("--tol-change", type=float, help="objective/step change termination tolerance")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="mimo-precode", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _Parser(add_help=False)
+    common.add_argument("--config", type=Path, help="JSON scenario configuration file")
+    common.add_argument("--seeds", type=str,
+                        help="comma-separated seeds, ranges like 0-39 allowed")
+    sweep = _Parser(add_help=False, parents=[common])
+    sweep.add_argument("--susinr", type=str, help="comma-separated channel-quality points in dB")
+    sweep.add_argument("--algos", type=str, help="comma-separated algorithm names")
+    sweep.add_argument("--iters", type=int, help="maximum quasi-Newton iterations")
+    sweep.add_argument("--tol-grad", type=float, help="gradient-norm termination tolerance")
+    sweep.add_argument("--tol-change", type=float,
+                       help="objective/step change termination tolerance")
 
-    g = sub.add_parser("generate", help="write synthetic channels to a binary file")
-    _add_common(g)
+    g = sub.add_parser("generate", parents=[common],
+                       help="write synthetic channels to a binary file")
     g.add_argument("--out", type=Path, required=True, help="output channel file")
-
-    r = sub.add_parser("run", help="run a scenario sweep")
-    _add_common(r)
-    r.add_argument("--out", type=Path, default=Path("report.csv"), help="report path")
-    r.add_argument("--format", choices=("csv", "json"), help="report format (default from suffix)")
-
-    t = sub.add_parser("trace", help="dump one optimization trace")
-    _add_common(t)
-    t.add_argument("--out", type=Path, default=Path("trace.csv"), help="trace path")
-    t.add_argument("--format", choices=("csv", "json"), help="trace format (default from suffix)")
+    for name, what, help in (("run", "report", "run a scenario sweep"),
+                             ("trace", "trace", "dump one optimization trace")):
+        p = sub.add_parser(name, parents=[sweep], help=help)
+        p.add_argument("--out", type=Path, default=Path(f"{what}.csv"), help=f"{what} path")
+        p.add_argument("--format", choices=("csv", "json"),
+                       help=f"{what} format (default from suffix)")
     return parser
 
 
@@ -102,15 +99,16 @@ def load_scenario(args) -> ScenarioConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+    given = {k: v for k, v in vars(args).items() if v is not None}  # generate has no sweep flags
     flags: dict = {}
-    if args.seeds is not None:
-        flags["seeds"] = _parse_int_list(args.seeds)
-    if args.susinr is not None:
-        flags["susinr_grid_db"] = _parse_float_list(args.susinr)
-    if args.algos is not None:
-        flags["algorithms"] = tuple(a.strip() for a in args.algos.split(","))
-    optimizer = {k: v for k, v in (("max_iters", args.iters), ("tol_grad", args.tol_grad),
-                                   ("tol_change", args.tol_change)) if v is not None}
+    if "seeds" in given:
+        flags["seeds"] = _parse_int_list(given["seeds"])
+    if "susinr" in given:
+        flags["susinr_grid_db"] = _parse_float_list(given["susinr"])
+    if "algos" in given:
+        flags["algorithms"] = tuple(a.strip() for a in given["algos"].split(","))
+    optimizer = {k: given[flag] for k, flag in (("max_iters", "iters"), ("tol_grad", "tol_grad"),
+                                                ("tol_change", "tol_change")) if flag in given}
     if optimizer and isinstance(raw, dict):
         flags["optimizer"] = _overlay(raw.get("optimizer", {}), optimizer)
     return ScenarioConfig.from_dict(_overlay(raw, flags))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BaselineConfig, compute_baseline
-from .channels import MODELS, generate_channels
+from .channels import check_model, generate_channels
 from .errors import ConfigError, DimensionError, MimoError
 from .irc import irc_forward
 from .model import ChannelSet, SystemDims, SystemParams, is_count, noise_from_susinr
@@ -103,12 +103,7 @@ class ScenarioConfig:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}, expected one of {ALGORITHMS}")
-        if self.channel_model not in MODELS:
-            raise ConfigError(
-                f"unknown channel model {self.channel_model!r}, expected one of {MODELS}"
-            )
-        if not 0.0 <= self.rho < 1.0:
-            raise ConfigError(f"rho must be in [0, 1), got {self.rho}")
+        check_model(self.channel_model, self.rho)
         if not (is_count(self.workers) and self.workers == 1):
             raise ConfigError(f"workers must be 1, cells run serially; got {self.workers!r}")
         opt = self.optimizer
@@ -187,19 +182,13 @@ class RunReport:
                 for (susinr_db, algorithm), values in groups.items()]
 
 
-def parse_qn_name(name: str) -> tuple[str, str]:
-    """"QN-IRC-ARZF" -> ("irc", "arzf")."""
-    _, kind, start = name.split("-")
-    return kind.lower(), start.lower()
-
-
 def run_algorithm(name: str, channel: ChannelSet, params: SystemParams,
                   opt_cfg: OptimizerConfig, score_fn=None):
     """Build one precoder; returns it with its OptimizationTrace (None for
     baselines). score_fn, if given, scores each accepted QN iterate."""
     if name in BASELINE_ALGOS:
         return compute_baseline(channel, BaselineConfig(kind=name, params=params)), None
-    kind, start = parse_qn_name(name)
+    _, kind, start = name.lower().split("-")  # "QN-IRC-ARZF" -> "irc", "arzf"
     spec = ObjectiveSpec(kind=kind, channel=channel, params=params)
     return lbfgs_maximize(spec, replace(opt_cfg, start=start), score_fn=score_fn)
 
@@ -243,8 +232,13 @@ def _score(precoders: list[PrecodingMatrix], channel: ChannelSet,
 def _run_cell(cfg: ScenarioConfig, seed: int, susinr_db: float,
               channel: ChannelSet) -> list[RunRecord]:
     """Build each algorithm's precoder for seed's channel at susinr_db in turn
-    (wall_ms times the build alone), then score all that built together."""
-    params = _calibrated(cfg, channel, susinr_db)
+    (wall_ms times the build alone), then score all that built together. A
+    noise calibration that fails fails every row of the cell."""
+    try:
+        params = _calibrated(cfg, channel, susinr_db)
+    except MimoError as exc:
+        return [RunRecord(seed, susinr_db, algo, None, None, None, _failure(exc))
+                for algo in cfg.algorithms]
     rows, built = [], {}  # rows: (wall_ms, iterations, error); built: row index -> precoder
     for algo in cfg.algorithms:
         t0 = time.perf_counter()

@@ -78,9 +78,12 @@ def _hpd_inverse(Q: np.ndarray, lam: float, L: int, users: np.ndarray) -> np.nda
     in Q, which fails the comparison.
 
     The inverse is the LAPACK zgesv call np.linalg.inv makes, without its
-    wrapper's checks or the errstate that turns a singular pivot into
-    LinAlgError: LU only ever sees a Q that the bound proves positive definite
-    or that Cholesky has just accepted, so no singular pivot is reachable.
+    wrapper's checks. Where the bound holds, no errstate either: LU's pivots
+    stay away from zero. LU rounds differently from Cholesky, so a Q that only
+    Cholesky accepted can still meet an exact zero pivot (a rank-one Q near
+    1e53 with lam = 1e-17 M does), which zgesv flags as an invalid value;
+    there the flag raises SingularMatrixError, as np.linalg.inv's errstate
+    would raise LinAlgError.
     """
     n, R, _ = Q.shape
     diag = Q.reshape(n, R * R)[:, ::R + 1]
@@ -90,12 +93,14 @@ def _hpd_inverse(Q: np.ndarray, lam: float, L: int, users: np.ndarray) -> np.nda
             f"mmse-irc detection, users {users.tolist()}: system matrix is singular")
     proven = (2.0 ** -969 < lam < 2.0 ** 900
               and lam > 4 * R * (L + R + 5) * _U * np.maximum.reduce(diag.real, axis=None))
+    if proven:
+        return _umath_linalg.inv(Q, signature="D->D")
     try:
-        if not proven:
-            np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError as exc:
+        np.linalg.cholesky(Q)
+        with np.errstate(invalid="raise"):
+            return _umath_linalg.inv(Q, signature="D->D")
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise SingularMatrixError(f"mmse-irc detection, users {users.tolist()}: {exc}") from exc
-    return _umath_linalg.inv(Q, signature="D->D")
 
 
 def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, own: np.ndarray, lam: float):

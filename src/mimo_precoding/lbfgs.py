@@ -22,6 +22,7 @@ exact rational arithmetic).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,7 @@ def _inf_norm(g: np.ndarray) -> float:
     return abs(float(max(np.maximum.reduce(g), -np.minimum.reduce(g)))) if g.size else 0.0
 
 
-def _two_loop(g: np.ndarray, pairs: list, gamma: float) -> np.ndarray:
+def _two_loop(g: np.ndarray, pairs: deque | list, gamma: float) -> np.ndarray:
     if not pairs:
         return g.copy()
     # The BLAS wrappers return the arrays they wrote; they copy a non-contiguous
@@ -120,7 +121,7 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
 
     record(0, 0.0)
 
-    pairs, gamma = [], 1.0  # (s, y, 1 / s.y) oldest first; s.y / y.y of the newest
+    pairs, gamma = deque(maxlen=memory), 1.0  # (s, y, 1 / s.y) oldest first; gamma of the newest
     last_df = None
     last_s = None
     termination = TERM_MAX_ITERS
@@ -176,8 +177,6 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
         if sy > CURVATURE_MIN:
             pairs.append((s, y, 1.0 / sy))
             gamma = sy / ddot(y, y)
-            if len(pairs) > memory:
-                pairs.pop(0)
         else:
             pairs.clear()
 

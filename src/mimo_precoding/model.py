@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DegenerateChannelError, DimensionError
+from .errors import DegenerateChannelError, DimensionError, NumericalFailureError
 
 # Singular values below this fraction of the largest one count as zero.
 RANK_TOL = 1e-12
@@ -343,10 +343,18 @@ def susinr_gain(dims: SystemDims, s_tilde: np.ndarray) -> float:
 def noise_from_susinr(channel: ChannelSet, P: float, target_db: float) -> float:
     """Noise power sigma2 such that the channel's single-user SINR is target_db.
 
-    Inverts susinr(channel, sigma2, P) = target_db in closed form.
+    Inverts susinr(channel, sigma2, P) = target_db in closed form. A target
+    so low, or a P so high, that sigma2 overflows raises NumericalFailureError.
     """
     check_power(P)
     if not math.isfinite(target_db):
         raise ValueError(f"target_db must be finite, got {target_db!r}")
     gain = susinr_gain(channel.dims, channel.S_tilde)
-    return P * gain * 10.0 ** (-target_db / 10.0)
+    try:
+        sigma2 = P * gain * 10.0 ** (-target_db / 10.0)
+    except OverflowError:  # 10.0 ** x beyond the float range
+        sigma2 = math.inf
+    if not math.isfinite(sigma2):
+        raise NumericalFailureError(
+            f"noise power for {target_db:g} dB SUSINR at P={P:g} overflows")
+    return sigma2

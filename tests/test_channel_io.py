@@ -115,6 +115,23 @@ class TestErrors:
         with pytest.raises(ChannelFileError, match="invalid dimensions"):
             read_channels(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("part", [0, 1], ids=["real", "imag"])
+    def test_non_finite_entry_reports_its_offset(self, tmp_path, value, part):
+        dims = SystemDims(K=2, T=4, R_k=(2, 3), L_k=(1, 2))
+        path = tmp_path / "nan.bin"
+        write_channels(generate_channels(dims, seed=0), path)
+        data = bytearray(path.read_bytes())
+        # User 1's entry (1, 2): after the 32 header bytes, user 0's 2 x 4
+        # entries and 6 entries of user 1, 16 bytes each.
+        entry = 32 + 16 * (8 + 6)
+        data[entry + 8 * part:entry + 8 * part + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ChannelFileError, match=r"user 1: entry \(1, 2\)") as err:
+            read_channels(path)
+        assert err.value.offset == entry
+        assert f"(byte offset {entry})" in str(err.value)
+
     def test_dimension_overflow(self, tmp_path):
         path = tmp_path / "huge.bin"
         path.write_bytes(MAGIC + struct.pack("<II", 2**25, 2**25))

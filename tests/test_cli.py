@@ -155,6 +155,26 @@ class TestRun:
                     for a in reports[0].aggregates()}
         assert printed == expected
 
+    @pytest.mark.parametrize("extra, argv", [({}, ["--susinr", "-4000"]),
+                                             ({"P": 1e307, "susinr_grid_db": [0.0],
+                                               "dims": {"K": 8, "T": 64}}, [])],
+                             ids=["power-of-ten-overflows", "product-overflows"])
+    def test_overflowing_noise_calibration_exits_two(self, tmp_path, capsys, extra, argv):
+        cfg = write_config(tmp_path, algorithms=["ARZF", "QN-IRC-ARZF"], **extra)
+        out = tmp_path / "report.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out), *argv]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",", 3)[2:] for row in rows] == [["ARZF", ",,"],
+                                                          ["QN-IRC-ARZF", ",,"]]
+
+    def test_overflowing_noise_calibration_fails_a_trace(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, algorithms=["QN-IRC-ARZF"])
+        assert main(["trace", "--config", str(cfg), "--out", str(tmp_path / "t.csv"),
+                     "--susinr", "-4000"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: noise power for -4000 dB SUSINR at P=1 overflows"]
+
     def test_cell_failures_exit_two(self, tmp_path, monkeypatch):
         import mimo_precoding.harness as harness
 
@@ -165,6 +185,11 @@ class TestRun:
         cfg = write_config(tmp_path)
         out = tmp_path / "report.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+def iters_flag(command):
+    """--iters 2 for the commands that take it; generate takes no sweep flags."""
+    return [] if command == "generate" else ["--iters", "2"]
 
 
 @pytest.mark.parametrize("command,algo", [("run", "RZF"), ("trace", "QN-IRC-ARZF"),
@@ -183,7 +208,7 @@ class TestUnwritableOutput:
         monkeypatch.setattr(harness, "generate_channels", no_work)
         cfg = write_config(tmp_path, algorithms=[algo])
         out = tmp_path / "missing" / "out.csv"
-        assert main([command, "--config", str(cfg), "--out", str(out), "--iters", "2"]) == 1
+        assert main([command, "--config", str(cfg), "--out", str(out), *iters_flag(command)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert str(out.parent) in err
@@ -200,13 +225,15 @@ class TestUnwritableOutput:
                              (cli, "generate_channels")):
             monkeypatch.setattr(module, name, no_work)
         cfg = write_config(tmp_path, algorithms=[algo])
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path), "--iters", "2"]) == 1
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path), *iters_flag(command)]
+        assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(tmp_path) in err[0]
 
     def test_directory_as_output_exits_one(self, tmp_path, capsys, command, algo):
         cfg = write_config(tmp_path, algorithms=[algo])
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path), "--iters", "2"]) == 1
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path), *iters_flag(command)]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
@@ -227,6 +254,24 @@ class TestGenerate:
                      "--seeds", "0,1"]) == 0
         assert (tmp_path / "ch_seed0.bin").exists()
         assert (tmp_path / "ch_seed1.bin").exists()
+
+    @pytest.mark.parametrize("flag", [["--susinr", "7,9"], ["--algos", "QN-CD-RZF"],
+                                      ["--iters", "3"], ["--tol-grad", "1e-3"],
+                                      ["--tol-change", "1e-4"]])
+    def test_sweep_flags_rejected(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "ch.bin"
+        assert main(["generate", "--config", str(cfg), "--out", str(out), *flag]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unrecognized arguments: ")
+        assert flag[0] in err[0]
+        assert not out.exists()
+
+    def test_rho_without_exp_correlated_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, rho=0.7)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "ch.bin")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "rho applies only to the exp-correlated" in err[0]
 
     @pytest.mark.parametrize("out, bad", [("ch.bin", "ch_seed1.bin"), ("d", "d")])
     def test_directory_at_any_output_path_exits_one_before_writing(self, tmp_path, capsys,

@@ -209,8 +209,28 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig(**kwargs)
 
+    def test_rho_needs_the_exp_correlated_model_at_every_entry_point(self):
+        message = "rho applies only to the exp-correlated channel model"
+        errors = []
+        for build in (lambda: ScenarioConfig(rho=0.5),
+                      lambda: ScenarioConfig.from_dict({"rho": 0.5}),
+                      lambda: generate_channels(SystemDims.uniform(K=8, T=64, R=4, L=2), 0,
+                                                "iid-gaussian", 0.5)):
+            with pytest.raises(ConfigError, match=message) as err:
+                build()
+            errors.append(str(err.value))
+        assert len(set(errors)) == 1
+
+    @pytest.mark.parametrize("model, rho", [("exp-correlated", 0.5), ("exp-correlated", 0.0),
+                                            ("iid-gaussian", 0.0)])
+    def test_rho_accepted_where_the_model_reads_it_or_it_is_zero(self, model, rho):
+        cfg = ScenarioConfig.from_dict({"channel_model": model, "rho": rho})
+        assert (cfg.channel_model, cfg.rho) == (model, rho)
+        generate_channels(SystemDims.uniform(K=2, T=4, R=2, L=1), 0, model, rho)
+
     def test_float_fields_stored_as_floats(self):
-        cfg = ScenarioConfig(P=2, rho=np.float32(0.5), susinr_grid_db=(12, np.int64(-4)))
+        cfg = ScenarioConfig(P=2, channel_model="exp-correlated", rho=np.float32(0.5),
+                             susinr_grid_db=(12, np.int64(-4)))
         assert (cfg.P, cfg.rho, cfg.susinr_grid_db) == (2.0, 0.5, (12.0, -4.0))
         assert all(type(x) is float for x in (cfg.P, cfg.rho, *cfg.susinr_grid_db))
 
@@ -343,6 +363,22 @@ class TestRunScenario:
         for row in qn:
             assert row.se_irc_bits is None and row.iterations is None
             assert row.error.startswith("InfiniteSusinrError: ")
+
+    # sigma2 = P * gain * 10^(-susinr_db / 10), gain about 37 at the default
+    # dims: 10^400 overflows at -4000 dB, and P * gain at P = 1e307.
+    @pytest.mark.parametrize("P, grid", [(1.0, (-4000.0, 12.0)), (1e307, (0.0,))],
+                             ids=["power-of-ten-overflows", "product-overflows"])
+    def test_overflowing_noise_calibration_fails_every_row_of_its_cell(self, P, grid):
+        cfg = ScenarioConfig(P=P, seeds=(0,), susinr_grid_db=grid,
+                             algorithms=("ARZF", "QN-IRC-ARZF"),
+                             optimizer=OptimizerConfig(max_iters=5))
+        rows = run_scenario(cfg).rows
+        message = (f"NumericalFailureError: noise power for {grid[0]:g} dB SUSINR "
+                   f"at P={P:g} overflows")
+        for row in rows[:2]:
+            assert (row.se_irc_bits, row.wall_ms, row.iterations, row.error) == (
+                None, None, None, message)
+        assert all(row.error is None for row in rows[2:])
 
     def test_programming_error_propagates(self, monkeypatch):
         def buggy(name, channel, params, opt_cfg):

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -251,6 +251,8 @@ class TestPositiveDefiniteness:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 8), st.integers(1, 16), st.integers(1, 8),
            st.floats(-30.0, 0.0), st.floats(-100.0, 100.0), st.integers(0, 2**16))
+    # Cholesky accepts this Q + lam I, and LU meets an exact zero pivot.
+    @example(n=1, R=2, L=1, rank=1, log_ratio=-17.0, log_scale=27.0, seed=200)
     def test_skipped_only_where_cholesky_succeeds(self, n, R, L, rank, log_ratio,
                                                   log_scale, seed):
         # B of any rank up to min(R, L), lam from 1e-30 to 1 times max Q_ii.
