@@ -1,5 +1,5 @@
-"""Closed-form precoders: MRT, ZF, RZF and ARZF, all normalized to the
-per-antenna power budget by one scalar that puts the largest row's power a
+"""Closed-form precoders: MRT, ZF, RZF and ARZF, all normalized to the unit
+per-antenna power budget 1/T by one scalar that puts the largest row's power a
 rounding margin inside it, so every row meets the budget exactly and the
 optimizer's projection leaves the precoder unchanged."""
 
@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import DegenerateChannelError, DimensionError, SingularMatrixError, ZeroPrecoderError
-from .model import ChannelSet, SystemParams, check_power
+from .model import ChannelSet, SystemParams
 from .quality import PrecodingMatrix, _inside, row_power
 
 KINDS = ("MRT", "ZF", "RZF", "ARZF")
@@ -39,18 +39,17 @@ class BaselineConfig:
             raise ValueError(f"unknown baseline kind {self.kind!r}, expected one of {KINDS}")
 
 
-def normalize_power(W_raw: np.ndarray, P: float) -> PrecodingMatrix:
+def normalize_power(W_raw: np.ndarray) -> PrecodingMatrix:
     """Scale so the largest antenna row's power sits at the fraction
-    quality._inside(L) of the P/T budget.
+    quality._inside(L) of the unit budget 1/T.
 
     The factor is the one optimizer.project gives a row outside the ball, and
     _inside's margin keeps every scaled row's computed power (quality.row_power)
-    at or below P/T: the result passes feasible(P, tol=0.0) and project returns
+    at or below 1/T: the result passes feasible(tol=0.0) and project returns
     it unchanged, whatever the last bits of the input. One global scalar
     preserves the precoder direction, so normalization absorbs any positive
     scaling of the input.
     """
-    check_power(P)
     W = np.asarray(W_raw, dtype=np.complex128)
     if W.ndim != 2:
         raise DimensionError(f"precoder must be a matrix, got ndim={W.ndim}")
@@ -58,7 +57,7 @@ def normalize_power(W_raw: np.ndarray, P: float) -> PrecodingMatrix:
     top = row_power(W).max(initial=0.0)
     if not 2.0**-500 <= top <= 2.0**500 and np.isfinite(W).all():
         # Outside the range _inside's proof covers: a row power can overflow,
-        # underflow to zero or lose digits, and P/T over it can overflow. The
+        # underflow to zero or lose digits, and 1/T over it can overflow. The
         # exact power of two that puts the largest real or imaginary part in
         # [1/2, 1) brings the rows back into it, and leaves a zero matrix zero.
         Wf = np.ascontiguousarray(W).view(np.float64)
@@ -66,10 +65,11 @@ def normalize_power(W_raw: np.ndarray, P: float) -> PrecodingMatrix:
         top = row_power(W).max(initial=0.0)
     if top == 0.0:
         raise ZeroPrecoderError("cannot normalize an all-zero precoding matrix")
-    scale = np.sqrt(P / T * _inside(L) / top)
-    # A NaN or infinite entry makes top non-finite; a finite top and scale
-    # bound every scaled entry by sqrt(P / T), so the result needs no rescan.
-    if not (math.isfinite(top) and math.isfinite(scale)):
+    scale = np.sqrt(1.0 / T * _inside(L) / top)
+    # A NaN or infinite entry makes top non-finite; a finite top in
+    # [2**-500, 2**500] gives a finite scale that bounds every scaled entry by
+    # sqrt(1 / T), so the result needs no rescan.
+    if not math.isfinite(top):
         raise ValueError("precoder has non-finite entries")
     # C order whatever the input's: MRT hands in the F-ordered V_tilde^H, and
     # the GEMMs that score a precoder round differently on an F-ordered one.
@@ -133,20 +133,20 @@ def _regularizer(channel: ChannelSet, params: SystemParams) -> float:
 
 def mrt(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
     """Maximum-ratio transmission: beams along the conjugated singular vectors."""
-    return normalize_power(channel.V_tilde.conj().T, cfg.params.P)
+    return normalize_power(channel.V_tilde.conj().T)
 
 
 def zf(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
     """Zero-forcing: decorrelates streams through the inverse Gram matrix."""
     W = _regularized_inverse_precoder(channel, None, "zero-forcing")
-    return normalize_power(W, cfg.params.P)
+    return normalize_power(W)
 
 
 def rzf(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
     """Regularized zero-forcing with the scalar regularizer sigma2 * L / P."""
     reg = np.full(channel.dims.L, _regularizer(channel, cfg.params))
     W = _regularized_inverse_precoder(channel, reg, "regularized zero-forcing")
-    return normalize_power(W, cfg.params.P)
+    return normalize_power(W)
 
 
 def arzf(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
@@ -160,7 +160,7 @@ def arzf(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
         raise DegenerateChannelError("adaptive RZF needs positive leading singular values")
     reg = _regularizer(channel, cfg.params) / s**2
     W = _regularized_inverse_precoder(channel, reg, "adaptive regularized zero-forcing")
-    return normalize_power(W, cfg.params.P)
+    return normalize_power(W)
 
 
 _BUILDERS = {"MRT": mrt, "ZF": zf, "RZF": rzf, "ARZF": arzf}

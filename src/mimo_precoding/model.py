@@ -102,6 +102,8 @@ class SystemDims:
 class SystemParams:
     """Station power, noise power and the constants derived from them.
 
+    The one owner of P. Precoders live on the unit per-antenna budget 1/T
+    and the station transmits sqrt(P) W, so P acts only through sigma2 / P.
     `noise_to_signal` (sigma2 / P) scales the noise term of per-symbol SINRs and
     regularizes detection. `regularizer` (sigma2 * L / P) is the distinct,
     larger constant used by the regularized precoders.
@@ -236,11 +238,12 @@ def _factors(H: np.ndarray, L_k: int, users) -> tuple[np.ndarray, np.ndarray, np
     vh = np.conj(a.transpose(0, 2, 1), order="C")
 
     # Phase fix: one unitary diagonal applied to the rows of both U and V
-    # leaves U^H S V unchanged.
+    # leaves U^H S V unchanged. A row of V has unit norm, so its largest
+    # entry, the anchor, has magnitude at least 1/sqrt(T): never zero.
     n, R_k, T = vh.shape
     rows = vh.reshape(n * R_k, T)
     anchor = rows[np.arange(n * R_k), np.abs(rows).argmax(axis=1)].reshape(n, R_k)
-    conj_phase = np.conj(_unit_phases(anchor))[:, :, None]
+    conj_phase = np.conj(anchor / np.abs(anchor))[:, :, None]
     V = vh * conj_phase
     U = b * conj_phase
 
@@ -253,14 +256,6 @@ def _factors(H: np.ndarray, L_k: int, users) -> tuple[np.ndarray, np.ndarray, np
             f"(leading singular values {s[i, :L_k]})"
         )
     return _read_only(U), _read_only(s), _read_only(V)
-
-
-def _unit_phases(anchor: np.ndarray) -> np.ndarray:
-    """anchor / |anchor| entrywise, with 1 where |anchor| is not positive."""
-    mag = np.abs(anchor)
-    if (mag > 0).all():  # no mask needed; the same bits as the masked path
-        return anchor / mag
-    return np.where(mag > 0, anchor / np.where(mag > 0, mag, 1.0), 1.0)
 
 
 @lru_cache(maxsize=64)

@@ -2,18 +2,19 @@
 constraints.
 
 The constrained problem is folded into an unconstrained one by composing the
-objective with a row-wise differentiable projection onto the P/T power ball,
-then running limited-memory quasi-Newton ascent on the real embedding of the
+objective with a row-wise differentiable projection onto the unit 1/T power
+ball (the station transmits sqrt(P) W; P acts only through sigma2 / P), then
+running limited-memory quasi-Newton ascent on the real embedding of the
 complex precoder. Gradients are complex ascent gradients (twice the derivative
 with respect to the conjugated matrix) chained analytically through the
 projection and, for the IRC objective, through the detector itself.
 
-Every objective is a forward/backward pair behind one interface: its power
-budget `P` and precoder `shape`, `forward(Wp) -> (value, cache)` at an
-already-projected precoder and `backward(cache) -> complex ascent gradient`
-at that same point. `_evaluate(W, spec) -> (f, grad)` is the one path to
-them, for `objective`, `gradient` and the engine, so a gradient reuses the
-products of the forward pass it follows.
+Every objective is a forward/backward pair behind one interface: its precoder
+`shape`, `forward(Wp) -> (value, cache)` at an already-projected precoder and
+`backward(cache) -> complex ascent gradient` at that same point.
+`_evaluate(W, spec) -> (f, grad)` is the one path to them, for `objective`,
+`gradient` and the engine, so a gradient reuses the products of the forward
+pass it follows.
 
 The engine's vector x maps to W through one parametrization class: W itself
 (`_ProjectionParam`) or a softmax reparametrization, feasible in exact
@@ -33,7 +34,7 @@ from . import lbfgs
 from .baselines import BaselineConfig, compute_baseline
 from .errors import DimensionError, InfiniteSusinrError, NumericalFailureError
 from .irc import c_einsum, irc_backward, irc_forward
-from .model import ChannelSet, SystemParams, check_power, is_count
+from .model import ChannelSet, SystemParams, is_count
 from .quality import (PrecodingMatrix, _inside, as_array, as_precoder, cd_backward, cd_forward,
                       cd_noise, row_power)
 
@@ -64,17 +65,13 @@ class ObjectiveSpec:
                 f"the {self.kind} objective needs positive noise power, got sigma2 = 0")
 
     @property
-    def P(self) -> float:
-        return self.params.P
-
-    @property
     def shape(self) -> tuple[int, int]:
         return (self.channel.dims.T, self.channel.dims.L)
 
     @cached_property
     def _cd_noise(self) -> np.ndarray:
         """The CD surrogate's per-symbol noise, fixed for the spec."""
-        return cd_noise(self.channel.S_tilde, self.params.sigma2, self.params.P)
+        return cd_noise(self.channel.S_tilde, self.params.noise_to_signal)
 
     def forward(self, Wp: np.ndarray):
         """Objective value at the already-projected precoder Wp, together with
@@ -100,7 +97,6 @@ class CustomObjective:
     value: Callable[[np.ndarray], float]
     wirtinger_grad: Callable[[np.ndarray], np.ndarray]
     shape: tuple[int, int]
-    P: float
     kind: ClassVar[str] = "custom"
 
     def forward(self, Wp: np.ndarray):
@@ -185,7 +181,7 @@ def _ratio_over(num, power: np.ndarray, where, fill: float) -> np.ndarray:
     return np.divide(num, power, out=out, where=where)
 
 
-def _ball(W: np.ndarray, P: float):
+def _ball(W: np.ndarray):
     """Where W stands against the per-antenna power ball, decided once per
     point: its row power, the mask of rows outside the ball, the factor
     sqrt(cap * _inside(L) / power) that puts them just inside it (exactly 1.0
@@ -196,7 +192,7 @@ def _ball(W: np.ndarray, P: float):
     np.count_nonzero's Python wrapper, and _ratio_over fills its output by
     ndarray.fill, without np.full's."""
     power = row_power(W)
-    cap = P / W.shape[0]
+    cap = 1.0 / W.shape[0]
     over = power > cap
     n_over = np.add.reduce(over)
     if not n_over:
@@ -205,8 +201,8 @@ def _ball(W: np.ndarray, P: float):
     return power, over, np.sqrt(_ratio_over(cap * _inside(W.shape[1]), power, where, 1.0)), where
 
 
-def project(W, P: float) -> np.ndarray:
-    """Row-wise projection onto the per-antenna power ball of radius sqrt(P/T).
+def project(W) -> np.ndarray:
+    """Row-wise projection onto the per-antenna power ball of radius sqrt(1/T).
 
     Rows already within budget pass through untouched; rows outside are
     rescaled radially to the fraction _inside(L) of the cap, a relative
@@ -214,13 +210,12 @@ def project(W, P: float) -> np.ndarray:
     rescaled row's computed power, so every row power satisfies the budget
     in floating point after one rescale and the map is exactly idempotent.
     """
-    check_power(P)
     Wm = as_array(W)
-    return _project(Wm, _ball(Wm, P))
+    return _project(Wm, _ball(Wm))
 
 
 def _project(W: np.ndarray, ball) -> np.ndarray:
-    """project(W, P) given _ball(W, P), which the chain rule reuses: one
+    """project(W) given _ball(W), which the chain rule reuses: one
     rescale, which _inside's margin keeps within the ball."""
     _, over, scale, _ = ball
     if over is None:
@@ -230,7 +225,7 @@ def _project(W: np.ndarray, ball) -> np.ndarray:
 
 def _chain_projection(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
     """Pull the gradient D at proj(W) back through the projection at W, given
-    _ball(W, P) and its decision on which rows are outside.
+    _ball(W) and its decision on which rows are outside.
 
     Interior rows (including rows exactly on the boundary) use the identity
     branch. For a row outside the ball the projection
@@ -256,7 +251,7 @@ def _evaluate(W: np.ndarray, spec):
     W's place against the power ball (_ball) is found once for both; W may be
     a view of the engine's vector, which the engine never writes into. grad()
     does not test finiteness: the engine tests its gradient's norm."""
-    ball = _ball(W, spec.P)
+    ball = _ball(W)
     f, cache = spec.forward(_project(W, ball))
     return f, lambda: _chain_projection(spec.backward(cache), W, ball)
 
@@ -286,7 +281,7 @@ def _starting_point(spec, cfg: OptimizerConfig) -> np.ndarray:
         if W0.shape != spec.shape:
             raise DimensionError(
                 f"start_matrix must have shape (T, L) = {spec.shape}, got {W0.shape}")
-        return project(W0, spec.P)
+        return project(W0)
     if spec.kind == "custom":
         raise ValueError("custom objectives need start='custom' with start_matrix")
     base_cfg = BaselineConfig(kind=(cfg.start or "arzf").upper(), params=spec.params)
@@ -296,10 +291,9 @@ def _starting_point(spec, cfg: OptimizerConfig) -> np.ndarray:
 class _ProjectionParam:
     """The engine's vector is W itself viewed as float64 (real and imaginary
     parts interleaved), so decoding and chaining copy nothing; the objective
-    projects W, and the returned precoder is the projected iterate. P is
-    taken for the common param_type(shape, P) signature; W needs none."""
+    projects W, and the returned precoder is the projected iterate."""
 
-    def __init__(self, shape: tuple[int, int], P: float):
+    def __init__(self, shape: tuple[int, int]):
         self.shape = shape
 
     def encode(self, W0: np.ndarray) -> np.ndarray:
@@ -316,7 +310,7 @@ def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
     """Body shared by both drivers: starting point, parametrization, engine,
     precoder.
 
-    param_type(shape, P) maps between the engine's real vector x and W:
+    param_type(shape) maps between the engine's real vector x and W:
     encode(W0) gives the first x, decode_full(x) gives W plus what chain(D, W,
     aux) needs to turn the ascent gradient D at W into the gradient over x.
     The precoder of an x is the projection of its W, the point the objective
@@ -325,12 +319,12 @@ def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
     when score_fn is given, to fill the trace's scores, one per record.
     """
     cfg = cfg or OptimizerConfig()
-    param = param_type(spec.shape, spec.P)
+    param = param_type(spec.shape)
     x0 = param.encode(_starting_point(spec, cfg))
     scores: list[float] = []  # score_fn at each record, if given
 
     def precoder(x):
-        return project(param.decode_full(x)[0], spec.P)
+        return project(param.decode_full(x)[0])
 
     def on_iteration(i, x, f, grad_norm, step):
         scores.append(float(score_fn(precoder(x))))
@@ -383,15 +377,14 @@ def _logit(p):
 class _Softmax:
     """Free parametrization of a feasible precoder; x packs (theta, eta, alpha).
 
-    Row i distributes the fraction sigmoid(alpha_i) of its power budget P/T
+    Row i distributes the fraction sigmoid(alpha_i) of its power budget 1/T
     over streams via softmax(theta_i); phases are 2*pi*sigmoid(eta). Decoded
     rows are inside the power ball in exact arithmetic only: at a saturated
     sigmoid a computed row power can round above the cap.
     """
 
-    def __init__(self, shape: tuple[int, int], P: float):
+    def __init__(self, shape: tuple[int, int]):
         self.shape = shape
-        self.P = P
 
     def encode(self, W0: np.ndarray) -> np.ndarray:
         """Parameters whose decoding approximately reproduces W0."""
@@ -401,7 +394,7 @@ class _Softmax:
         theta = np.log(power + 1e-12)
         frac = np.mod(np.angle(W), 2.0 * np.pi) / (2.0 * np.pi)
         eta = _logit(np.clip(frac, 1e-6, 1.0 - 1e-6))
-        alpha = _logit(np.clip(T * power.sum(axis=1) / self.P, 1e-6, 1.0 - 1e-6))
+        alpha = _logit(np.clip(T * power.sum(axis=1), 1e-6, 1.0 - 1e-6))
         return np.concatenate([theta.ravel(), eta.ravel(), alpha])
 
     def decode_full(self, x: np.ndarray):
@@ -414,7 +407,7 @@ class _Softmax:
         p = e / e.sum(axis=1, keepdims=True)
         sa = _sigmoid(x[2 * T * L:])
         se = _sigmoid(eta)
-        q = p * sa[:, None] * (self.P / T)
+        q = p * sa[:, None] * (1.0 / T)
         W = np.sqrt(q) * np.exp(1j * 2.0 * np.pi * se)
         return W, (p, sa, se)
 

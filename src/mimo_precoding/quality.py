@@ -55,7 +55,7 @@ def row_power(W: np.ndarray) -> np.ndarray:
 
 
 def _inside(L: int) -> float:
-    """The fraction of the cap P/T that a rescaled row's power is put at: by
+    """The fraction of the cap 1/T that a rescaled row's power is put at: by
     optimizer._ball for a row outside the ball, by baselines.normalize_power
     for the largest row of a closed-form precoder.
 
@@ -72,9 +72,9 @@ def _inside(L: int) -> float:
     before the rescale to be at most the computed power the factor was taken
     from over (1 - g_n). That holds for every row when normalize_power scales
     them all by the largest row's factor, so they all land at or below the
-    cap. It holds while nothing overflows and P/T and the row powers stay
-    within 1e+-150, where an underflowing entry costs far less than the
-    slack; normalize_power first brings a smaller largest power into range.
+    cap. It holds while nothing overflows and the row powers stay within
+    1e+-150, where an underflowing entry costs far less than the slack;
+    normalize_power first brings a smaller largest power into range.
     """
     return 1.0 - (8 * L + 12) * 2.0**-53
 
@@ -83,9 +83,10 @@ def _inside(L: int) -> float:
 class PrecodingMatrix:
     """Transmit precoder of shape (T, L): rows map to antennas, columns to streams.
 
-    Per-antenna feasibility (row power <= P/T) is checked by `feasible`, never
-    assumed. Its tolerance is relative: a row passes when its power is at most
-    (P/T)(1 + tol), since a row power's rounding grows with P/T.
+    W lives on the unit per-antenna budget: the station transmits sqrt(P) W,
+    and P reaches every SINR only as sigma2 / P. Feasibility (row power <=
+    1/T) is checked by `feasible`, never assumed. Its tolerance is relative:
+    a row passes when its power is at most (1/T)(1 + tol).
     """
 
     W: np.ndarray
@@ -116,11 +117,11 @@ class PrecodingMatrix:
         """Per-antenna power, the squared norm of each row."""
         return row_power(self.W)
 
-    def feasible_rows(self, P: float, tol: float = 1e-12) -> np.ndarray:
-        return self.row_power() <= P / self.n_antennas * (1.0 + tol)
+    def feasible_rows(self, *, tol: float = 1e-12) -> np.ndarray:
+        return self.row_power() <= 1.0 / self.n_antennas * (1.0 + tol)
 
-    def feasible(self, P: float, tol: float = 1e-12) -> bool:
-        return bool(np.all(self.feasible_rows(P, tol)))
+    def feasible(self, *, tol: float = 1e-12) -> bool:
+        return bool(np.all(self.feasible_rows(tol=tol)))
 
 
 @dataclass(frozen=True)
@@ -193,27 +194,27 @@ def susinr(channel: ChannelSet, sigma2: float, P: float) -> float:
     return 10.0 * math.log10(P * gain / sigma2)
 
 
-def se_conjugate(W, v_rows: np.ndarray, s_values: np.ndarray, sigma2: float, P: float) -> float:
+def se_conjugate(W, v_rows: np.ndarray, s_values: np.ndarray, noise_to_signal: float) -> float:
     """Approximated spectral efficiency assuming conjugate detection.
 
     Evaluated as sum_l log2(sum_i |v_l w_i|^2 + n_l) - sum_l log2(sum_{i!=l}
-    |v_l w_i|^2 + n_l) with n_l = sigma2 / (P s_l^2). The two-sum form keeps the
+    |v_l w_i|^2 + n_l) with n_l = noise_to_signal / s_l^2. The two-sum form keeps the
     value and its gradient numerically consistent, and makes W = 0 give exactly
     zero. Aggregation is per symbol, unlike spectral_efficiency_irc's per-user
     geometric mean; the two coincide for conjugate detection when every L_k
     equals one.
     """
     return cd_forward(as_precoder(W, np.shape(v_rows)[::-1]), v_rows,
-                      cd_noise(s_values, sigma2, P))[0]
+                      cd_noise(s_values, noise_to_signal))[0]
 
 
-def cd_noise(s_values: np.ndarray, sigma2: float, P: float) -> np.ndarray:
-    """Per-symbol effective noise n_l = sigma2 / (P s_l^2) of the conjugate
-    detector, fixed for a channel and noise level."""
+def cd_noise(s_values: np.ndarray, noise_to_signal: float) -> np.ndarray:
+    """Per-symbol effective noise n_l = noise_to_signal / s_l^2 of the
+    conjugate detector, fixed for a channel and noise level."""
     s = np.asarray(s_values, dtype=float)
     if np.any(s <= 0):
         raise DegenerateChannelError("singular values must be positive")
-    return sigma2 / (P * s**2)
+    return noise_to_signal / s**2
 
 
 def cd_forward(W, v_rows: np.ndarray, noise: np.ndarray):

@@ -42,10 +42,11 @@ def fd_gradient(f, W, h=1e-6):
     return g
 
 
-def mixed_rows_precoder(rng, T, L, P, exterior_fraction=0.5, margin=0.3):
+def mixed_rows_precoder(rng, T, L, exterior_fraction=0.5, margin=0.3):
     """Random precoder whose rows sit clearly inside or clearly outside the
-    power ball, keeping a margin so finite differences never cross the kink."""
-    cap = P / T
+    unit power ball, keeping a margin so finite differences never cross the
+    kink."""
+    cap = 1.0 / T
     W = complex_randn(rng, (T, L))
     norms = np.sqrt(np.einsum("ml,ml->m", W, W.conj()).real)
     W = W / norms[:, None]

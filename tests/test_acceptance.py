@@ -61,7 +61,7 @@ def test_criterion_1_gradient_correctness():
             channel = generate_channels(dims, seed=pair)
             params = calibrated_params(channel, susinr_db=10.0)
             rng = np.random.default_rng(1000 + pair)
-            W = mixed_rows_precoder(rng, dims.T, dims.L, params.P)
+            W = mixed_rows_precoder(rng, dims.T, dims.L)
             for kind in ("cd", "irc"):
                 spec = ObjectiveSpec(kind=kind, channel=channel, params=params)
                 g = embed(gradient(W, spec))
@@ -219,8 +219,8 @@ def test_criterion_6_optimizer_contracts():
     idempotent = True
     for _ in range(25):
         W = 3.0 * complex_randn(rng, (8, 3))
-        once = project(W, 1.0)
-        idempotent &= np.array_equal(once, project(once, 1.0))
+        once = project(W)
+        idempotent &= np.array_equal(once, project(once))
 
     # Feasibility of returned precoders and monotone traces.
     feasible = True
@@ -231,7 +231,7 @@ def test_criterion_6_optimizer_contracts():
         for kind in ("cd", "irc"):
             spec = ObjectiveSpec(kind=kind, channel=channel, params=params)
             W, trace = lbfgs_maximize(spec, OptimizerConfig(max_iters=80))
-            feasible &= W.feasible(params.P, tol=1e-12)
+            feasible &= W.feasible(tol=1e-12)
             values = [r.objective for r in trace.records]
             monotone &= all(b >= a for a, b in zip(values, values[1:]))
 
@@ -240,7 +240,7 @@ def test_criterion_6_optimizer_contracts():
     toy = CustomObjective(
         value=lambda M: -float(np.linalg.norm(M - target) ** 2),
         wirtinger_grad=lambda M: -2.0 * (M - target),
-        shape=(4, 2), P=1.0)
+        shape=(4, 2))
     W_toy, trace_toy = lbfgs_maximize(
         toy, OptimizerConfig(max_iters=50, start="custom",
                              start_matrix=np.zeros((4, 2), dtype=complex)))
@@ -253,10 +253,10 @@ def test_criterion_6_optimizer_contracts():
     spec = ObjectiveSpec(kind="cd", channel=channel, params=params)
     W_s, _ = lbfgs_maximize(spec, OptimizerConfig(
         max_iters=100, start="custom", start_matrix=np.array([[0.1 + 0j]])))
-    boundary_err = abs(abs(W_s.W[0, 0]) ** 2 - params.P)
-    radii = np.linspace(0.0, np.sqrt(params.P), 20001)
+    boundary_err = abs(abs(W_s.W[0, 0]) ** 2 - 1.0)  # the unit budget 1/T at T = 1
+    radii = np.linspace(0.0, 1.0, 20001)
     grid_best = max(se_conjugate(np.array([[r + 0j]]), channel.V_tilde,
-                                 channel.S_tilde, params.sigma2, params.P)
+                                 channel.S_tilde, params.noise_to_signal)
                     for r in radii)
     scalar_ok = boundary_err <= 1e-8 and objective(W_s.W, spec) >= grid_best - 1e-9
 

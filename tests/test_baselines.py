@@ -42,17 +42,18 @@ def unit_singular_channel(seed, K=2, T=8, R=2, L=2):
 
 class TestNormalizePower:
     def test_already_on_boundary(self):
-        W = np.array([[1.0, 0.0], [0.5, 0.5]], dtype=complex)  # max row norm 1
-        out = normalize_power(W, P=2.0)  # sqrt(P/T) = 1
+        # max row norm 0.5 = sqrt(1/T)
+        W = np.array([[0.5, 0.0], [0.25, 0.25], [0.0, 0.5], [0.1, 0.0]], dtype=complex)
+        out = normalize_power(W)
         np.testing.assert_allclose(out.W, W, atol=1e-15)
 
     def test_uniform_scaling(self):
-        out = normalize_power(2.0 * np.eye(2), P=2.0)
-        np.testing.assert_allclose(np.linalg.norm(out.W, axis=1), [1.0, 1.0], atol=1e-15)
+        out = normalize_power(2.0 * np.eye(4))
+        np.testing.assert_allclose(np.linalg.norm(out.W, axis=1), [0.5] * 4, atol=1e-15)
 
     def test_row_norm_scan_oracle(self):
         rng = np.random.default_rng(0)
-        out = normalize_power(complex_randn(rng, (6, 3)), P=1.0)
+        out = normalize_power(complex_randn(rng, (6, 3)))
         norms = np.linalg.norm(out.W, axis=1)
         cap = np.sqrt(1.0 / 6.0)
         assert np.all(norms <= cap + 1e-12)
@@ -60,17 +61,16 @@ class TestNormalizePower:
 
     def test_zero_matrix(self):
         with pytest.raises(ZeroPrecoderError):
-            normalize_power(np.zeros((2, 2)), P=1.0)
+            normalize_power(np.zeros((2, 2)))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 9), L=st.integers(1, 5),
-           P=st.floats(1e-3, 1e3))
-    def test_equals_public_constructor_on_scaled_input(self, order, seed, T, L, P):
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 9), L=st.integers(1, 5))
+    def test_equals_public_constructor_on_scaled_input(self, order, seed, T, L):
         W = np.asarray(complex_randn(np.random.default_rng(seed), (T, L)), order=order)
         top = row_power(W).max()
-        expected = PrecodingMatrix(W * np.sqrt(P / T * _inside(L) / top)).W
-        got = normalize_power(W, P).W
+        expected = PrecodingMatrix(W * np.sqrt(1.0 / T * _inside(L) / top)).W
+        got = normalize_power(W).W
         assert got.tobytes() == expected.tobytes()
         assert got.flags.c_contiguous and not got.flags.writeable
         assert W.flags.writeable  # the input is left alone
@@ -81,29 +81,23 @@ class TestNormalizePower:
         W = np.asarray(complex_randn(np.random.default_rng(1), (5, 3)), order=order)
         W[2, 1] = bad
         with pytest.raises(ValueError, match="^precoder has non-finite entries$"):
-            normalize_power(W, P=1.0)
-
-    # 0 gave an all-zero precoder and -1 "precoder has non-finite entries".
-    @pytest.mark.parametrize("P", [0.0, -1.0, np.nan, np.inf, True])
-    def test_power_must_be_positive_and_finite(self, P):
-        with pytest.raises(ValueError, match="^P must be a positive finite number"):
-            normalize_power(np.eye(2, dtype=complex), P)
+            normalize_power(W)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_zero_matrix_either_order(self, order):
         with pytest.raises(ZeroPrecoderError):
-            normalize_power(np.zeros((4, 3), dtype=complex, order=order), P=1.0)
+            normalize_power(np.zeros((4, 3), dtype=complex, order=order))
 
     # At 1e-155 the largest row's power is below the range the margin is
-    # proven for; at 1e-160 it is subnormal, and P/T over it overflows. RZF
+    # proven for; at 1e-160 it is subnormal, and 1/T over it overflows. RZF
     # reaches such inputs near -1600 dB.
     @pytest.mark.parametrize("c", [1e-155, 1e-160])
     def test_tiny_input_meets_the_budget_exactly(self, c):
         W = complex_randn(np.random.default_rng(0), (8, 4))
-        out = normalize_power(c * W, P=1.0)
-        assert out.feasible(1.0, tol=0.0)
-        assert project(out, 1.0).tobytes() == out.W.tobytes()
-        np.testing.assert_allclose(out.W, normalize_power(W, P=1.0).W, rtol=0, atol=1e-15)
+        out = normalize_power(c * W)
+        assert out.feasible(tol=0.0)
+        assert project(out).tobytes() == out.W.tobytes()
+        np.testing.assert_allclose(out.W, normalize_power(W).W, rtol=0, atol=1e-15)
 
     # Finite and nonzero, but at 1e160 a row's power overflows, at 1e-165 it
     # underflows to zero, and 1e-310 is subnormal.
@@ -112,10 +106,10 @@ class TestNormalizePower:
     def test_extreme_input_normalizes_like_the_unscaled_one(self, c, order):
         for seed in range(5):
             W = complex_randn(np.random.default_rng(seed), (8, 4))
-            out = normalize_power(np.asarray(c * W, order=order), P=1.0)
-            assert out.feasible(1.0, tol=0.0)
-            assert project(out, 1.0).tobytes() == out.W.tobytes()
-            np.testing.assert_allclose(out.W, normalize_power(W, P=1.0).W, rtol=0, atol=1e-14)
+            out = normalize_power(np.asarray(c * W, order=order))
+            assert out.feasible(tol=0.0)
+            assert project(out).tobytes() == out.W.tobytes()
+            np.testing.assert_allclose(out.W, normalize_power(W).W, rtol=0, atol=1e-14)
 
     def test_far_below_the_noise_every_baseline_fails_at_scoring(self):
         # At -1620 dB the RZF and ARZF precoders are normalized like MRT's and
@@ -130,8 +124,8 @@ class TestNormalizePower:
     def test_scale_absorbed(self, seed, c):
         rng = np.random.default_rng(seed)
         W = complex_randn(rng, (4, 2))
-        a = normalize_power(W, P=1.0).W
-        b = normalize_power(c * W, P=1.0).W
+        a = normalize_power(W).W
+        b = normalize_power(c * W).W
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -217,7 +211,7 @@ class TestZfConditioning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             W = zf(ch, zf_cfg())
-        assert W.feasible(1.0)
+        assert W.feasible(tol=0.0)
 
     def test_one_warning_between_thresholds(self):
         ch = near_dependent_channel(1e-6)
@@ -288,7 +282,7 @@ class TestRzf:
         lhs = gram + params.regularizer * np.eye(ch.dims.L)
         X = np.linalg.solve(lhs, np.eye(ch.dims.L))
         assert np.linalg.norm(lhs @ X - np.eye(ch.dims.L)) <= 1e-10
-        expected = normalize_power(ch.V_tilde.conj().T @ X, params.P).W
+        expected = normalize_power(ch.V_tilde.conj().T @ X).W
         np.testing.assert_allclose(Wn, expected, atol=1e-12)
 
 
@@ -315,7 +309,7 @@ class TestArzf:
         lhs = gram + np.diag(params.regularizer / ch.S_tilde**2)
         X = np.linalg.solve(lhs, np.eye(ch.dims.L))
         assert np.linalg.norm(lhs @ X - np.eye(ch.dims.L)) <= 1e-10
-        expected = normalize_power(ch.V_tilde.conj().T @ X, params.P).W
+        expected = normalize_power(ch.V_tilde.conj().T @ X).W
         np.testing.assert_allclose(Wn, expected, atol=1e-12)
 
 
@@ -335,8 +329,8 @@ class TestSharedContracts:
         ch = random_channel(12, K=2, T=8, R=2, L=2)
         params = calibrated_params(ch)
         W = builder(ch, BaselineConfig(kind=kind, params=params))
-        assert W.feasible(params.P, tol=0.0)
-        cap = params.P / ch.dims.T
+        assert W.feasible(tol=0.0)
+        cap = 1.0 / ch.dims.T
         assert W.row_power().max() == pytest.approx(cap, abs=1e-12)
 
     @pytest.mark.parametrize("dims,model,rho", [
@@ -345,7 +339,7 @@ class TestSharedContracts:
          "exp-correlated", 0.9),
     ], ids=["uniform", "ragged"])
     def test_exactly_feasible_and_fixed_by_the_projection(self, dims, model, rho):
-        # A largest row put on P/T to rounding reads over it in about a fifth
+        # A largest row put on 1/T to rounding reads over it in about a fifth
         # of these 720 precoders; only the projection's margin meets the
         # budget with no tolerance.
         for seed in range(10):
@@ -355,8 +349,8 @@ class TestSharedContracts:
                     params = calibrated_params(ch, susinr_db, P)
                     for kind in KINDS:
                         W = compute_baseline(ch, BaselineConfig(kind=kind, params=params))
-                        assert W.feasible(P, tol=0.0), (seed, P, susinr_db, kind)
-                        assert project(W, P).tobytes() == W.W.tobytes(), (seed, P, susinr_db, kind)
+                        assert W.feasible(tol=0.0), (seed, P, susinr_db, kind)
+                        assert project(W).tobytes() == W.W.tobytes(), (seed, P, susinr_db, kind)
 
 
 def scipy_reference(channel, cfg):
@@ -371,7 +365,7 @@ def scipy_reference(channel, cfg):
     c, low = scipy.linalg.cho_factor(lhs, check_finite=False)
     X = scipy.linalg.cho_solve((c, low), np.eye(len(Vt), dtype=np.complex128),
                                check_finite=False)
-    return normalize_power(Vt.conj().T @ X, p.P).W
+    return normalize_power(Vt.conj().T @ X).W
 
 
 class TestDirectLapack:

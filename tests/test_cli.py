@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import mimo_precoding.model as model
-from mimo_precoding import (ScenarioConfig, SingularMatrixError, file_size, read_channels,
-                            run_scenario)
+from mimo_precoding import (ScenarioConfig, SingularMatrixError, file_size, generate_channels,
+                            read_channels, run_scenario)
 from mimo_precoding.cli import main
 
 
@@ -248,12 +248,26 @@ class TestGenerate:
         assert out.stat().st_size == file_size(ch.dims)
 
     def test_multiple_seeds_multiple_files(self, tmp_path):
-        cfg = write_config(tmp_path)
+        # Ragged dims make two user groups; each file reads back the factors
+        # and groups that generate_channels builds, byte for byte.
+        cfg = write_config(tmp_path, dims={"K": 3, "T": 8, "R_k": [2, 4, 2], "L_k": [1, 2, 1]},
+                           channel_model="exp-correlated", rho=0.5)
         out = tmp_path / "ch.bin"
         assert main(["generate", "--config", str(cfg), "--out", str(out),
                      "--seeds", "0,1"]) == 0
-        assert (tmp_path / "ch_seed0.bin").exists()
-        assert (tmp_path / "ch_seed1.bin").exists()
+        scenario = ScenarioConfig.from_dict(json.loads(cfg.read_text()))
+        for seed in (0, 1):
+            a = read_channels(tmp_path / f"ch_seed{seed}.bin")
+            b = generate_channels(scenario.dims, seed, scenario.channel_model, scenario.rho)
+            assert a.dims == b.dims and len(a.groups) == len(b.groups) == 2
+            for ua, ub in zip(a.users, b.users, strict=True):
+                for name in ("H", "U", "S", "V"):
+                    assert getattr(ua, name).tobytes() == getattr(ub, name).tobytes(), name
+            for name in ("S_tilde", "V_tilde"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+            for ga, gb in zip(a.groups, b.groups):
+                for name in ("users", "H", "cols", "own"):
+                    assert getattr(ga, name).tobytes() == getattr(gb, name).tobytes(), name
 
     @pytest.mark.parametrize("flag", [["--susinr", "7,9"], ["--algos", "QN-CD-RZF"],
                                       ["--iters", "3"], ["--tol-grad", "1e-3"],

@@ -380,6 +380,32 @@ class TestRunScenario:
                 None, None, None, message)
         assert all(row.error is None for row in rows[2:])
 
+    @pytest.mark.parametrize("setting", [{}, RAGGED_CORR], ids=["iid", "ragged-corr"])
+    def test_station_power_changes_no_row_at_a_fixed_susinr(self, setting):
+        # Precoders live on the unit budget and P enters only as sigma2 / P,
+        # which calibration holds fixed: a power of two scales sigma2 and P
+        # exactly, so every row keeps its bits; other powers move sigma2 / P
+        # by a rounding. Budgets of P / T moved the closed-form rows by up to
+        # 75% at P = 0.25 and by a factor of about 1240 at P = 1e12.
+        def rows(P, algorithms=harness.ALGORITHMS):
+            cfg = ScenarioConfig(P=P, seeds=(0,), susinr_grid_db=(-4.0, 12.0, 40.0),
+                                 algorithms=algorithms,
+                                 optimizer=OptimizerConfig(max_iters=30), **setting)
+            return run_scenario(cfg).rows
+
+        unit = rows(1.0)
+        assert not any(r.error for r in unit)
+        for P in (0.25, 2.0, 1024.0):
+            assert rows_without_wall_ms(RunReport(rows(P))) == \
+                rows_without_wall_ms(RunReport(unit)), P
+        closed_form = [r for r in unit if r.iterations == 0]
+        for P in (10.0, 1e12):
+            got = rows(P, harness.BASELINE_ALGOS)
+            assert [r.algorithm for r in got] == [r.algorithm for r in closed_form]
+            for a, b in zip(got, closed_form):
+                assert a.se_irc_bits == pytest.approx(b.se_irc_bits, rel=1e-14, abs=0.0), \
+                    (P, a)
+
     def test_programming_error_propagates(self, monkeypatch):
         def buggy(name, channel, params, opt_cfg):
             raise RuntimeError("synthetic bug")

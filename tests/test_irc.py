@@ -119,7 +119,7 @@ def ragged_case(draw, max_users=4, max_rx=4):
                                 rho=0.9 if model == "exp-correlated" else 0.0)
     params = calibrated_params(channel, susinr_db=draw(st.floats(-10.0, 40.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    W = mixed_rows_precoder(rng, T, dims.L, params.P)
+    W = mixed_rows_precoder(rng, T, dims.L)
     return channel, params, W
 
 
@@ -127,7 +127,7 @@ def ragged_corr_case(seed):
     channel = generate_channels(RAGGED_CORR, seed=seed, model="exp-correlated", rho=0.9)
     params = calibrated_params(channel, susinr_db=20.0)
     W = mixed_rows_precoder(np.random.default_rng(seed), RAGGED_CORR.T, RAGGED_CORR.L,
-                            params.P, exterior_fraction=0.0)
+                            exterior_fraction=0.0)
     return channel, params, W
 
 
@@ -329,7 +329,7 @@ class TestScores:
         channel, params, W = case
         T, L = W.shape
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        Ws = np.stack([W] + [mixed_rows_precoder(rng, T, L, params.P) for _ in range(b - 1)])
+        Ws = np.stack([W] + [mixed_rows_precoder(rng, T, L) for _ in range(b - 1)])
         if T > 1:  # one silent antenna; at T = 1 it would silence every stream
             Ws[data.draw(st.integers(0, b - 1)), data.draw(st.integers(0, T - 1))] = 0.0
         se, cache = irc_forward(Ws, channel, params)

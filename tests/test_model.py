@@ -1,10 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 
 from mimo_precoding import (
     DegenerateChannelError,
@@ -18,7 +18,7 @@ from mimo_precoding import (
     susinr,
     write_channels,
 )
-from mimo_precoding.model import _unit_phases, susinr_gain
+from mimo_precoding.model import susinr_gain
 
 from conftest import complex_randn, random_channel
 
@@ -69,6 +69,8 @@ class TestSystemParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             SystemParams(P=0.0, sigma2=1.0, L=1)
+        with pytest.raises(ValueError):
+            SystemParams(P=-1.0, sigma2=1.0, L=1)
         with pytest.raises(ValueError):
             SystemParams(P=1.0, sigma2=-1.0, L=1)
 
@@ -252,23 +254,26 @@ class TestBuildChannelSet:
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
-def masked_unit_phases(anchor):
-    """The masked form of _unit_phases, which divides only where |anchor| > 0."""
-    mag = np.abs(anchor)
-    return np.where(mag > 0, anchor / np.where(mag > 0, mag, 1.0), 1.0)
+class TestPhaseFix:
+    # The phase anchor is the largest entry of a unit-norm row of V, so it is
+    # never zero: degenerate channels reach the rank check without a warning.
+    CASES = {
+        "zero": (np.zeros((4, 8), dtype=complex), 1),
+        "zero-row": (np.vstack([complex_randn(np.random.default_rng(13), (3, 8)),
+                                np.zeros((1, 8))]), 4),
+        "rank-one": (np.outer(complex_randn(np.random.default_rng(14), 4),
+                              complex_randn(np.random.default_rng(15), 8)), 2),
+        "tiny-rank-one": (1e-300 * np.outer(complex_randn(np.random.default_rng(16), 4),
+                                            complex_randn(np.random.default_rng(17), 8)), 2),
+    }
 
-
-class TestUnitPhases:
-    @settings(max_examples=200, deadline=None)
-    @given(arrays(np.complex128, array_shapes(min_dims=2, max_dims=2, max_side=6),
-                  elements=st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300))
-           | arrays(np.complex128, array_shapes(min_dims=2, max_dims=2, max_side=6),
-                    elements=st.complex_numbers(allow_nan=True, allow_infinity=True)
-                    | st.sampled_from([0j, complex(np.nan, 0.0), complex(np.inf, 1.0)])))
-    def test_bitwise_equal_to_masked_form(self, anchor):
-        with np.errstate(all="ignore"):
-            got, expected = _unit_phases(anchor), masked_unit_phases(anchor)
-        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_degenerate_channel_raises_without_warnings(self, case):
+        H, L_k = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateChannelError, match="^user 0: rank below"):
+                decompose(H, L_k=L_k)
 
 
 class TestStack:

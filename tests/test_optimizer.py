@@ -73,26 +73,20 @@ def ragged_cd_spec(seed, susinr_db=10.0):
 
 
 class TestProject:
-    # 0 returned NaNs under a RuntimeWarning; -1 too.
-    @pytest.mark.parametrize("P", [0.0, -1.0, np.nan, np.inf])
-    def test_power_must_be_positive_and_finite(self, P):
-        with pytest.raises(ValueError, match="^P must be a positive finite number"):
-            project(np.ones((4, 2), dtype=complex), P)
-
     def test_zero_unchanged(self):
         W = np.zeros((3, 2), dtype=complex)
-        np.testing.assert_array_equal(project(W, 1.0), W)
+        np.testing.assert_array_equal(project(W), W)
 
     def test_boundary_row_untouched(self):
-        W = np.zeros((2, 2), dtype=complex)
-        W[0, 0] = 0.5  # row power exactly P/T = 0.25, representable exactly
-        out = project(W, 0.5)
+        W = np.zeros((4, 2), dtype=complex)
+        W[0, 0] = 0.5  # row power exactly 1/T = 0.25, representable exactly
+        out = project(W)
         np.testing.assert_array_equal(out, W)
 
     def test_overweight_row_rescaled(self):
         W = np.array([[2.0, 0.0], [0.1, 0.1]], dtype=complex)
-        out = project(W, 2.0)  # cap = 1
-        np.testing.assert_allclose(out[0], [1.0, 0.0], atol=1e-15)
+        out = project(W)  # cap = 1/2
+        np.testing.assert_allclose(out[0], [np.sqrt(0.5), 0.0], atol=1e-15)
         np.testing.assert_array_equal(out[1], W[1])
 
     def test_zero_row_unchanged_without_warnings(self):
@@ -100,7 +94,7 @@ class TestProject:
         W[2] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = project(W, 1.0)
+            out = project(W)
         np.testing.assert_array_equal(out, W)
 
     def test_zero_row_beside_exterior_rows_warns_nothing(self):
@@ -108,7 +102,7 @@ class TestProject:
         W[4] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = project(W, 1.0)
+            out = project(W)
         np.testing.assert_array_equal(out[4], 0.0)
         assert np.all(np.einsum("ml,ml->m", out, out.conj()).real <= 1.0 / 6)
 
@@ -116,8 +110,8 @@ class TestProject:
         rng = np.random.default_rng(0)
         for _ in range(20):
             W = 3.0 * complex_randn(rng, (8, 3))
-            once = project(W, 1.0)
-            twice = project(once, 1.0)
+            once = project(W)
+            twice = project(once)
             np.testing.assert_array_equal(once, twice)
 
     @settings(max_examples=60, deadline=None)
@@ -125,26 +119,25 @@ class TestProject:
     def test_idempotent_and_feasible_over_shapes_and_scales(self, data):
         T = data.draw(st.integers(1, 12), label="T")
         L = data.draw(st.integers(1, 4), label="L")
-        P = data.draw(st.floats(1e-3, 1e3), label="P")
         # Per-row scale 10^e with e in [-6, 6], or an all-zero row.
         scales = data.draw(st.lists(
             st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
             min_size=T, max_size=T), label="row scales")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         W = complex_randn(np.random.default_rng(seed), (T, L)) * np.array(scales)[:, None]
-        once = project(W, P)
-        assert once.tobytes() == project(once, P).tobytes()
+        once = project(W)
+        assert once.tobytes() == project(once).tobytes()
         interleaved = once.view(np.float64)
-        assert np.all(np.einsum("ml,ml->m", interleaved, interleaved) <= P / T)
+        assert np.all(np.einsum("ml,ml->m", interleaved, interleaved) <= 1.0 / T)
         np.testing.assert_array_equal(once[np.array(scales) == 0.0], 0.0)
 
 
-def exterior_precoder(rng, P, T=64, L=16):
+def exterior_precoder(rng, T=64, L=16):
     """Random (T, L) precoder whose every row has 1 to 33 times the ball's
     radius, as the engine's iterates do."""
     W = complex_randn(rng, (T, L))
     W /= np.sqrt(row_power(W))[:, None]
-    return W * (np.sqrt(P / T) * rng.uniform(1.0, 33.0, T))[:, None]
+    return W * (np.sqrt(1.0 / T) * rng.uniform(1.0, 33.0, T))[:, None]
 
 
 def margin(L):
@@ -153,11 +146,11 @@ def margin(L):
     return (8 * L + 12) * 2.0**-53
 
 
-def masked_ball(W, P):
+def masked_ball(W):
     """The masked form of _ball: the factor is divided on the rows outside
     only, through np.divide's where=, whatever their number."""
     power = row_power(W)
-    cap = P / W.shape[0]
+    cap = 1.0 / W.shape[0]
     over = power > cap
     if not over.any():
         return power, None, None
@@ -181,16 +174,16 @@ class TestBall:
         rng = np.random.default_rng(20)
         calls = []
 
-        def counted(W, P):
+        def counted(W):
             calls.append(1)
-            return _ball(W, P)
+            return _ball(W)
 
         monkeypatch.setattr(optimizer, "_ball", counted)
         for _ in range(1000):
-            P = 10.0 ** rng.uniform(-3.0, 6.0)
-            W = exterior_precoder(rng, P)
-            cap = P / W.shape[0]
-            ball = _ball(W, P)
+            T = int(rng.integers(1, 129))
+            W = exterior_precoder(rng, T)
+            cap = 1.0 / T
+            ball = _ball(W)
             assert ball[1].all()
             calls.clear()
             out = _project(W, ball)
@@ -204,16 +197,15 @@ class TestBall:
         # routine (float64 view) and the complex einsum of W and conj(W).
         rng = np.random.default_rng(L)
         for _ in range(1000):
-            P = 10.0 ** rng.uniform(-3.0, 8.0)
-            W = project(exterior_precoder(rng, P, L=L), P)
-            assert PrecodingMatrix(W).feasible(P, tol=0.0)
-            assert np.all(np.einsum("ml,ml->m", W, W.conj()).real <= P / W.shape[0])
+            W = project(exterior_precoder(rng, int(rng.integers(1, 129)), L))
+            assert PrecodingMatrix(W).feasible(tol=0.0)
+            assert np.all(np.einsum("ml,ml->m", W, W.conj()).real <= 1.0 / W.shape[0])
 
     CASES = {
-        "all-outside": lambda rng: exterior_precoder(rng, 1.0, T=16, L=4),
-        "none-outside": lambda rng: mixed_rows_precoder(rng, 16, 4, 1.0, exterior_fraction=0.0),
-        "mixed": lambda rng: mixed_rows_precoder(rng, 16, 4, 1.0),
-        "zero-rows": lambda rng: exterior_precoder(rng, 1.0, T=16, L=4) * (
+        "all-outside": lambda rng: exterior_precoder(rng, 16, 4),
+        "none-outside": lambda rng: mixed_rows_precoder(rng, 16, 4, exterior_fraction=0.0),
+        "mixed": lambda rng: mixed_rows_precoder(rng, 16, 4),
+        "zero-rows": lambda rng: exterior_precoder(rng, 16, 4) * (
             rng.random(16) < 0.7)[:, None],
     }
 
@@ -223,7 +215,7 @@ class TestBall:
         rng = np.random.default_rng(seed)
         W = self.CASES[case](rng)
         D = complex_randn(rng, W.shape)
-        ball, expected = _ball(W, 1.0), masked_ball(W, 1.0)
+        ball, expected = _ball(W), masked_ball(W)
         # The fourth entry is the mask _ratio_over divides under: None when
         # every row is outside (or when none is, with the mask None too).
         every = expected[1] is None or expected[1].all()
@@ -270,10 +262,10 @@ class TestNoNumpyWrapperOnTheHotPath:
         spec = ObjectiveSpec(kind, channel, calibrated_params(channel))
         rng = np.random.default_rng(1)
         if rows == "all-outside":
-            W = exterior_precoder(rng, spec.P, dims.T, dims.L)
+            W = exterior_precoder(rng, dims.T, dims.L)
         else:
-            W = mixed_rows_precoder(rng, dims.T, dims.L, spec.P)
-        over = _ball(W, spec.P)[1]
+            W = mixed_rows_precoder(rng, dims.T, dims.L)
+        over = _ball(W)[1]
         assert over.all() if rows == "all-outside" else 0 < over.sum() < over.size
 
         def evaluate():
@@ -303,20 +295,20 @@ class TestObjective:
         rng = np.random.default_rng(2)
         W = 0.05 * complex_randn(rng, (8, 2))
         direct = se_conjugate(W, spec.channel.V_tilde, spec.channel.S_tilde,
-                              spec.params.sigma2, spec.params.P)
+                              spec.params.noise_to_signal)
         assert objective(W, spec) == pytest.approx(direct, rel=1e-14)
 
     def test_infeasible_matches_projected(self):
         spec = cd_spec(3)
         rng = np.random.default_rng(4)
         W = 5.0 * complex_randn(rng, (8, 2))
-        assert objective(W, spec) == objective(project(W, spec.params.P), spec)
+        assert objective(W, spec) == objective(project(W), spec)
 
     def test_irc_matches_scoring_path(self):
         spec = irc_spec(5)
         rng = np.random.default_rng(6)
         W = complex_randn(rng, (8, 2))
-        proj = project(W, spec.params.P)
+        proj = project(W)
         expected = spectral_efficiency_irc(proj, spec.channel, spec.params).se_bits
         assert objective(W, spec) == pytest.approx(expected, rel=1e-14)
 
@@ -336,7 +328,7 @@ class TestObjective:
         spec = (cd_spec if kind == "cd" else irc_spec)(47, K=2, T=8, R=2, L=2)
         ch, pr = spec.channel, spec.params
         score = {
-            "cd": lambda W: se_conjugate(W, ch.V_tilde, ch.S_tilde, pr.sigma2, pr.P),
+            "cd": lambda W: se_conjugate(W, ch.V_tilde, ch.S_tilde, pr.noise_to_signal),
             "irc": lambda W: spectral_efficiency_irc(W, ch, pr),
         }[kind]
         W = 0.1 * complex_randn(np.random.default_rng(48), shape)
@@ -350,18 +342,18 @@ class TestObjective:
 class TestCdForwardBackward:
     CASES = {
         "mixed-rows": lambda: (cd_spec(40), mixed_rows_precoder(
-            np.random.default_rng(41), 8, 2, 1.0)),
+            np.random.default_rng(41), 8, 2)),
         "zero": lambda: (cd_spec(42), np.zeros((8, 2), dtype=complex)),
         "multi-stream": lambda: (cd_spec(43, K=4, T=16, R=4, L=2), mixed_rows_precoder(
-            np.random.default_rng(44), 16, 8, 1.0)),
+            np.random.default_rng(44), 16, 8)),
         "ragged": lambda: (ragged_cd_spec(45), mixed_rows_precoder(
-            np.random.default_rng(46), 8, 6, 1.0)),
+            np.random.default_rng(46), 8, 6)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_backward_equals_reference_gradient_bitwise(self, case):
         spec, W = self.CASES[case]()
-        Wp = project(W, spec.P)
+        Wp = project(W)
         g = spec.backward(spec.forward(Wp)[1])
         assert g.tobytes() == reference_cd_gradient(Wp, spec.channel, spec.params).tobytes()
 
@@ -369,7 +361,7 @@ class TestCdForwardBackward:
     def test_se_conjugate_is_the_forward_value_bitwise(self, case):
         spec, W = self.CASES[case]()
         ch, pr = spec.channel, spec.params
-        value = se_conjugate(W, ch.V_tilde, ch.S_tilde, pr.sigma2, pr.P)
+        value = se_conjugate(W, ch.V_tilde, ch.S_tilde, pr.noise_to_signal)
         assert np.float64(value).tobytes() == np.float64(spec.forward(W)[0]).tobytes()
 
 
@@ -377,7 +369,7 @@ class TestGradient:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gradient_rejected(self, bad):
         # The engine tests its own gradients; direct callers keep this check.
-        spec = CustomObjective(value=lambda W: 0.0, shape=(4, 2), P=1.0,
+        spec = CustomObjective(value=lambda W: 0.0, shape=(4, 2),
                                wirtinger_grad=lambda W: np.full((4, 2), bad, dtype=complex))
         with pytest.raises(NumericalFailureError, match="^gradient has non-finite entries$"):
             gradient(np.zeros((4, 2), dtype=complex), spec)
@@ -395,7 +387,7 @@ class TestGradient:
     def test_matches_finite_differences_small_dims(self, kind, seed):
         spec = (cd_spec if kind == "cd" else irc_spec)(seed)
         rng = np.random.default_rng(100 + seed)
-        W = mixed_rows_precoder(rng, 8, 2, spec.params.P)
+        W = mixed_rows_precoder(rng, 8, 2)
         g = embed(gradient(W, spec))
         fd = fd_gradient(lambda M: objective(M, spec), W)
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) <= 1e-5
@@ -404,7 +396,7 @@ class TestGradient:
     def test_matches_finite_differences_multi_stream(self, kind):
         spec = (cd_spec if kind == "cd" else irc_spec)(11, K=4, T=16, R=4, L=2)
         rng = np.random.default_rng(12)
-        W = mixed_rows_precoder(rng, 16, 8, spec.params.P)
+        W = mixed_rows_precoder(rng, 16, 8)
         g = embed(gradient(W, spec))
         fd = fd_gradient(lambda M: objective(M, spec), W)
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) <= 1e-5
@@ -423,10 +415,10 @@ class TestGradient:
 
         monkeypatch.setattr(lbfgs, "maximize", capture)
         spec = (cd_spec if kind == "cd" else irc_spec)(31, K=4, T=16, R=4, L=2)
-        W = mixed_rows_precoder(np.random.default_rng(32), 16, 8, spec.params.P)
+        W = mixed_rows_precoder(np.random.default_rng(32), 16, 8)
         W[5] = 0.0
         lbfgs_maximize(spec, OptimizerConfig(start="custom", start_matrix=W))
-        param = _ProjectionParam(W.shape, spec.params.P)
+        param = _ProjectionParam(W.shape)
         f, grad = handed[0](param.encode(W))
         assert f == objective(W, spec)
         np.testing.assert_array_equal(param.decode_full(grad())[0], gradient(W, spec))
@@ -456,7 +448,6 @@ class TestLbfgsMaximize:
             value=lambda W: -float(np.linalg.norm(W - target) ** 2),
             wirtinger_grad=lambda W: -2.0 * (W - target),
             shape=(4, 2),
-            P=1.0,
         )
         cfg = OptimizerConfig(max_iters=50, start="custom",
                               start_matrix=np.zeros((4, 2), dtype=complex))
@@ -477,7 +468,7 @@ class TestLbfgsMaximize:
                 raise error("outside the trusted region")
             return float(np.vdot(C, W).real)
 
-        spec = CustomObjective(value=value, wirtinger_grad=lambda W: C, shape=(4, 2), P=1.0)
+        spec = CustomObjective(value=value, wirtinger_grad=lambda W: C, shape=(4, 2))
         cfg = OptimizerConfig(max_iters=30, start="custom",
                               start_matrix=np.zeros((4, 2), dtype=complex))
         return spec, cfg, raised
@@ -486,7 +477,7 @@ class TestLbfgsMaximize:
         spec, cfg, raised = self._guarded_linear_spec(NumericalFailureError)
         W, trace = lbfgs_maximize(spec, cfg)
         assert raised
-        assert W.feasible(1.0, tol=1e-12)
+        assert W.feasible(tol=1e-12)
         assert np.linalg.norm(W.W) <= 0.3
         values = trace.objectives
         assert np.all(np.diff(values) >= 0.0)
@@ -510,7 +501,7 @@ class TestLbfgsMaximize:
             return C
 
         spec = CustomObjective(value=lambda W: float(np.vdot(C, W).real),
-                               wirtinger_grad=wirtinger_grad, shape=(4, 2), P=1.0)
+                               wirtinger_grad=wirtinger_grad, shape=(4, 2))
         cfg = OptimizerConfig(max_iters=30, start="custom",
                               start_matrix=np.zeros((4, 2), dtype=complex))
         W, trace = lbfgs_maximize(spec, cfg)
@@ -538,7 +529,7 @@ class TestLbfgsMaximize:
             return C
 
         spec = CustomObjective(value=lambda W: float(np.vdot(C, W).real),
-                               wirtinger_grad=wirtinger_grad, shape=(4, 2), P=1.0)
+                               wirtinger_grad=wirtinger_grad, shape=(4, 2))
         return spec, grads, C
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -564,7 +555,7 @@ class TestLbfgsMaximize:
         assert trace.termination == lbfgs.TERM_GRADIENT_FAILURE
         assert trace.n_grad_evals == 2 and trace.iterations == 1
         np.testing.assert_array_equal(W.W, grads[1])
-        assert W.row_power().max() > 0.99 * spec.P / 4  # a row was projected to P/T
+        assert W.row_power().max() > 0.99 / 4  # a row was projected to 1/T
         assert trace.records[-1].objective == float(np.vdot(C, W.W).real) > 0.0
         assert math.isnan(trace.records[-1].grad_norm)
 
@@ -587,18 +578,18 @@ class TestLbfgsMaximize:
 
     def test_scalar_boundary_case_with_grid_oracle(self):
         # T = L = 1: the objective grows with |w|, so the optimum saturates the
-        # power budget. Compare against a dense 1-D scan over |w|.
+        # unit power budget 1/T = 1. Compare against a dense 1-D scan over |w|.
         ch = random_channel(16, K=1, T=1, R=1, L=1)
         params = calibrated_params(ch, susinr_db=6.0)
         spec = ObjectiveSpec(kind="cd", channel=ch, params=params)
         cfg = OptimizerConfig(max_iters=100, start="custom",
                               start_matrix=np.array([[0.1 + 0.0j]]))
         W, _ = lbfgs_maximize(spec, cfg)
-        assert abs(W.W[0, 0]) ** 2 == pytest.approx(params.P, abs=1e-8)
-        radii = np.linspace(0.0, np.sqrt(params.P), 20001)
+        assert abs(W.W[0, 0]) ** 2 == pytest.approx(1.0, abs=1e-8)
+        radii = np.linspace(0.0, 1.0, 20001)
         grid_best = max(
             se_conjugate(np.array([[r + 0j]]), ch.V_tilde, ch.S_tilde,
-                         params.sigma2, params.P)
+                         params.noise_to_signal)
             for r in radii
         )
         assert objective(W.W, spec) >= grid_best - 1e-9
@@ -608,7 +599,7 @@ class TestLbfgsMaximize:
         spec = (cd_spec if kind == "cd" else irc_spec)(17, K=2, T=8, R=2, L=1)
         cfg = OptimizerConfig(max_iters=150, start="arzf")
         W, trace = lbfgs_maximize(spec, cfg)
-        assert W.feasible(spec.params.P, tol=1e-12)
+        assert W.feasible(tol=1e-12)
         assert trace.records[-1].objective >= trace.records[0].objective
         values = [r.objective for r in trace.records]
         assert all(b >= a for a, b in zip(values, values[1:]))
@@ -751,30 +742,30 @@ def packed(theta, eta, alpha):
 
 class TestSoftmax:
     def test_uniform_decode_row_powers(self):
-        T, L, P = 4, 2, 1.0
+        T, L = 4, 2
         x = packed(np.zeros((T, L)), np.zeros((T, L)), np.full(T, 30.0))
-        W, _ = _Softmax((T, L), P).decode_full(x)
+        W, _ = _Softmax((T, L)).decode_full(x)
         row_power = np.einsum("ml,ml->m", W, W.conj()).real
-        np.testing.assert_allclose(row_power, P / T, rtol=1e-9)
+        np.testing.assert_allclose(row_power, 1.0 / T, rtol=1e-9)
 
     def test_decode_always_feasible(self):
         rng = np.random.default_rng(21)
-        T, L, P = 6, 3, 2.0
+        T, L = 6, 3
         x = packed(rng.standard_normal((T, L)) * 5, rng.standard_normal((T, L)) * 5,
                    rng.standard_normal(T) * 5)
-        W, _ = _Softmax((T, L), P).decode_full(x)
+        W, _ = _Softmax((T, L)).decode_full(x)
         row_power = np.einsum("ml,ml->m", W, W.conj()).real
-        assert np.all(row_power <= P / T)
+        assert np.all(row_power <= 1.0 / T)
 
     def test_round_trip_initialization(self):
         rng = np.random.default_rng(22)
         W0 = 0.2 * complex_randn(rng, (4, 2))
-        softmax = _Softmax((4, 2), 1.0)
+        softmax = _Softmax((4, 2))
         np.testing.assert_allclose(softmax.decode_full(softmax.encode(W0))[0], W0, atol=1e-5)
 
     def test_parameter_gradient_matches_finite_differences(self):
         spec = cd_spec(23, K=2, T=4, R=2, L=1)
-        dec = _Softmax((4, 2), spec.params.P)
+        dec = _Softmax((4, 2))
         rng = np.random.default_rng(24)
         x = rng.standard_normal(4 * 2 * 2 + 4)
         W, aux = dec.decode_full(x)
@@ -797,7 +788,7 @@ class TestSoftmax:
         cfg = OptimizerConfig(max_iters=3000, start="custom",
                               start_matrix=np.array([[0.3 + 0.0j]]))
         W, _ = softmax_maximize(spec, cfg)
-        assert abs(W.W[0, 0]) ** 2 == pytest.approx(params.P, abs=1e-3)
+        assert abs(W.W[0, 0]) ** 2 == pytest.approx(1.0, abs=1e-3)
 
     def test_tracks_projection_method(self):
         spec = cd_spec(26, K=2, T=8, R=2, L=1)
@@ -811,21 +802,21 @@ class TestSoftmax:
     def test_saturated_decode_is_returned_projected(self, monkeypatch):
         # At alpha = 40 the sigmoid is 1.0, and most rows' computed power
         # rounds above the cap: the raw decode does not meet the budget.
-        T, L, P = 16, 4, 1.0
+        T, L = 16, 4
         rng = np.random.default_rng(28)
         saturated = packed(3.0 * rng.standard_normal((T, L)), rng.standard_normal((T, L)),
                            np.full(T, 40.0))
         monkeypatch.setattr(_Softmax, "encode", lambda self, W0: saturated)
         flat = CustomObjective(value=lambda W: 0.0, wirtinger_grad=np.zeros_like,
-                               shape=(T, L), P=P)
+                               shape=(T, L))
         cfg = OptimizerConfig(start="custom", start_matrix=np.zeros((T, L)))
         scored = []
         W, trace = softmax_maximize(flat, cfg, score_fn=lambda W: scored.append(W) or 0.0)
-        raw, _ = _Softmax((T, L), P).decode_full(saturated)
-        assert not PrecodingMatrix(raw).feasible(P, tol=0.0)
+        raw, _ = _Softmax((T, L)).decode_full(saturated)
+        assert not PrecodingMatrix(raw).feasible(tol=0.0)
         assert trace.iterations == 0 and trace.termination == lbfgs.TERM_GRADIENT
-        assert W.feasible(P, tol=0.0)
-        assert W.W.tobytes() == project(raw, P).tobytes() == scored[0].tobytes()
+        assert W.feasible(tol=0.0)
+        assert W.W.tobytes() == project(raw).tobytes() == scored[0].tobytes()
 
     def test_monotone_trace(self):
         spec = cd_spec(27)
@@ -835,4 +826,4 @@ class TestSoftmax:
 
 
 def W_feasible(W, spec):
-    return W.feasible(spec.params.P, tol=1e-12)
+    return W.feasible(tol=1e-12)
