@@ -4,10 +4,11 @@ Two-loop recursion with curvature pairs stored in the descent convention for
 the negated objective, so the recursion applied to the ascent gradient yields
 an ascent direction directly. Step lengths come from backtracking with a
 sufficient-increase condition, which makes accepted objective values
-non-decreasing by construction. The objective is one callback,
-evaluate(x) -> (f, grad), whose grad() runs only at accepted points; a NaN
-or inf gradient ends the run as a MimoError does. Each pair's scaling s.y /
-y.y (Nocedal & Wright, eq. 7.20) is taken once, when the pair is stored.
+non-decreasing by construction. The objective is one function,
+evaluate(x) -> (f, grad), whose grad() runs once per history record: at x0
+and at each accepted step; a NaN or inf gradient ends the run as a
+MimoError does. Each pair's scaling s.y / y.y (Nocedal & Wright, eq. 7.20)
+is taken once, when the pair is stored.
 
 The vector work is level-1 BLAS (ddot, dscal, daxpy, positional arguments):
 on these short vectors a BLAS call costs about a third of a numpy call. ddot
@@ -83,12 +84,13 @@ def _two_loop(g: np.ndarray, pairs: deque | list, gamma: float) -> np.ndarray:
 
 
 def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
-             tol_change: float, memory: int = 10, callback=None):
+             tol_change: float, memory: int = 10):
     """Maximize a smooth function of a real vector.
 
     evaluate(x) returns (f, grad), with grad() the ascent gradient at x from
     that call's own work; grad may close over views of x, which the engine
-    never writes into. grad runs only at x0 and at accepted steps.
+    never writes into. grad runs exactly once per history record: at x0 and
+    at each accepted step, the last one included when its gradient fails.
 
     Termination occurs when the gradient infinity norm drops to tol_grad, when
     both the objective change and the step norm drop to tol_change, when
@@ -112,14 +114,7 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
     g_inf = _inf_norm(g)  # NaN or inf exactly when some entry of g is
     if not math.isfinite(g_inf):
         raise NumericalFailureError("gradient has non-finite entries")
-    history: list[IterationRecord] = []
-
-    def record(t: int, step: float) -> None:
-        history.append(IterationRecord(t, float(f), g_inf, step))
-        if callback is not None:
-            callback(t, x, f, g_inf, step)
-
-    record(0, 0.0)
+    history = [IterationRecord(0, float(f), g_inf, 0.0)]
 
     pairs, gamma = deque(maxlen=memory), 1.0  # (s, y, 1 / s.y) oldest first; gamma of the newest
     last_df = None
@@ -167,7 +162,7 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
             g_inf_new = np.nan
         if not math.isfinite(g_inf_new):
             x, f, g_inf = x_new, float(f_new), np.nan
-            record(t, step)
+            history.append(IterationRecord(t, f, g_inf, step))
             termination = TERM_GRADIENT_FAILURE
             break
 
@@ -183,7 +178,7 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
         last_df = abs(float(f_new) - float(f))
         last_s = s
         x, f, g, g_inf = x_new, float(f_new), g_new, g_inf_new
-        record(t, step)
+        history.append(IterationRecord(t, f, g_inf, step))
 
     return x, {
         "termination": termination,

@@ -338,7 +338,7 @@ def susinr_gain(dims: SystemDims, s_tilde: np.ndarray) -> float:
 def noise_from_susinr(channel: ChannelSet, P: float, target_db: float) -> float:
     """Noise power sigma2 such that the channel's single-user SINR is target_db.
 
-    Inverts susinr(channel, sigma2, P) = target_db in closed form. A target
+    Inverts susinr(channel, sigma2 / P) = target_db in closed form. A target
     so low, or a P so high, that sigma2 overflows raises NumericalFailureError.
     """
     check_power(P)

@@ -16,9 +16,11 @@ Every objective is a forward/backward pair behind one interface: its precoder
 `gradient` and the engine, so a gradient reuses the products of the forward
 pass it follows.
 
-The engine's vector x maps to W through one parametrization class: W itself
-(`_ProjectionParam`) or a softmax reparametrization, feasible in exact
-arithmetic (`_Softmax`).
+Each map between the engine's vector x and the objective returns its value
+and its pullback, which carries a gradient at the value back to the input:
+`_projection(W) -> (proj(W), pull)`, and `decode(x) -> (W, pull)` of one
+parametrization class, W itself (`_ProjectionParam`) or a softmax
+reparametrization, feasible in exact arithmetic (`_Softmax`).
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ class OptimizationTrace:
 
 
 # ---------------------------------------------------------------------------
-# Projection and its chain rule
+# Projection and its pullback
 
 
 def _ratio_over(num, power: np.ndarray, where, fill: float) -> np.ndarray:
@@ -181,24 +183,35 @@ def _ratio_over(num, power: np.ndarray, where, fill: float) -> np.ndarray:
     return np.divide(num, power, out=out, where=where)
 
 
-def _ball(W: np.ndarray):
-    """Where W stands against the per-antenna power ball, decided once per
-    point: its row power, the mask of rows outside the ball, the factor
-    sqrt(cap * _inside(L) / power) that puts them just inside it (exactly 1.0
-    on the other rows) and _ratio_over's where: the mask, or None when every
-    row is outside. All but the power are None when every row is inside.
-    The projection and its chain rule both start from it. It runs at every
-    evaluation, so it counts the mask by np.add.reduce, without
-    np.count_nonzero's Python wrapper, and _ratio_over fills its output by
-    ndarray.fill, without np.full's."""
+def _projection(W: np.ndarray):
+    """The projection of W onto the per-antenna power ball (see project) and
+    its pullback: pull(D) carries the gradient D at proj(W) back to W.
+
+    Where W stands against the ball is decided once, for both: its row power,
+    the rows outside (the mask, or None for _ratio_over when every row is
+    outside) and the factor sqrt(cap * _inside(L) / power) that puts them
+    just inside (1.0 on the other rows). With every row inside, the
+    projection is a copy and pull the identity; interior rows, boundary rows
+    included, pass D through. On a row outside, the projection contributes
+    a tangential projection of D (its radial part carries no first-order
+    change) scaled by the same factor, so the margin is in the derivative
+    too. Every evaluation runs it, so it counts the mask by np.add.reduce,
+    not np.count_nonzero's Python wrapper, and _ratio_over fills its output
+    by ndarray.fill, not np.full's."""
     power = row_power(W)
     cap = 1.0 / W.shape[0]
     over = power > cap
     n_over = np.add.reduce(over)
     if not n_over:
-        return power, None, None, None
+        return W.copy(), lambda D: D
     where = None if n_over == over.size else over
-    return power, over, np.sqrt(_ratio_over(cap * _inside(W.shape[1]), power, where, 1.0)), where
+    scale = np.sqrt(_ratio_over(cap * _inside(W.shape[1]), power, where, 1.0))[:, None]
+
+    def pull(D):
+        radial = c_einsum("ml,ml->m", D, W.conj()).real
+        return scale * (D - _ratio_over(radial, power, where, 0.0)[:, None] * W)
+
+    return W * scale, pull
 
 
 def project(W) -> np.ndarray:
@@ -210,35 +223,7 @@ def project(W) -> np.ndarray:
     rescaled row's computed power, so every row power satisfies the budget
     in floating point after one rescale and the map is exactly idempotent.
     """
-    Wm = as_array(W)
-    return _project(Wm, _ball(Wm))
-
-
-def _project(W: np.ndarray, ball) -> np.ndarray:
-    """project(W) given _ball(W), which the chain rule reuses: one
-    rescale, which _inside's margin keeps within the ball."""
-    _, over, scale, _ = ball
-    if over is None:
-        return W.copy()
-    return W * scale[:, None]
-
-
-def _chain_projection(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
-    """Pull the gradient D at proj(W) back through the projection at W, given
-    _ball(W) and its decision on which rows are outside.
-
-    Interior rows (including rows exactly on the boundary) use the identity
-    branch. For a row outside the ball the projection
-    w -> w sqrt(cap * _inside(L))/||w|| contributes a tangential projection
-    (the radial component of D carries no first-order change) scaled by the
-    same factor _ball gives, so the margin is in the derivative too.
-    """
-    power, over, scale, where = ball
-    if over is None:
-        return D
-    radial = c_einsum("ml,ml->m", D, W.conj()).real
-    tangent = D - _ratio_over(radial, power, where, 0.0)[:, None] * W
-    return scale[:, None] * tangent
+    return _projection(as_array(W))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +232,13 @@ def _chain_projection(D: np.ndarray, W: np.ndarray, ball) -> np.ndarray:
 
 def _evaluate(W: np.ndarray, spec):
     """The one evaluation path: the objective value at the projection of W,
-    and grad(), the complex ascent gradient there from the same forward pass.
-    W's place against the power ball (_ball) is found once for both; W may be
-    a view of the engine's vector, which the engine never writes into. grad()
-    does not test finiteness: the engine tests its gradient's norm."""
-    ball = _ball(W)
-    f, cache = spec.forward(_project(W, ball))
-    return f, lambda: _chain_projection(spec.backward(cache), W, ball)
+    and grad(), the complex ascent gradient there from the same forward pass,
+    pulled back through the same projection. W may be a view of the engine's
+    vector, which the engine never writes into. grad() does not test
+    finiteness: the engine tests its gradient's norm."""
+    Wp, pull = _projection(W)
+    f, cache = spec.forward(Wp)
+    return f, lambda: pull(spec.backward(cache))
 
 
 def objective(W, spec) -> float:
@@ -288,10 +273,15 @@ def _starting_point(spec, cfg: OptimizerConfig) -> np.ndarray:
     return compute_baseline(spec.channel, base_cfg).W.copy()
 
 
+def _as_real(D: np.ndarray) -> np.ndarray:
+    """The gradient over W's float64 view: D's own floats, interleaved."""
+    return np.ascontiguousarray(D).view(np.float64).ravel()
+
+
 class _ProjectionParam:
     """The engine's vector is W itself viewed as float64 (real and imaginary
-    parts interleaved), so decoding and chaining copy nothing; the objective
-    projects W, and the returned precoder is the projected iterate."""
+    parts interleaved), so decoding and its pullback copy nothing; the
+    objective projects W, and the returned precoder is the projected iterate."""
 
     def __init__(self, shape: tuple[int, int]):
         self.shape = shape
@@ -299,11 +289,8 @@ class _ProjectionParam:
     def encode(self, W0: np.ndarray) -> np.ndarray:
         return np.array(W0, dtype=np.complex128, order="C").view(np.float64).ravel()
 
-    def decode_full(self, x: np.ndarray):
-        return x.view(np.complex128).reshape(self.shape), None
-
-    def chain(self, D: np.ndarray, W: np.ndarray, aux) -> np.ndarray:
-        return np.ascontiguousarray(D).view(np.float64).ravel()
+    def decode(self, x: np.ndarray):
+        return x.view(np.complex128).reshape(self.shape), _as_real
 
 
 def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
@@ -311,28 +298,31 @@ def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
     precoder.
 
     param_type(shape) maps between the engine's real vector x and W:
-    encode(W0) gives the first x, decode_full(x) gives W plus what chain(D, W,
-    aux) needs to turn the ascent gradient D at W into the gradient over x.
-    The precoder of an x is the projection of its W, the point the objective
-    is evaluated at; it is what score_fn sees and what is returned. The
-    trace's records are the engine's history; the engine gets a callback only
-    when score_fn is given, to fill the trace's scores, one per record.
+    encode(W0) gives the first x, and decode(x) gives W and its pullback,
+    which turns the ascent gradient D at W into the gradient over x. The
+    precoder of an x is the projection of its W, the point the objective is
+    evaluated at; it is what score_fn sees and what is returned. The trace's
+    records are the engine's history. The engine calls grad() once per
+    record, so with a score_fn the x of each grad() call is kept and scored
+    after the run: the trace's scores, one per record.
     """
     cfg = cfg or OptimizerConfig()
     param = param_type(spec.shape)
     x0 = param.encode(_starting_point(spec, cfg))
-    scores: list[float] = []  # score_fn at each record, if given
+    points: list[np.ndarray] = []  # with a score_fn, the x of each record
 
     def precoder(x):
-        return project(param.decode_full(x)[0])
-
-    def on_iteration(i, x, f, grad_norm, step):
-        scores.append(float(score_fn(precoder(x))))
+        return project(param.decode(x)[0])
 
     def evaluate(x):
-        W, aux = param.decode_full(x)  # W may be a view of x
+        W, pull = param.decode(x)  # W may be a view of x
         f, grad = _evaluate(W, spec)
-        return f, lambda: param.chain(grad(), W, aux)
+
+        def grad_x():
+            if score_fn is not None:
+                points.append(x)
+            return pull(grad())
+        return f, grad_x
 
     x, info = lbfgs.maximize(
         evaluate,
@@ -341,11 +331,11 @@ def _maximize(spec, cfg: OptimizerConfig | None, score_fn, param_type):
         tol_grad=cfg.tol_grad,
         tol_change=cfg.tol_change,
         memory=cfg.memory,
-        callback=None if score_fn is None else on_iteration,
     )
+    scores = None if score_fn is None else tuple(float(score_fn(precoder(p))) for p in points)
     return PrecodingMatrix(precoder(x)), OptimizationTrace(
         tuple(info["history"]), info["termination"], info["n_value_evals"],
-        info["n_grad_evals"], None if score_fn is None else tuple(scores))
+        info["n_grad_evals"], scores)
 
 
 def lbfgs_maximize(spec, cfg: OptimizerConfig | None = None, score_fn=None):
@@ -397,9 +387,15 @@ class _Softmax:
         alpha = _logit(np.clip(T * power.sum(axis=1), 1e-6, 1.0 - 1e-6))
         return np.concatenate([theta.ravel(), eta.ravel(), alpha])
 
-    def decode_full(self, x: np.ndarray):
-        """The precoder plus the stream shares p and the sigmoids of alpha and
-        eta, which chain reuses."""
+    def decode(self, x: np.ndarray):
+        """The precoder and its pullback: the real gradient for the packed
+        parameters from the complex ascent gradient D at W.
+
+        With r = Re(conj(D) * W) elementwise, the magnitude chain reduces to
+        d/d theta_ik = (r_ik - p_ik * sum_j r_ij) / 2 and
+        d/d alpha_i = (1 - sigmoid(alpha_i)) * sum_j r_ij / 2, with no division
+        by the (possibly tiny) amplitudes. Phases use the imaginary part.
+        """
         T, L = self.shape
         theta, eta = x[:2 * T * L].reshape(2, T, L)
         t = theta - theta.max(axis=1, keepdims=True)
@@ -409,25 +405,17 @@ class _Softmax:
         se = _sigmoid(eta)
         q = p * sa[:, None] * (1.0 / T)
         W = np.sqrt(q) * np.exp(1j * 2.0 * np.pi * se)
-        return W, (p, sa, se)
 
-    def chain(self, D: np.ndarray, W: np.ndarray, aux) -> np.ndarray:
-        """Real gradient for the packed parameters from the complex ascent
-        gradient D at W = decode(x).
+        def pull(D):
+            cross = np.conj(D) * W
+            r = cross.real
+            row = r.sum(axis=1)
+            d_theta = 0.5 * (r - p * row[:, None])
+            d_alpha = 0.5 * (1.0 - sa) * row
+            d_eta = -cross.imag * (2.0 * np.pi) * se * (1.0 - se)
+            return np.concatenate([d_theta.ravel(), d_eta.ravel(), d_alpha])
 
-        With r = Re(conj(D) * W) elementwise, the magnitude chain reduces to
-        d/d theta_ik = (r_ik - p_ik * sum_j r_ij) / 2 and
-        d/d alpha_i = (1 - sigmoid(alpha_i)) * sum_j r_ij / 2, with no division
-        by the (possibly tiny) amplitudes. Phases use the imaginary part.
-        """
-        p, sa, se = aux
-        cross = np.conj(D) * W
-        r = cross.real
-        row = r.sum(axis=1)
-        d_theta = 0.5 * (r - p * row[:, None])
-        d_alpha = 0.5 * (1.0 - sa) * row
-        d_eta = -cross.imag * (2.0 * np.pi) * se * (1.0 - se)
-        return np.concatenate([d_theta.ravel(), d_eta.ravel(), d_alpha])
+        return W, pull
 
 
 def softmax_maximize(spec, cfg: OptimizerConfig | None = None, score_fn=None):

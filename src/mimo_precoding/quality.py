@@ -24,7 +24,7 @@ from .errors import (
     UndefinedSinrError,
 )
 from .irc import c_einsum, irc_forward
-from .model import ChannelSet, SystemParams, check_noise, check_power, susinr_gain
+from .model import ChannelSet, SystemParams, check_noise, susinr_gain
 
 _LN2 = math.log(2.0)
 
@@ -56,7 +56,7 @@ def row_power(W: np.ndarray) -> np.ndarray:
 
 def _inside(L: int) -> float:
     """The fraction of the cap 1/T that a rescaled row's power is put at: by
-    optimizer._ball for a row outside the ball, by baselines.normalize_power
+    optimizer._projection for a row outside the ball, by baselines.normalize_power
     for the largest row of a closed-form precoder.
 
     With u = 2**-53 and g_n = n u / (1 - n u), the computed power of a row of
@@ -179,19 +179,18 @@ def spectral_efficiency_irc(W, channel: ChannelSet, params: SystemParams) -> Sin
     )
 
 
-def susinr(channel: ChannelSet, sigma2: float, P: float) -> float:
+def susinr(channel: ChannelSet, noise_to_signal: float) -> float:
     """Single-user SINR of the channel in dB, a per-antenna-free quality scalar.
 
-    (P / sigma2) times the double geometric mean over users of the leading
-    squared singular values with the per-user 1/L_k factor kept inside the
-    outer mean, exactly as susinr_gain computes it.
+    The double geometric mean over users of the leading squared singular
+    values, with the per-user 1/L_k factor kept inside the outer mean exactly
+    as susinr_gain computes it, over noise_to_signal = sigma2 / P.
     """
-    check_power(P)
-    check_noise(sigma2)
-    if sigma2 == 0:
+    check_noise(noise_to_signal)
+    if noise_to_signal == 0:
         raise InfiniteSusinrError("single-user SINR is infinite at zero noise power")
     gain = susinr_gain(channel.dims, channel.S_tilde)
-    return 10.0 * math.log10(P * gain / sigma2)
+    return 10.0 * math.log10(gain / noise_to_signal)
 
 
 def se_conjugate(W, v_rows: np.ndarray, s_values: np.ndarray, noise_to_signal: float) -> float:

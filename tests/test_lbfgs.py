@@ -24,6 +24,17 @@ def evaluating(vag):
     return evaluate
 
 
+def recording(evaluate):
+    """evaluate, and the points its grad() runs at, each kept before grad()
+    runs so a grad that raises is counted too."""
+    points = []
+
+    def wrapped(x):
+        f, grad = evaluate(x)
+        return f, lambda: points.append(x) or grad()
+    return wrapped, points
+
+
 def rosenbrock(x):
     # The negated Rosenbrock function and its gradient; optimum at (1, 1).
     a, b = x
@@ -231,15 +242,13 @@ class TestEngine:
         # The run returns the first accepted step, and the history ends there
         # with a NaN gradient norm.
         evaluate, calls = self._failing_at_first_step(fail)
-        seen = []
         x, info = lbfgs.maximize(evaluate, np.array([0.0]), max_iters=10, tol_grad=1e-12,
-                                 tol_change=1e-14,
-                                 callback=lambda i, x, f, gn, step: seen.append((i, gn)))
+                                 tol_change=1e-14)
         assert info["termination"] == lbfgs.TERM_GRADIENT_FAILURE
         np.testing.assert_array_equal(x, calls[1])
         last = info["history"][-1]
         assert last.iteration == 1 and last.objective == -float((x[0] - 3.0) ** 2)
-        assert np.isnan(last.grad_norm) and np.isnan(seen[-1][1]) and len(seen) == 2
+        assert np.isnan(last.grad_norm) and len(info["history"]) == len(calls) == 2
         assert info["n_grad_evals"] == 2
 
     @staticmethod
@@ -300,13 +309,12 @@ class TestEngine:
         assert info["termination"] == lbfgs.TERM_MAX_ITERS
         assert len(info["history"]) == 2
 
-    def test_callback_sees_every_accepted_iterate(self):
-        seen = []
-        lbfgs.maximize(evaluating(quadratic(np.array([1.0]))), np.zeros(1), max_iters=30,
-                       tol_grad=1e-10, tol_change=1e-12,
-                       callback=lambda i, x, f, gn, step: seen.append(i))
-        assert seen[0] == 0
-        assert seen == list(range(len(seen)))
+    def test_history_numbers_every_accepted_iterate(self):
+        evaluate, graded = recording(evaluating(quadratic(np.array([1.0]))))
+        x, info = lbfgs.maximize(evaluate, np.zeros(1), max_iters=30, tol_grad=1e-10,
+                                 tol_change=1e-12)
+        assert [r.iteration for r in info["history"]] == list(range(len(graded)))
+        assert graded[0][0] == 0.0 and graded[-1] is x
 
     def test_never_writes_into_a_handed_out_array(self):
         # The optimizer's grad closes over W, a view of the x handed to
@@ -334,20 +342,45 @@ class TestEngine:
                 assert handed[i - 1][0] == "evaluate" and handed[i - 1][1] is x
 
     def test_grad_runs_once_per_accepted_step_never_at_a_rejected_trial(self):
-        evaluated, graded, accepted = [], [], []
+        evaluated = []
 
         def evaluate(x):
             evaluated.append(x)
             f, g = rosenbrock(x)
-            return f, lambda: graded.append(x) or g
+            return f, lambda: g
 
+        evaluate, graded = recording(evaluate)
         _, info = lbfgs.maximize(evaluate, np.array([-1.2, 1.0]), max_iters=30,
-                                 tol_grad=1e-10, tol_change=1e-14,
-                                 callback=lambda i, x, f, gn, step: accepted.append(x))
+                                 tol_grad=1e-10, tol_change=1e-14)
         assert info["n_value_evals"] > len(info["history"])  # some trials were rejected
         assert len(evaluated) == info["n_value_evals"] + 1
         assert len(graded) == info["n_grad_evals"] == len(info["history"])
-        assert all(g is a for g, a in zip(graded, accepted, strict=True))
+        # Each graded point is the accepted iterate of its record.
+        assert [rosenbrock(x)[0] for x in graded] == [r.objective for r in info["history"]]
+
+    @staticmethod
+    def _misleading_past_two(x):
+        """-(x - 3)^2 with its true gradient below x = 2 and +1 from there on:
+        the first accepted step lands at 3, where no step along +1 rises."""
+        return -float((x[0] - 3.0) ** 2), np.array([-2.0 * (x[0] - 3.0) if x[0] < 2.0 else 1.0])
+
+    # Optimizer scores rely on it: one grad() per history record, whatever
+    # ends the run, and the last one at the returned iterate.
+    @pytest.mark.parametrize("termination", [
+        lbfgs.TERM_GRADIENT, lbfgs.TERM_LINE_SEARCH, lbfgs.TERM_GRADIENT_FAILURE])
+    def test_grad_runs_once_per_history_record(self, termination):
+        evaluate = {
+            lbfgs.TERM_GRADIENT: evaluating(quadratic(np.array([3.0, 1.0]))),
+            lbfgs.TERM_LINE_SEARCH: evaluating(self._misleading_past_two),
+            lbfgs.TERM_GRADIENT_FAILURE: self._failing_at_first_step(
+                self._raising(NumericalFailureError))[0],
+        }[termination]
+        evaluate, graded = recording(evaluate)
+        x0 = np.zeros(2 if termination == lbfgs.TERM_GRADIENT else 1)
+        x, info = lbfgs.maximize(evaluate, x0, max_iters=50, tol_grad=1e-10, tol_change=1e-14)
+        assert info["termination"] == termination
+        assert len(graded) == info["n_grad_evals"] == len(info["history"]) >= 2
+        assert graded[-1] is x
 
     @staticmethod
     def _guarded(error):

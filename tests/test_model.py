@@ -326,13 +326,13 @@ class TestNoiseCalibration:
     def test_round_trip_oracle(self):
         ch = random_channel(7, K=8, T=16, R=4, L=2)
         sigma2 = noise_from_susinr(ch, 1.0, 12.0)
-        assert susinr(ch, sigma2, 1.0) == pytest.approx(12.0, abs=1e-9)
+        assert susinr(ch, sigma2) == pytest.approx(12.0, abs=1e-9)
 
     @pytest.mark.parametrize("target", [-4.0, 0.0, 23.5, 40.0])
     def test_round_trip_many_targets(self, target):
         ch = random_channel(8, K=3, T=8, R=2, L=2)
         sigma2 = noise_from_susinr(ch, 2.0, target)
-        assert susinr(ch, sigma2, 2.0) == pytest.approx(target, abs=1e-9)
+        assert susinr(ch, sigma2 / 2.0) == pytest.approx(target, abs=1e-9)
 
     def test_equals_per_user_loop_bitwise(self):
         # The users with 16 and 9 streams sum enough logs for numpy's pairwise

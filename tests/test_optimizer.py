@@ -28,9 +28,7 @@ from mimo_precoding.errors import (
     ConfigError, DimensionError, InfiniteSusinrError, NumericalFailureError, UndefinedSinrError,
 )
 from mimo_precoding import lbfgs, optimizer
-from mimo_precoding.optimizer import (
-    _ball, _chain_projection, _project, _ProjectionParam, _Softmax,
-)
+from mimo_precoding.optimizer import _projection, _ProjectionParam, _Softmax
 from mimo_precoding.quality import PrecodingMatrix, row_power
 
 from conftest import (
@@ -147,8 +145,8 @@ def margin(L):
 
 
 def masked_ball(W):
-    """The masked form of _ball: the factor is divided on the rows outside
-    only, through np.divide's where=, whatever their number."""
+    """The masked form of _projection's decision: the factor is divided on
+    the rows outside only, through np.divide's where=, whatever their number."""
     power = row_power(W)
     cap = 1.0 / W.shape[0]
     over = power > cap
@@ -159,8 +157,14 @@ def masked_ball(W):
                                           where=over))
 
 
+def masked_projection(W, ball):
+    """The masked form of the projection."""
+    over, scale = ball[1:]
+    return W.copy() if over is None else W * scale[:, None]
+
+
 def masked_chain_projection(D, W, ball):
-    """The masked form of _chain_projection."""
+    """The masked form of the projection's pullback."""
     power, over, scale = ball
     if over is None:
         return D
@@ -176,18 +180,17 @@ class TestBall:
 
         def counted(W):
             calls.append(1)
-            return _ball(W)
+            return _projection(W)
 
-        monkeypatch.setattr(optimizer, "_ball", counted)
+        monkeypatch.setattr(optimizer, "_projection", counted)
         for _ in range(1000):
             T = int(rng.integers(1, 129))
             W = exterior_precoder(rng, T)
             cap = 1.0 / T
-            ball = _ball(W)
-            assert ball[1].all()
+            assert np.all(row_power(W) > cap)
             calls.clear()
-            out = _project(W, ball)
-            assert calls == []  # no check pass
+            out = project(W)
+            assert calls == [1]  # one pass, no check pass
             power = row_power(out)
             assert np.all(power <= cap) and np.all(power >= cap * (1.0 - 2.0 * margin(16)))
 
@@ -215,17 +218,26 @@ class TestBall:
         rng = np.random.default_rng(seed)
         W = self.CASES[case](rng)
         D = complex_randn(rng, W.shape)
-        ball, expected = _ball(W), masked_ball(W)
-        # The fourth entry is the mask _ratio_over divides under: None when
-        # every row is outside (or when none is, with the mask None too).
-        every = expected[1] is None or expected[1].all()
-        assert ball[3] is None if every else ball[3] is ball[1]
-        for got, want in zip(ball, expected):
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got.tobytes() == want.tobytes()
-        got = _chain_projection(D, W, ball)
+        (Wp, pull), expected = _projection(W), masked_ball(W)
+        assert Wp.tobytes() == masked_projection(W, expected).tobytes()
+        got = pull(D)
         assert got.tobytes() == masked_chain_projection(D, W, expected).tobytes()
+        # With every row inside, the pullback is the identity.
+        assert (got is D) == (expected[1] is None)
+
+
+def capture_engine_evaluate(monkeypatch, spec, W, score_fn=None):
+    """The evaluate lbfgs_maximize hands the engine on a run from W."""
+    handed = []
+
+    def capture(evaluate, x0, **kwargs):
+        handed.append(evaluate)
+        return x0, {"termination": lbfgs.TERM_MAX_ITERS, "history": [],
+                    "n_value_evals": 0, "n_grad_evals": 0}
+
+    monkeypatch.setattr(lbfgs, "maximize", capture)
+    lbfgs_maximize(spec, OptimizerConfig(start="custom", start_matrix=W), score_fn=score_fn)
+    return handed[0]
 
 
 def numpy_python_calls(fn):
@@ -254,9 +266,11 @@ class TestNoNumpyWrapperOnTheHotPath:
     min and max, np.count_nonzero, np.full, np.fill_diagonal), whose checks
     and dispatch cost more than the call at these sizes."""
 
-    @pytest.mark.parametrize("rows", ["all-outside", "some-inside"])
+    # "driver" is the evaluate lbfgs_maximize hands the engine, over mixed
+    # rows: decode, the projection's pullback and the float64 view.
+    @pytest.mark.parametrize("rows", ["all-outside", "some-inside", "all-inside", "driver"])
     @pytest.mark.parametrize("kind", ["irc", "cd"])
-    def test_evaluate_and_grad(self, kind, rows):
+    def test_evaluate_and_grad(self, kind, rows, monkeypatch):
         dims = ScenarioConfig().dims
         channel = generate_channels(dims, 0)
         spec = ObjectiveSpec(kind, channel, calibrated_params(channel))
@@ -264,14 +278,17 @@ class TestNoNumpyWrapperOnTheHotPath:
         if rows == "all-outside":
             W = exterior_precoder(rng, dims.T, dims.L)
         else:
-            W = mixed_rows_precoder(rng, dims.T, dims.L)
-        over = _ball(W)[1]
-        assert over.all() if rows == "all-outside" else 0 < over.sum() < over.size
+            W = mixed_rows_precoder(rng, dims.T, dims.L,
+                                    exterior_fraction=0.0 if rows == "all-inside" else 0.5)
+        n_over = {"all-outside": range(dims.T, dims.T + 1), "all-inside": range(1)}
+        assert np.count_nonzero(row_power(W) > 1.0 / dims.T) in n_over.get(rows, range(1, dims.T))
 
-        def evaluate():
-            f, grad = optimizer._evaluate(W, spec)
-            grad()
-
+        if rows == "driver":
+            x = _ProjectionParam(W.shape).encode(W)
+            handed = capture_engine_evaluate(monkeypatch, spec, W, score_fn=lambda W: 0.0)
+            evaluate = lambda: handed(x)[1]()
+        else:
+            evaluate = lambda: optimizer._evaluate(W, spec)[1]()
         assert numpy_python_calls(evaluate) == []
 
     def test_two_loop_and_inf_norm(self):
@@ -406,22 +423,14 @@ class TestGradient:
         # The evaluate that lbfgs_maximize hands the engine reuses its forward
         # pass and the row power of W; the public gradient recomputes both.
         # Mixed rows plus an all-zero row.
-        handed = []
-
-        def capture(evaluate, x0, **kwargs):
-            handed.append(evaluate)
-            return x0, {"termination": lbfgs.TERM_MAX_ITERS, "history": [],
-                        "n_value_evals": 0, "n_grad_evals": 0}
-
-        monkeypatch.setattr(lbfgs, "maximize", capture)
         spec = (cd_spec if kind == "cd" else irc_spec)(31, K=4, T=16, R=4, L=2)
         W = mixed_rows_precoder(np.random.default_rng(32), 16, 8)
         W[5] = 0.0
-        lbfgs_maximize(spec, OptimizerConfig(start="custom", start_matrix=W))
+        handed = capture_engine_evaluate(monkeypatch, spec, W)
         param = _ProjectionParam(W.shape)
-        f, grad = handed[0](param.encode(W))
+        f, grad = handed(param.encode(W))
         assert f == objective(W, spec)
-        np.testing.assert_array_equal(param.decode_full(grad())[0], gradient(W, spec))
+        np.testing.assert_array_equal(param.decode(grad())[0], gradient(W, spec))
 
     def test_exterior_rows_lose_radial_component(self):
         spec = cd_spec(13)
@@ -629,6 +638,33 @@ class TestLbfgsMaximize:
         _, trace = lbfgs_maximize(spec, OptimizerConfig(max_iters=10), score_fn=score)
         assert len(trace.scores) == len(trace.records) and None not in trace.scores
 
+    # Scores are taken after the run, at the points the engine's grad() ran
+    # at: the step that ends the run on a failed gradient is a record, so it
+    # is scored too.
+    @pytest.mark.parametrize("driver", [lbfgs_maximize, softmax_maximize])
+    def test_one_score_per_record_at_a_gradient_failure(self, driver):
+        spec, _, C = self._non_finite_at(2, np.nan)
+        score = lambda W: float(np.vdot(C, W).real + np.abs(W).sum())
+        cfg = OptimizerConfig(max_iters=30, tol_grad=1e-12, start="custom",
+                              start_matrix=np.full((4, 2), 0.1 + 0.0j))
+        W, trace = driver(spec, cfg, score_fn=score)
+        assert trace.termination == lbfgs.TERM_GRADIENT_FAILURE and trace.iterations == 1
+        assert len(trace.scores) == len(trace.records) == 2
+        assert trace.scores[-1] == score(W.W)
+
+    def test_score_fn_error_propagates(self):
+        spec = cd_spec(19)
+        calls = []
+
+        def score(W):
+            calls.append(W)
+            if len(calls) == 2:
+                raise NumericalFailureError("no score at the second record")
+            return 0.0
+
+        with pytest.raises(NumericalFailureError, match="second record"):
+            lbfgs_maximize(spec, OptimizerConfig(max_iters=10), score_fn=score)
+
     def test_irc_objective_is_the_scoring_se(self):
         # The trace command reports SE-IRC of QN-IRC runs from this equality.
         spec = irc_spec(19, K=3, T=8, R=2, L=2)
@@ -744,7 +780,7 @@ class TestSoftmax:
     def test_uniform_decode_row_powers(self):
         T, L = 4, 2
         x = packed(np.zeros((T, L)), np.zeros((T, L)), np.full(T, 30.0))
-        W, _ = _Softmax((T, L)).decode_full(x)
+        W, _ = _Softmax((T, L)).decode(x)
         row_power = np.einsum("ml,ml->m", W, W.conj()).real
         np.testing.assert_allclose(row_power, 1.0 / T, rtol=1e-9)
 
@@ -753,7 +789,7 @@ class TestSoftmax:
         T, L = 6, 3
         x = packed(rng.standard_normal((T, L)) * 5, rng.standard_normal((T, L)) * 5,
                    rng.standard_normal(T) * 5)
-        W, _ = _Softmax((T, L)).decode_full(x)
+        W, _ = _Softmax((T, L)).decode(x)
         row_power = np.einsum("ml,ml->m", W, W.conj()).real
         assert np.all(row_power <= 1.0 / T)
 
@@ -761,15 +797,15 @@ class TestSoftmax:
         rng = np.random.default_rng(22)
         W0 = 0.2 * complex_randn(rng, (4, 2))
         softmax = _Softmax((4, 2))
-        np.testing.assert_allclose(softmax.decode_full(softmax.encode(W0))[0], W0, atol=1e-5)
+        np.testing.assert_allclose(softmax.decode(softmax.encode(W0))[0], W0, atol=1e-5)
 
     def test_parameter_gradient_matches_finite_differences(self):
         spec = cd_spec(23, K=2, T=4, R=2, L=1)
         dec = _Softmax((4, 2))
         rng = np.random.default_rng(24)
         x = rng.standard_normal(4 * 2 * 2 + 4)
-        W, aux = dec.decode_full(x)
-        g = dec.chain(gradient(W, spec), W, aux)
+        W, pull = dec.decode(x)
+        g = pull(gradient(W, spec))
         h = 1e-6
         fd = np.empty_like(x)
         for i in range(x.size):
@@ -777,8 +813,8 @@ class TestSoftmax:
             xp[i] += h
             xm = x.copy()
             xm[i] -= h
-            fd[i] = (objective(dec.decode_full(xp)[0], spec)
-                     - objective(dec.decode_full(xm)[0], spec)) / (2 * h)
+            fd[i] = (objective(dec.decode(xp)[0], spec)
+                     - objective(dec.decode(xm)[0], spec)) / (2 * h)
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) <= 1e-5
 
     def test_scalar_case_saturates_toward_full_power(self):
@@ -812,7 +848,7 @@ class TestSoftmax:
         cfg = OptimizerConfig(start="custom", start_matrix=np.zeros((T, L)))
         scored = []
         W, trace = softmax_maximize(flat, cfg, score_fn=lambda W: scored.append(W) or 0.0)
-        raw, _ = _Softmax((T, L)).decode_full(saturated)
+        raw, _ = _Softmax((T, L)).decode(saturated)
         assert not PrecodingMatrix(raw).feasible(tol=0.0)
         assert trace.iterations == 0 and trace.termination == lbfgs.TERM_GRADIENT
         assert W.feasible(tol=0.0)

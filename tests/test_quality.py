@@ -183,26 +183,23 @@ class TestBenchmarkOracle:
 class TestSusinr:
     def test_zero_db(self):
         ch = build_channel_set([np.eye(1)], [1])
-        assert susinr(ch, 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert susinr(ch, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_singular_value_two(self):
         ch = build_channel_set([np.diag([2.0, 1.0])], [1])
-        assert susinr(ch, 1.0, 1.0) == pytest.approx(10.0 * np.log10(4.0), abs=1e-12)
+        assert susinr(ch, 1.0) == pytest.approx(10.0 * np.log10(4.0), abs=1e-12)
 
     def test_zero_noise(self):
         ch = build_channel_set([np.eye(1)], [1])
         with pytest.raises(InfiniteSusinrError):
-            susinr(ch, 0.0, 1.0)
+            susinr(ch, 0.0)
 
-    # A NaN noise or power returned NaN.
-    @pytest.mark.parametrize("sigma2, P, name", [
-        (np.nan, 1.0, "sigma2"), (np.inf, 1.0, "sigma2"), (-1.0, 1.0, "sigma2"),
-        (1.0, np.nan, "P"), (1.0, np.inf, "P"), (1.0, 0.0, "P"),
-    ])
-    def test_non_finite_noise_or_power_rejected(self, sigma2, P, name):
+    # A NaN noise-to-signal ratio returned NaN.
+    @pytest.mark.parametrize("noise_to_signal", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_ratio_rejected(self, noise_to_signal):
         ch = build_channel_set([np.eye(1)], [1])
-        with pytest.raises(ValueError, match=f"^{name} must be"):
-            susinr(ch, sigma2, P)
+        with pytest.raises(ValueError, match="^sigma2 must be"):
+            susinr(ch, noise_to_signal)
 
 
 class TestConjugateQuality:
