@@ -11,11 +11,12 @@ scattered, by flat take and put. For each user, with lam = sigma2 / P,
     B = H_k W,  Q = B B^H + lam I,  G = A^H Q^{-1}  (A = user k's columns of B),
     Z = G B,    SINR_l = |Z_ll|^2 / (sum_{i != l} |Z_li|^2 + lam ||g_l||^2),
 
-the effective SINR is the geometric mean of the user's SINRs and the spectral
-efficiency sums L_k log2(1 + effective SINR) over users. `irc_forward` returns
-that value with a cache (B, B^H, Q^{-1}, G, Z) from which `irc_backward` pulls
-the gradient back through the detector. Q is factored once, by LU, unless a
-rounding bound cannot prove it positive definite (`_hpd_inverse`).
+the effective SINR is the geometric mean of the user's SINRs (0 when one of
+them is) and the spectral efficiency sums L_k log2(1 + effective SINR) over
+users. `irc_forward` returns that value with a cache (B, B^H, Q^{-1}, G, Z)
+from which `irc_backward` pulls the gradient back through the detector. Q is
+factored once, by LU, unless a rounding bound cannot prove it positive
+definite (`_hpd_inverse`).
 
 Both take one (T, L) precoder or a (b, T, L) stack. A stack is folded into
 each group's user axis by reshape, precoder j's rows after precoder j - 1's,
@@ -113,9 +114,11 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, own: np.ndarray,
     Returns the SINRs and their denominators, shaped like own, the effective
     SINRs, (n,) or (b, n), the group's spectral efficiency in bit/s/Hz, a
     scalar or one per precoder, and whether every SINR is positive, which
-    irc_backward reads instead of rescanning. Each validity test is one
-    reduction; a NaN carries through the minimum to the failing branch. The
-    sums and minima are ufunc reductions (np.add.reduce, np.minimum.reduce)
+    irc_backward reads instead of rescanning. An effective SINR is
+    exp(mean(log sinr)): a zero SINR logs to -inf and makes its user's 0.0,
+    with the divide flag silenced on that branch only (errstate costs about a
+    microsecond). Each validity test is one reduction; a NaN carries through
+    the minimum to the failing branch. The sums and minima are ufunc reductions (np.add.reduce, np.minimum.reduce)
     and the detector row powers c_einsum: what ndarray.sum and min and
     np.einsum call, without their Python layer, on every evaluation. A zero
     denominator (no interference and no effective noise) raises
@@ -138,21 +141,13 @@ def score_group(Z: np.ndarray, G: np.ndarray, group: UserGroup, own: np.ndarray,
         raise NumericalFailureError(f"{bad}: SINR denominator is {den.flat[i]}")
     sinr = signal / den
     positive = bool(np.minimum.reduce(sinr, axis=None) > 0.0)
-    eff = _unmasked_geometric_means(sinr) if positive else geometric_means(sinr)
+    if positive:
+        logs = np.log(sinr)
+    else:  # a zero SINR's log is -inf, so its user's mean is exactly 0.0
+        with np.errstate(divide="ignore"):
+            logs = np.log(sinr)
+    eff = np.exp(np.add.reduce(logs, axis=-1) / own.shape[-1])
     return sinr, den, eff, own.shape[-1] * np.add.reduce(np.log1p(eff), axis=-1) / _LN2, positive
-
-
-def _unmasked_geometric_means(sinr: np.ndarray) -> np.ndarray:
-    # For positive SINRs only; the same bits as geometric_means there.
-    return np.exp(np.add.reduce(np.log(sinr), axis=-1) / sinr.shape[-1])
-
-
-def geometric_means(sinr: np.ndarray) -> np.ndarray:
-    """Geometric mean over the last axis; a zero anywhere collapses it to zero.
-    score_group calls it only when some SINR is not positive."""
-    logs = np.log(np.where(sinr > 0.0, sinr, 1.0))
-    means = np.exp(logs.sum(axis=-1) / sinr.shape[-1])
-    return np.where((sinr == 0.0).any(axis=-1), 0.0, means)
 
 
 def _hermitian_solve(Q: np.ndarray, rhs: np.ndarray, context: str,

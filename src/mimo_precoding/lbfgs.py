@@ -7,7 +7,9 @@ sufficient-increase condition, which makes accepted objective values
 non-decreasing by construction. The objective is one function,
 evaluate(x) -> (f, grad), whose grad() runs once per history record: at x0
 and at each accepted step; a NaN or inf gradient ends the run as a
-MimoError does. Each pair's scaling s.y / y.y (Nocedal & Wright, eq. 7.20)
+MimoError does. The history of accepted iterates is the run's one record:
+the gradient count is its length and the change test reads its last two
+objectives. Each pair's scaling s.y / y.y (Nocedal & Wright, eq. 7.20)
 is taken once, when the pair is stored.
 
 The vector work is level-1 BLAS (ddot, dscal, daxpy, positional arguments):
@@ -103,12 +105,12 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
 
     Returns (x, info); info carries the termination reason, the history (a
     list of one IterationRecord per accepted iterate; entry 0 is the starting
-    point) and the evaluation counters n_value_evals and n_grad_evals.
+    point) and the evaluation counters n_value_evals and n_grad_evals, the
+    latter len(history).
     """
     x = np.asarray(x0, dtype=float).copy()
     f, grad = evaluate(x)
     g = np.asarray(grad(), dtype=float)
-    n_grad = 1
     n_value = 0
 
     g_inf = _inf_norm(g)  # NaN or inf exactly when some entry of g is
@@ -117,16 +119,14 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
     history = [IterationRecord(0, float(f), g_inf, 0.0)]
 
     pairs, gamma = deque(maxlen=memory), 1.0  # (s, y, 1 / s.y) oldest first; gamma of the newest
-    last_df = None
-    last_s = None
     termination = TERM_MAX_ITERS
 
     for t in range(1, max_iters + 1):
         if g_inf <= tol_grad:
             termination = TERM_GRADIENT
             break
-        if (last_df is not None and last_df <= tol_change
-                and float(np.linalg.norm(last_s)) <= tol_change):
+        if (t > 1 and abs(f - history[-2].objective) <= tol_change
+                and float(np.linalg.norm(s)) <= tol_change):
             termination = TERM_CHANGE
             break
 
@@ -138,7 +138,6 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
             gd = ddot(g, g)
 
         step = INITIAL_STEP
-        x_new = None
         for _ in range(MAX_LINE_SEARCH):
             cand = x + d if step == 1.0 else x + step * d  # 1.0 * d is d exactly
             n_value += 1
@@ -147,26 +146,24 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
             except MimoError:  # numerical trouble at a trial rejects it
                 f_new = -np.inf
             if np.isfinite(f_new) and f_new >= f + ARMIJO_C1 * step * gd:
-                x_new = cand
                 break
             step *= BACKTRACK
-        if x_new is None:
+        else:
             termination = TERM_LINE_SEARCH
             break
 
-        n_grad += 1
         try:
             g_new = np.asarray(grad(), dtype=float)
             g_inf_new = _inf_norm(g_new)
         except MimoError:
             g_inf_new = np.nan
         if not math.isfinite(g_inf_new):
-            x, f, g_inf = x_new, float(f_new), np.nan
-            history.append(IterationRecord(t, f, g_inf, step))
+            x = cand
+            history.append(IterationRecord(t, float(f_new), np.nan, step))
             termination = TERM_GRADIENT_FAILURE
             break
 
-        s = x_new - x
+        s = cand - x
         y = g - g_new  # descent-convention difference for the negated objective
         sy = ddot(s, y)
         if sy > CURVATURE_MIN:
@@ -175,14 +172,12 @@ def maximize(evaluate, x0: np.ndarray, *, max_iters: int, tol_grad: float,
         else:
             pairs.clear()
 
-        last_df = abs(float(f_new) - float(f))
-        last_s = s
-        x, f, g, g_inf = x_new, float(f_new), g_new, g_inf_new
+        x, f, g, g_inf = cand, float(f_new), g_new, g_inf_new
         history.append(IterationRecord(t, f, g_inf, step))
 
     return x, {
         "termination": termination,
         "history": history,
         "n_value_evals": n_value,
-        "n_grad_evals": n_grad,
+        "n_grad_evals": len(history),
     }

@@ -32,10 +32,11 @@ def check_power(P) -> None:
         raise ValueError(f"P must be a positive finite number, got {P!r}")
 
 
-def check_noise(sigma2) -> None:
-    """Reject a noise power sigma2 that is not a nonnegative finite number."""
-    if isinstance(sigma2, (bool, np.bool_)) or not (sigma2 >= 0 and math.isfinite(sigma2)):
-        raise ValueError(f"sigma2 must be a nonnegative finite number, got {sigma2!r}")
+def check_noise(value, name: str) -> None:
+    """Reject a noise level that is not a nonnegative finite number: the noise
+    power "sigma2" or the ratio "noise_to_signal" (sigma2 / P), named so."""
+    if isinstance(value, (bool, np.bool_)) or not (value >= 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be a nonnegative finite number, got {value!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -115,7 +116,7 @@ class SystemParams:
 
     def __post_init__(self):
         check_power(self.P)
-        check_noise(self.sigma2)
+        check_noise(self.sigma2, "sigma2")
         if not is_count(self.L):
             raise DimensionError(f"L must be an integer, got {self.L!r}")
         if self.L < 1:

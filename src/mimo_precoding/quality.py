@@ -186,7 +186,7 @@ def susinr(channel: ChannelSet, noise_to_signal: float) -> float:
     values, with the per-user 1/L_k factor kept inside the outer mean exactly
     as susinr_gain computes it, over noise_to_signal = sigma2 / P.
     """
-    check_noise(noise_to_signal)
+    check_noise(noise_to_signal, "noise_to_signal")
     if noise_to_signal == 0:
         raise InfiniteSusinrError("single-user SINR is infinite at zero noise power")
     gain = susinr_gain(channel.dims, channel.S_tilde)
@@ -209,7 +209,9 @@ def se_conjugate(W, v_rows: np.ndarray, s_values: np.ndarray, noise_to_signal: f
 
 def cd_noise(s_values: np.ndarray, noise_to_signal: float) -> np.ndarray:
     """Per-symbol effective noise n_l = noise_to_signal / s_l^2 of the
-    conjugate detector, fixed for a channel and noise level."""
+    conjugate detector, fixed for a channel and noise level. A NaN, infinite
+    or negative ratio raises ValueError."""
+    check_noise(noise_to_signal, "noise_to_signal")
     s = np.asarray(s_values, dtype=float)
     if np.any(s <= 0):
         raise DegenerateChannelError("singular values must be positive")

@@ -1,6 +1,7 @@
 """Scalar per-user references the library's batched SINR paths are checked
 against: the conjugate detector of one user, the per-symbol SINR under
-conjugate detection and the effective (geometric-mean) SINR of one user.
+conjugate detection and the effective (geometric-mean) SINR of one user,
+whose masked geometric mean is written here apart from the library's.
 
 The library computes these quantities only in batch (irc.irc_forward for
 MMSE-IRC, quality.cd_forward for the conjugate-detection surrogate); the tests
@@ -10,8 +11,15 @@ compare against the one-user, one-symbol forms here.
 import numpy as np
 
 from mimo_precoding import DegenerateChannelError, DimensionError, UserChannel
-from mimo_precoding.irc import geometric_means
 from mimo_precoding.quality import as_array
+
+
+def geometric_means(sinr: np.ndarray) -> np.ndarray:
+    """Geometric mean over the last axis, masked: logs of positive SINRs only,
+    and zero wherever a row holds a zero."""
+    logs = np.log(np.where(sinr > 0.0, sinr, 1.0))
+    means = np.exp(logs.sum(axis=-1) / sinr.shape[-1])
+    return np.where((sinr == 0.0).any(axis=-1), 0.0, means)
 
 
 def effective_sinr(per_symbol) -> float:

@@ -43,6 +43,18 @@ class TestRun:
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 2
 
+    def test_negative_susinr_list_takes_the_equals_form(self, tmp_path, capsys):
+        # argparse reads "-4,0,4" after a space as an option, not as the
+        # flag's value; README shows the --susinr=-4,0,4 form.
+        cfg = write_config(tmp_path)
+        out = tmp_path / "report.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--susinr=-4,0,4"]) == 0
+        assert [row.split(",")[1] for row in out.read_text().splitlines()[1:]] == ["-4", "0", "4"]
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--susinr", "-4,0,4"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: argument --susinr: expected one argument"]
+
     def test_json_format(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "report.json"

@@ -6,6 +6,7 @@ loop gradient the kernel replaced, kept here verbatim as the reference.
 """
 
 import math
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -14,7 +15,6 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 
 from mimo_precoding import (
     BaselineConfig,
@@ -38,8 +38,9 @@ from mimo_precoding import (
 )
 from mimo_precoding import irc
 from mimo_precoding.harness import cell, run_algorithm
-from mimo_precoding.irc import geometric_means, irc_backward, irc_forward
+from mimo_precoding.irc import irc_backward, irc_forward
 
+import reference
 from conftest import calibrated_params, complex_randn, embed, fd_gradient, mixed_rows_precoder
 
 _LN2 = math.log(2.0)
@@ -131,32 +132,23 @@ def ragged_corr_case(seed):
     return channel, params, W
 
 
-def masked_geometric_means(sinr):
-    """The masked form of geometric_means: logs of positive SINRs only, and
-    zero wherever a row holds a zero."""
-    logs = np.log(np.where(sinr > 0.0, sinr, 1.0))
-    means = np.exp(logs.sum(axis=-1) / sinr.shape[-1])
-    return np.where((sinr == 0.0).any(axis=-1), 0.0, means)
-
-
 class TestGeometricMeans:
-    @settings(max_examples=200, deadline=None)
-    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=5),
-                  elements=st.floats(min_value=0.0, exclude_min=True)))
-    def test_bitwise_equal_to_masked_form(self, sinr):
-        # score_group's path when every SINR is positive.
-        with np.errstate(all="ignore"):
-            got, expected = irc._unmasked_geometric_means(sinr), masked_geometric_means(sinr)
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-
-    @settings(max_examples=200, deadline=None)
-    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=5),
-                  elements=st.floats() | st.sampled_from([0.0, -0.0, np.inf, np.nan])))
-    def test_library_masked_form_on_any_input(self, sinr):
-        # score_group's path when some SINR is zero, negative or NaN.
-        with np.errstate(all="ignore"):
-            got, expected = geometric_means(sinr), masked_geometric_means(sinr)
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("setting", ["iid", "ragged-corr"])
+    def test_zero_sinr_branch_matches_masked_reference(self, setting):
+        # One stream of one precoder scaled by 1e-150: its SINR underflows to
+        # zero, so score_group takes its silenced-log branch for the stack.
+        channel, params, Ws = TestStackErrors().stack(setting)
+        stream, user = TestStackErrors.STREAM[setting]
+        Ws[1, :, stream] *= 1e-150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, cache = irc_forward(Ws, channel, params)
+        assert not all(p.positive for p in cache.passes)
+        for p in cache.passes:
+            expected = reference.geometric_means(p.sinr)
+            assert p.eff.shape == expected.shape and p.eff.tobytes() == expected.tobytes()
+            if user in p.group.users:
+                assert p.eff[1, list(p.group.users).index(user)] == 0.0
 
 
 class TestForward:

@@ -212,6 +212,34 @@ class TestEngine:
                                  tol_grad=1e-8, tol_change=1e-14)
         assert np.linalg.norm(x - 1.0) <= 1e-5
 
+    # A direction that does not ascend (g.d <= 0) or is not finite resets the
+    # engine to steepest ascent. Over pairs of positive curvature the two-loop
+    # recursion gives one only through roundoff, so it is forced here at the
+    # third iteration.
+    @pytest.mark.parametrize("bad", [np.negative, lambda g: np.full_like(g, np.nan)],
+                             ids=["reversed", "nan"])
+    def test_unusable_direction_resets_to_steepest_ascent(self, bad, monkeypatch):
+        def run():
+            evaluate, graded = recording(evaluating(rosenbrock))
+            _, info = lbfgs.maximize(evaluate, np.array([-1.2, 1.0]), max_iters=200,
+                                     tol_grad=1e-8, tol_change=1e-14)
+            return graded, info
+
+        _, unpatched = run()
+        two_loop, gradients = lbfgs._two_loop, []
+
+        def patched(g, pairs, gamma):
+            gradients.append(g)
+            return bad(g) if len(gradients) == 3 else two_loop(g, pairs, gamma)
+
+        monkeypatch.setattr(lbfgs, "_two_loop", patched)
+        graded, info = run()
+        x, g, step = graded[2], gradients[2], info["history"][3].step
+        np.testing.assert_array_equal(graded[3], x + g if step == 1.0 else x + step * g)
+        values = [r.objective for r in info["history"]]
+        assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
+        assert info["termination"] == unpatched["termination"] == lbfgs.TERM_GRADIENT
+
     def test_line_search_failure_returns_best_iterate(self):
         # A stub whose reported gradient points away from any increase: no step
         # can satisfy the sufficient-increase test.

@@ -198,7 +198,7 @@ class TestSusinr:
     @pytest.mark.parametrize("noise_to_signal", [np.nan, np.inf, -1.0])
     def test_non_finite_or_negative_ratio_rejected(self, noise_to_signal):
         ch = build_channel_set([np.eye(1)], [1])
-        with pytest.raises(ValueError, match="^sigma2 must be"):
+        with pytest.raises(ValueError, match="^noise_to_signal must be"):
             susinr(ch, noise_to_signal)
 
 
@@ -275,3 +275,11 @@ class TestSeConjugate:
         values = [se_conjugate(W, ch.V_tilde, ch.S_tilde, s2)
                   for s2 in (1e-4, 1e-2, 1.0, 100.0)]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    # NaN, inf and -1 returned NaN; -1e-3 a finite, wrong value.
+    @pytest.mark.parametrize("noise_to_signal", [np.nan, np.inf, -1.0, -1e-3])
+    def test_non_finite_or_negative_ratio_rejected(self, noise_to_signal):
+        ch = random_channel(15, K=2, T=8, R=2, L=2)
+        W = complex_randn(np.random.default_rng(16), (8, 4))
+        with pytest.raises(ValueError, match="^noise_to_signal must be"):
+            se_conjugate(W, ch.V_tilde, ch.S_tilde, noise_to_signal)

@@ -1,0 +1,14 @@
+"""README.md's python blocks run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                        flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for source in blocks:
+        exec(compile(source, str(README), "exec"), {"__name__": "__readme__"})
