@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import zpotrf, zpotrs
 
-from .errors import DegenerateChannelError, DimensionError, SingularMatrixError, ZeroPrecoderError
+from .errors import DimensionError, SingularMatrixError, ZeroPrecoderError
 from .model import ChannelSet, SystemParams
 from .quality import PrecodingMatrix, _inside, row_power
 
@@ -153,12 +153,9 @@ def arzf(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
     """Adaptive RZF: per-stream regularization (sigma2 L / P) / s_l^2.
 
     The diagonal inverse-square singular values are the truncated L of them,
-    matching the (L, L) Gram matrix.
+    matching the (L, L) Gram matrix; build_channel_set has proven them positive.
     """
-    s = channel.S_tilde
-    if np.any(s <= 0):
-        raise DegenerateChannelError("adaptive RZF needs positive leading singular values")
-    reg = _regularizer(channel, cfg.params) / s**2
+    reg = _regularizer(channel, cfg.params) / channel.S_tilde**2
     W = _regularized_inverse_precoder(channel, reg, "adaptive regularized zero-forcing")
     return normalize_power(W)
 

@@ -105,9 +105,10 @@ class SystemParams:
 
     The one owner of P. Precoders live on the unit per-antenna budget 1/T
     and the station transmits sqrt(P) W, so P acts only through sigma2 / P.
-    `noise_to_signal` (sigma2 / P) scales the noise term of per-symbol SINRs and
-    regularizes detection. `regularizer` (sigma2 * L / P) is the distinct,
-    larger constant used by the regularized precoders.
+    `noise_to_signal` (sigma2 / P), the one place sigma2 and P meet, scales the
+    noise term of per-symbol SINRs and regularizes detection; it must be
+    finite. `regularizer` (noise_to_signal * L) is the distinct, larger
+    constant used by the regularized precoders.
     """
 
     P: float
@@ -117,6 +118,7 @@ class SystemParams:
     def __post_init__(self):
         check_power(self.P)
         check_noise(self.sigma2, "sigma2")
+        check_noise(self.noise_to_signal, "noise_to_signal")
         if not is_count(self.L):
             raise DimensionError(f"L must be an integer, got {self.L!r}")
         if self.L < 1:
@@ -128,7 +130,7 @@ class SystemParams:
 
     @property
     def regularizer(self) -> float:
-        return self.sigma2 * self.L / self.P
+        return self.noise_to_signal * self.L
 
 
 @dataclass(frozen=True)
@@ -144,10 +146,6 @@ class UserChannel:
     @property
     def R_k(self) -> int:
         return self.H.shape[0]
-
-    @property
-    def T(self) -> int:
-        return self.H.shape[1]
 
     @property
     def S_tilde(self) -> np.ndarray:
@@ -318,39 +316,41 @@ def build_channel_set(channels, layer_counts) -> ChannelSet:
                       S_tilde=_read_only(S_tilde), V_tilde=_read_only(V_tilde))
 
 
-def susinr_gain(dims: SystemDims, s_tilde: np.ndarray) -> float:
+def susinr_gain(channel: ChannelSet) -> float:
     """Channel-quality factor of the single-user SINR.
 
     Geometric mean over users of (1/L_k) * geomean_l(s_l^2), with the 1/L_k
-    factor multiplying inside the outer mean. Evaluated in log space.
+    factor multiplying inside the outer mean. Evaluated in log space over the
+    channel's own user groups; build_channel_set has proven every leading
+    singular value positive.
     """
-    s = np.asarray(s_tilde, dtype=float)
-    if (s <= 0).any():
-        raise DegenerateChannelError("singular values must be positive")
-    logs = np.log(s)
     # One row sum per user, taken a user group at a time, then summed over
     # users in user order: the bits of a per-user loop.
-    log_terms = np.empty(dims.K)
-    for L_k, users, cols, *_ in _layout(dims.T, dims.R_k, dims.L_k)[1]:
-        log_terms[users] = (2.0 / L_k) * logs[cols].sum(axis=1) - math.log(L_k)
-    return math.exp(sum(log_terms.tolist()) / dims.K)
+    logs = np.log(channel.S_tilde)
+    log_terms = np.empty(channel.dims.K)
+    for g in channel.groups:
+        L_k = g.cols.shape[1]
+        log_terms[g.users] = (2.0 / L_k) * logs[g.cols].sum(axis=1) - math.log(L_k)
+    return math.exp(sum(log_terms.tolist()) / channel.dims.K)
 
 
 def noise_from_susinr(channel: ChannelSet, P: float, target_db: float) -> float:
     """Noise power sigma2 such that the channel's single-user SINR is target_db.
 
     Inverts susinr(channel, sigma2 / P) = target_db in closed form. A target
-    so low, or a P so high, that sigma2 overflows raises NumericalFailureError.
+    so low, or a P so high, that sigma2 or sigma2 / P overflows raises
+    NumericalFailureError, whatever P is: every other number derived from the
+    noise reads sigma2 / P.
     """
     check_power(P)
     if not math.isfinite(target_db):
         raise ValueError(f"target_db must be finite, got {target_db!r}")
-    gain = susinr_gain(channel.dims, channel.S_tilde)
+    gain = susinr_gain(channel)
     try:
         sigma2 = P * gain * 10.0 ** (-target_db / 10.0)
     except OverflowError:  # 10.0 ** x beyond the float range
         sigma2 = math.inf
-    if not math.isfinite(sigma2):
+    if not math.isfinite(sigma2 / P):  # inf / P is inf: covers sigma2 too
         raise NumericalFailureError(
             f"noise power for {target_db:g} dB SUSINR at P={P:g} overflows")
     return sigma2

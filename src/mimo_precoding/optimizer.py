@@ -51,8 +51,8 @@ class ObjectiveSpec:
 
     "cd" evaluates the per-symbol surrogate on the projected precoder; "irc"
     rebuilds the MMSE-IRC detector from the projected precoder on every
-    evaluation and differentiates through it. Both need positive noise power:
-    sigma2 = 0 raises InfiniteSusinrError.
+    evaluation and differentiates through it. Both need positive noise:
+    sigma2 / P = 0 raises InfiniteSusinrError.
     """
 
     kind: str
@@ -62,9 +62,9 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}, expected {OBJECTIVE_KINDS}")
-        if self.params.sigma2 == 0:
+        if self.params.noise_to_signal == 0:
             raise InfiniteSusinrError(
-                f"the {self.kind} objective needs positive noise power, got sigma2 = 0")
+                f"the {self.kind} objective needs positive noise power, got sigma2 / P = 0")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -189,7 +189,7 @@ def susinr(channel: ChannelSet, noise_to_signal: float) -> float:
     check_noise(noise_to_signal, "noise_to_signal")
     if noise_to_signal == 0:
         raise InfiniteSusinrError("single-user SINR is infinite at zero noise power")
-    gain = susinr_gain(channel.dims, channel.S_tilde)
+    gain = susinr_gain(channel)
     return 10.0 * math.log10(gain / noise_to_signal)
 
 

@@ -1,4 +1,8 @@
 import json
+import math
+import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -365,9 +369,14 @@ class TestRunScenario:
             assert row.error.startswith("InfiniteSusinrError: ")
 
     # sigma2 = P * gain * 10^(-susinr_db / 10), gain about 37 at the default
-    # dims: 10^400 overflows at -4000 dB, and P * gain at P = 1e307.
-    @pytest.mark.parametrize("P, grid", [(1.0, (-4000.0, 12.0)), (1e307, (0.0,))],
-                             ids=["power-of-ten-overflows", "product-overflows"])
+    # dims: 10^400 overflows at -4000 dB, and P * gain at P = 1e307. At
+    # -3068.246 dB, gain * 10^(-susinr_db / 10) is about 2.5e308: at P = 0.5
+    # sigma2 fits but sigma2 / P does not, which used to fail each row with
+    # its own misleading error after RuntimeWarnings.
+    @pytest.mark.parametrize("P, grid", [(1.0, (-4000.0, 12.0)), (1e307, (0.0,)),
+                                         (0.5, (-3068.246, 12.0))],
+                             ids=["power-of-ten-overflows", "product-overflows",
+                                  "ratio-overflows"])
     def test_overflowing_noise_calibration_fails_every_row_of_its_cell(self, P, grid):
         cfg = ScenarioConfig(P=P, seeds=(0,), susinr_grid_db=grid,
                              algorithms=("ARZF", "QN-IRC-ARZF"),
@@ -405,6 +414,48 @@ class TestRunScenario:
             for a, b in zip(got, closed_form):
                 assert a.se_irc_bits == pytest.approx(b.se_irc_bits, rel=1e-14, abs=0.0), \
                     (P, a)
+
+    def test_station_power_changes_no_error_at_a_huge_noise(self):
+        # At -3000 dB and P = 1e6, sigma2 * L overflowed while sigma2 / P * L
+        # does not: six rows failed with ZeroPrecoderError where P = 1 names
+        # an UndefinedSinrError.
+        def rows(P):
+            cfg = ScenarioConfig(P=P, seeds=(0,), susinr_grid_db=(-3000.0,),
+                                 optimizer=OptimizerConfig(max_iters=5))
+            return rows_without_wall_ms(run_scenario(cfg))
+
+        assert rows(1e6) == rows(1.0)
+
+    @pytest.mark.parametrize("setting", [
+        {}, RAGGED_CORR, dict(dims=SystemDims.uniform(K=2, T=4, R=2, L=2)),
+        dict(dims=SystemDims.uniform(K=1, T=8, R=2, L=2)),
+    ], ids=["iid", "ragged-corr", "T=L", "K=1"])
+    def test_each_edge_row_has_a_value_or_one_error_whatever_the_power(self, setting):
+        # Both ends of the float range, and the window where sigma2 fits but
+        # sigma2 / P overflows at P = 0.5: gain * 10^(-susinr_db / 10) is
+        # about 2.5e308 there.
+        base = ScenarioConfig(seeds=(0,), optimizer=OptimizerConfig(max_iters=5), **setting)
+        channel = generate_channels(base.dims, 0, base.channel_model, base.rho)
+        gain = noise_from_susinr(channel, 1.0, 0.0)
+        window = round(-10 * (308 + math.log10(2.5) - math.log10(gain)), 3)
+        grid = (-3000.0, -1650.0, -4.0, 40.0, 4000.0, window)
+
+        def errors(P):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rows = run_scenario(replace(base, P=P, susinr_grid_db=grid)).rows
+            assert [str(w.message) for w in caught] == [], P
+            for r in rows:
+                if r.error is None:
+                    assert math.isfinite(r.se_irc_bits) and r.se_irc_bits >= 0, (P, r)
+                else:
+                    assert r.se_irc_bits is None, (P, r)
+            return [(r.susinr_db, r.algorithm, r.error and re.sub(r" at P=\S+", "", r.error))
+                    for r in rows]
+
+        unit = errors(1.0)
+        for P in (0.5, 1e6):
+            assert errors(P) == unit, P
 
     def test_programming_error_propagates(self, monkeypatch):
         def buggy(name, channel, params, opt_cfg):

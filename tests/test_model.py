@@ -88,6 +88,12 @@ class TestSystemParams:
         with pytest.raises(ValueError, match=f"^{name} must be a"):
             SystemParams(**{"P": 1.0, "sigma2": 0.1, "L": 16, **kwargs})
 
+    def test_overflowing_noise_to_signal_rejected(self):
+        # sigma2 fits in a double, sigma2 / P does not: scoring under the
+        # infinite ratio used to warn and name NaN SINR denominators.
+        with pytest.raises(ValueError, match="^noise_to_signal must be"):
+            SystemParams(P=0.5, sigma2=1.2e308, L=16)
+
     @pytest.mark.parametrize("L", [True, 2.5, 2.0, "2"])
     def test_non_integer_stream_count_rejected(self, L):
         with pytest.raises(DimensionError, match="integer"):
@@ -366,13 +372,8 @@ class TestNoiseCalibration:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             noise_from_susinr(ch, P, target)
 
-    def test_zero_singular_value_rejected(self):
-        dims = SystemDims(K=1, T=2, R_k=(1,), L_k=(1,))
-        with pytest.raises(DegenerateChannelError):
-            susinr_gain(dims, np.array([0.0]))
-
     def test_gain_formula_includes_stream_count_factor(self):
         # Two streams with squared singular values 4 and 1: the gain is the
         # per-user factor (1/2) * sqrt(4 * 1) = 1, not the bare geometric mean 2.
-        dims = SystemDims(K=1, T=4, R_k=(2,), L_k=(2,))
-        assert susinr_gain(dims, np.array([2.0, 1.0])) == pytest.approx(1.0, rel=1e-12)
+        ch = build_channel_set([np.diag([2.0, 1.0])], [2])
+        assert susinr_gain(ch) == pytest.approx(1.0, rel=1e-12)
