@@ -54,7 +54,7 @@ def normalize_power(W_raw: np.ndarray) -> PrecodingMatrix:
     if W.ndim != 2:
         raise DimensionError(f"precoder must be a matrix, got ndim={W.ndim}")
     T, L = W.shape
-    top = row_power(W).max(initial=0.0)
+    top = np.maximum.reduce(row_power(W), initial=0.0)
     if not 2.0**-500 <= top <= 2.0**500 and np.isfinite(W).all():
         # Outside the range _inside's proof covers: a row power can overflow,
         # underflow to zero or lose digits, and 1/T over it can overflow. The
@@ -62,10 +62,10 @@ def normalize_power(W_raw: np.ndarray) -> PrecodingMatrix:
         # [1/2, 1) brings the rows back into it, and leaves a zero matrix zero.
         Wf = np.ascontiguousarray(W).view(np.float64)
         W = np.ldexp(Wf, -math.frexp(np.abs(Wf).max(initial=0.0))[1]).view(np.complex128)
-        top = row_power(W).max(initial=0.0)
+        top = np.maximum.reduce(row_power(W), initial=0.0)
     if top == 0.0:
         raise ZeroPrecoderError("cannot normalize an all-zero precoding matrix")
-    scale = np.sqrt(1.0 / T * _inside(L) / top)
+    scale = math.sqrt(1.0 / T * _inside(L) / top)
     # A NaN or infinite entry makes top non-finite; a finite top in
     # [2**-500, 2**500] gives a finite scale that bounds every scaled entry by
     # sqrt(1 / T), so the result needs no rescan.
@@ -83,9 +83,16 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _regularized_inverse_precoder(channel: ChannelSet, reg_diag: np.ndarray | None,
+def _frobenius(a: np.ndarray) -> float:
+    """np.linalg.norm(a) of a complex array, by that function's own formula."""
+    a = a.ravel(order="K")
+    return math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))
+
+
+def _regularized_inverse_precoder(channel: ChannelSet, reg: np.ndarray | float | None,
                                   context: str) -> np.ndarray:
-    """V^H (V V^H + diag(reg))^{-1} without forming the inverse.
+    """V^H (V V^H + diag(reg))^{-1} without forming the inverse; reg is one
+    regularizer per stream, or one for all.
 
     The Cholesky factorization and solve are the LAPACK calls that scipy's
     cho_factor and cho_solve make, without their wrappers' checks.
@@ -96,14 +103,16 @@ def _regularized_inverse_precoder(channel: ChannelSet, reg_diag: np.ndarray | No
     only when LAPACK fails or when ||G||_F ||G^{-1}||_F, an upper bound on it
     from the solve already made, comes within _COND_MARGIN of _COND_WARN.
     """
-    gram = channel.gram
-    lhs = gram if reg_diag is None else gram + np.diag(reg_diag)
+    gram = lhs = channel.gram
+    if reg is not None:
+        lhs = gram.copy()
+        lhs.reshape(-1)[::len(lhs) + 1] += reg
     c, info = zpotrf(lhs, clean=False)
     if info == 0:
         X, info = zpotrs(c, _identity(len(c)))
     # A failed factorization, or a bound that is NaN, takes the exact path too.
-    if reg_diag is None and not (
-            info == 0 and np.linalg.norm(gram) * np.linalg.norm(X) <= _COND_WARN / _COND_MARGIN):
+    if reg is None and not (
+            info == 0 and _frobenius(gram) * _frobenius(X) <= _COND_WARN / _COND_MARGIN):
         cond = np.linalg.cond(gram)
         if cond > 1e14:
             raise SingularMatrixError(
@@ -144,8 +153,8 @@ def zf(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
 
 def rzf(channel: ChannelSet, cfg: BaselineConfig) -> PrecodingMatrix:
     """Regularized zero-forcing with the scalar regularizer sigma2 * L / P."""
-    reg = np.full(channel.dims.L, _regularizer(channel, cfg.params))
-    W = _regularized_inverse_precoder(channel, reg, "regularized zero-forcing")
+    W = _regularized_inverse_precoder(channel, _regularizer(channel, cfg.params),
+                                      "regularized zero-forcing")
     return normalize_power(W)
 
 

@@ -9,6 +9,7 @@ by build_channel_set, the same path channel files take.
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import ConfigError
 from .model import ChannelSet, SystemDims, build_channel_set, is_count
 
 MODELS = ("iid-gaussian", "exp-correlated")
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def check_model(model: str, rho: float) -> None:
@@ -35,13 +37,15 @@ def _user_rng(seed: int, user: int) -> np.random.Generator:
     """The generator of SeedSequence([seed, user]). SeedSequence reads each
     integer as its little-endian 32-bit words (at least one), seed's first;
     handed those words as a uint32 array it skips that per-call coercion and
-    keys the same stream."""
+    keys the same stream. Generator(PCG64(ss)) is what default_rng(ss)
+    builds, without its dispatch."""
     words = []
     for n in (int(seed), user):
         words.append(n & 0xFFFFFFFF)
         while n := n >> 32:
             words.append(n & 0xFFFFFFFF)
-    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+    ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _exp_correlation_sqrt(n: int, rho: float) -> np.ndarray:
@@ -74,7 +78,10 @@ def generate_channels(dims: SystemDims, seed: int, model: str = "iid-gaussian",
     # Each user keeps their own stream; one complex build covers every draw.
     draws = np.concatenate([_user_rng(seed, k).standard_normal((2, R_k, dims.T))
                             for k, R_k in enumerate(dims.R_k)], axis=1)
-    H = (draws[0] + 1j * draws[1]) / np.sqrt(2.0)
+    # The bits of (d0 + 1j d1) / sqrt(2): numpy multiplies by the reciprocal.
+    H = np.empty(draws.shape[1:], dtype=np.complex128)
+    np.multiply(draws[0], _INV_SQRT2, out=H.real)
+    np.multiply(draws[1], _INV_SQRT2, out=H.imag)
     mats = [H[end - R_k:end] for R_k, end in zip(dims.R_k, accumulate(dims.R_k))]
     if colored:
         mats = [sqrt_cr[len(H_k)] @ H_k @ sqrt_ct for H_k in mats]

@@ -221,7 +221,7 @@ def _score(precoders: list[PrecodingMatrix], channel: ChannelSet,
     if not precoders:
         return []
     try:
-        return [float(se) for se in irc_forward(np.stack([W.W for W in precoders]),
+        return [float(se) for se in irc_forward(np.array([W.W for W in precoders]),
                                                 channel, params)[0]]
     except (MimoError, np.linalg.LinAlgError) as exc:
         if len(precoders) == 1:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.linalg._linalg import _raise_linalgerror_svd_nonconvergence
+from numpy.linalg._umath_linalg import svd_s as _svd  # np.linalg.svd's reduced-SVD gufunc
 
 from .errors import DegenerateChannelError, DimensionError, NumericalFailureError
 
@@ -225,15 +227,19 @@ def _factors(H: np.ndarray, L_k: int, users) -> tuple[np.ndarray, np.ndarray, np
     fixed so that its largest-magnitude entry is real and positive (the
     matching row of U absorbs the conjugate phase), which makes decompositions
     reproducible across runs. The factors equal those of per-matrix SVDs of
-    H^H bit for bit.
+    H^H bit for bit. The SVD is _svd, the gufunc np.linalg.svd calls, under
+    the errstate it sets, so non-convergence still raises LinAlgError; its
+    shape and dtype checks hold for a complex (n, R_k, T) stack.
 
     Raises DegenerateChannelError if a channel's rank is below its L_k, since a
     zero leading singular value cannot be inverted by conjugate detection.
     """
-    if not np.isfinite(H).all():
+    if not np.logical_and.reduce(np.isfinite(H), axis=None):
         raise ValueError("channel matrix has non-finite entries")
     # s sorted descending per matrix
-    a, s, b = np.linalg.svd(H.conj().transpose(0, 2, 1), full_matrices=False)
+    with np.errstate(call=_raise_linalgerror_svd_nonconvergence, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        a, s, b = _svd(H.conj().transpose(0, 2, 1), signature="D->DdD")
     vh = np.conj(a.transpose(0, 2, 1), order="C")
 
     # Phase fix: one unitary diagonal applied to the rows of both U and V
@@ -248,7 +254,7 @@ def _factors(H: np.ndarray, L_k: int, users) -> tuple[np.ndarray, np.ndarray, np
 
     s_max = s[:, 0]
     weak = (s_max == 0.0) | (s[:, L_k - 1] <= RANK_TOL * s_max)
-    if weak.any():
+    if np.logical_or.reduce(weak):
         i = int(np.argmax(weak))
         raise DegenerateChannelError(
             f"user {users[i]}: rank below requested stream count L_k={L_k} "
@@ -306,7 +312,7 @@ def build_channel_set(channels, layer_counts) -> ChannelSet:
     V_tilde = np.empty((dims.L, T), dtype=np.complex128)
     groups = []
     for L, users, cols, own, own_cols in layout:
-        H = np.stack([mats[k] for k in users.tolist()])
+        H = np.array([mats[k] for k in users.tolist()])
         U, S, V = _factors(H, L, users)
         S_tilde[cols] = S[:, :L]
         V_tilde[cols] = V[:, :L]
@@ -330,7 +336,7 @@ def susinr_gain(channel: ChannelSet) -> float:
     log_terms = np.empty(channel.dims.K)
     for g in channel.groups:
         L_k = g.cols.shape[1]
-        log_terms[g.users] = (2.0 / L_k) * logs[g.cols].sum(axis=1) - math.log(L_k)
+        log_terms[g.users] = (2.0 / L_k) * np.add.reduce(logs[g.cols], axis=1) - math.log(L_k)
     return math.exp(sum(log_terms.tolist()) / channel.dims.K)
 
 

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 
 from mimo_precoding import SystemDims, SystemParams, generate_channels, noise_from_susinr
@@ -53,3 +56,23 @@ def mixed_rows_precoder(rng, T, L, exterior_fraction=0.5, margin=0.3):
     outside = rng.random(T) < exterior_fraction
     scale = np.where(outside, (1.0 + margin) * np.sqrt(cap), (1.0 - margin) * np.sqrt(cap))
     return W * scale[:, None]
+
+
+def numpy_python_calls(fn):
+    """Python functions under numpy's package directory that fn() calls,
+    after one warm-up call."""
+    fn()
+    root = os.path.dirname(np.__file__) + os.sep
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            called.append(f"{frame.f_code.co_filename[len(root):]}:{frame.f_code.co_name}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return called

@@ -241,6 +241,12 @@ class TestZfConditioning:
                                                       r"of the array is not positive definite$"):
             zf(ch, zf_cfg())
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bound_norm_is_np_linalg_norm(self, order):
+        # The bound reads the C-ordered Gram matrix and zpotrs' F-ordered X.
+        a = np.asarray(complex_randn(np.random.default_rng(5), (16, 16)), order=order)
+        assert baselines._frobenius(a) == np.linalg.norm(a)
+
     def test_well_conditioned_zf_takes_no_svd(self, monkeypatch):
         calls = []
         real = np.linalg.cond

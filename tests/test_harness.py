@@ -9,6 +9,7 @@ import pytest
 
 import mimo_precoding.harness as harness
 from mimo_precoding import (
+    BaselineConfig,
     ConfigError,
     MimoError,
     OptimizerConfig,
@@ -18,13 +19,18 @@ from mimo_precoding import (
     SingularMatrixError,
     SystemDims,
     SystemParams,
+    build_channel_set,
+    compute_baseline,
     export_report,
     generate_channels,
     noise_from_susinr,
     run_scenario,
     spectral_efficiency_irc,
 )
+from mimo_precoding.baselines import KINDS
 from mimo_precoding.harness import RunRecord
+
+from conftest import numpy_python_calls
 
 RAGGED_CORR = dict(
     dims=SystemDims(K=8, T=64, R_k=(1, 2, 2, 4, 4, 4, 8, 8), L_k=(1, 1, 2, 1, 2, 4, 2, 4)),
@@ -465,6 +471,33 @@ class TestRunScenario:
         cfg = tiny_config(seeds=(0,), susinr_grid_db=(12.0,), algorithms=("ZF",))
         with pytest.raises(RuntimeError, match="synthetic bug"):
             run_scenario(cfg)
+
+
+class TestNoNumpyWrapperOnTheCellPath:
+    """A closed-form cell calls numpy's compiled routines, not the Python
+    wrappers around them (np.linalg.svd, np.linalg.norm, np.stack, np.diag,
+    np.full, ndarray.all, any, sum and max), from its drawn matrices on:
+    factorization, calibration, the four baselines and their batched score.
+    The draw itself is left out: numpy.random's compiled code calls numpy's
+    own Python errstate and concatenate stubs. The errstate model._factors
+    keeps around each group's SVD, so that non-convergence raises
+    LinAlgError as in np.linalg.svd, is Python too; its frames are dropped."""
+
+    @pytest.mark.parametrize("dims", [ScenarioConfig().dims, RAGGED_CORR["dims"]],
+                             ids=["default", "ragged"])
+    def test_factors_baselines_and_score(self, dims):
+        cfg = ScenarioConfig(dims=dims)
+        mats = [u.H for u in generate_channels(dims, 0).users]
+
+        def closed_form_cell():
+            channel = build_channel_set(mats, dims.L_k)
+            params = harness._calibrated(cfg, channel, 12.0)
+            built = [compute_baseline(channel, BaselineConfig(kind, params)) for kind in KINDS]
+            return harness._score(built, channel, params)
+
+        assert all(isinstance(se, float) for se in closed_form_cell())
+        calls = numpy_python_calls(closed_form_cell)
+        assert [c for c in calls if not c.startswith("_core/_ufunc_config.py:")] == []
 
 
 class TestExportReport:

@@ -36,7 +36,7 @@ from mimo_precoding import (
     spectral_efficiency_irc,
     symbol_sinr,
 )
-from mimo_precoding import irc
+from mimo_precoding import irc, model
 from mimo_precoding.harness import cell, run_algorithm
 from mimo_precoding.irc import irc_backward, irc_forward
 
@@ -281,9 +281,21 @@ class TestPositiveDefiniteness:
 
 
 class TestCompiledEntryPoints:
-    """The library calls the compiled routines behind np.linalg.inv and
-    np.einsum directly; each must give the public function's bytes on the
-    operands the library hands it."""
+    """The library calls the compiled routines behind np.linalg.inv,
+    np.linalg.svd and np.einsum directly; each must give the public
+    function's bytes on the operands the library hands it."""
+
+    @pytest.mark.parametrize("T", [8, 64])
+    @pytest.mark.parametrize("R", [1, 4, 8])
+    @pytest.mark.parametrize("n", [1, 8, 32])
+    def test_svd_s_is_np_linalg_svd(self, n, R, T):
+        # model._factors hands it the conjugate transpose of an (n, R, T) stack.
+        H = complex_randn(np.random.default_rng(100 * n + 10 * R + T), (n, R, T))
+        a = H.conj().transpose(0, 2, 1)
+        got = model._svd(a, signature="D->DdD")
+        expected = np.linalg.svd(a, full_matrices=False)
+        for g, e in zip(got, expected, strict=True):
+            assert g.tobytes() == e.tobytes()
 
     @pytest.mark.parametrize("R", [1, 4, 8])
     @pytest.mark.parametrize("n", [1, 8, 32])

@@ -18,6 +18,7 @@ from mimo_precoding import (
     susinr,
     write_channels,
 )
+from mimo_precoding import model
 from mimo_precoding.model import susinr_gain
 
 from conftest import complex_randn, random_channel
@@ -190,6 +191,21 @@ class TestBuildChannelSet:
         mats[3][2, 6] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             build_channel_set(mats, [2] * 8)
+
+    def test_svd_non_convergence_raises_lin_alg_error(self, monkeypatch):
+        # The SVD gufunc reports a LAPACK failure by the floating-point invalid
+        # flag; np.linalg.svd's errstate, kept around the call, turns the flag
+        # into LinAlgError.
+        svd = model._svd
+
+        def unconverged(a, signature):
+            np.sqrt(-1.0)  # raises the invalid flag
+            return svd(a, signature=signature)
+
+        monkeypatch.setattr(model, "_svd", unconverged)
+        mats = [complex_randn(np.random.default_rng(14), (4, 8)) for _ in range(2)]
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            build_channel_set(mats, [2] * 2)
 
     def test_mixed_shapes_keep_list_order(self):
         rng = np.random.default_rng(13)

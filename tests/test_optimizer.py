@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import os
-import sys
 import warnings
 
 import numpy as np
@@ -32,7 +30,8 @@ from mimo_precoding.optimizer import _projection, _ProjectionParam, _Softmax
 from mimo_precoding.quality import PrecodingMatrix, row_power
 
 from conftest import (
-    calibrated_params, complex_randn, embed, fd_gradient, mixed_rows_precoder, random_channel,
+    calibrated_params, complex_randn, embed, fd_gradient, mixed_rows_precoder, numpy_python_calls,
+    random_channel,
 )
 
 
@@ -238,26 +237,6 @@ def capture_engine_evaluate(monkeypatch, spec, W, score_fn=None):
     monkeypatch.setattr(lbfgs, "maximize", capture)
     lbfgs_maximize(spec, OptimizerConfig(start="custom", start_matrix=W), score_fn=score_fn)
     return handed[0]
-
-
-def numpy_python_calls(fn):
-    """Python functions under numpy's package directory that fn() calls,
-    after one warm-up call."""
-    fn()
-    root = os.path.dirname(np.__file__) + os.sep
-    called = []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.startswith(root):
-            called.append(f"{frame.f_code.co_filename[len(root):]}:{frame.f_code.co_name}")
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(previous)
-    return called
 
 
 class TestNoNumpyWrapperOnTheHotPath:
